@@ -129,6 +129,21 @@ def node_weights(params: PromptParams, table: EmbeddingTable, labels: LabelSet) 
     return table.rows(labels.members) @ params.weight.T + params.bias
 
 
+def unit_weights(
+    params: PromptParams, table: EmbeddingTable, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label side of a score matrix over ``nodes``, one row per node.
+
+    Returns the embedding rows, the mapped weights scaled to unit rows,
+    and the norms those weights had; backpropagation needs all three.
+    """
+    if table.dim != params.dim:
+        raise ValueError("embedding and parameter dimensions differ")
+    emb = table.rows(nodes)
+    what, wnorm = unit_rows(emb @ params.weight.T + params.bias, "label weights")
+    return emb, what, wnorm
+
+
 def cosine_scores(
     params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
 ) -> np.ndarray:

@@ -36,6 +36,15 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 
 
 def _floats(tokens: list[str], lineno: int, what: str) -> np.ndarray:
+    """Parse one row of numbers.
+
+    Python's float() also reads digit separators (``1_0`` is 10.0), which
+    no writer emits, so a row holding an underscore is refused; the check
+    runs once per row.
+    """
+    if "_" in "".join(tokens):
+        bad = next(t for t in tokens if "_" in t)
+        raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
     return np.asarray([_parse_float(t, lineno, what) for t in tokens], dtype=np.float64)
 
 
@@ -101,6 +110,7 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
     ids: list[str] = []
     labels: list[int] = []
     feats: list[np.ndarray] = []
+    seen: set[str] = set()
     for lineno, line in rows:
         fields = line.split("\t")
         if len(fields) != dim + 2:
@@ -108,6 +118,9 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
                 f"sample file line {lineno}: expected id, leaf, and {dim} values"
             )
         sid, leaf_name = fields[0].strip(), fields[1].strip()
+        if sid in seen:
+            raise FormatError(f"sample file line {lineno}: duplicate sample id {sid!r}")
+        seen.add(sid)
         if leaf_name not in tree.name_index:
             raise FormatError(f"sample file line {lineno}: unknown leaf {leaf_name!r}")
         leaf = tree.name_index[leaf_name]
@@ -164,7 +177,7 @@ def load_params(text: str) -> PromptParams:
     lineno, rest = take("tau")
     if len(rest) != 1:
         raise FormatError(f"params file line {lineno}: bad tau record")
-    tau = _parse_float(rest[0], lineno, "params file")
+    tau = float(_floats(rest, lineno, "params file")[0])
     weight = np.zeros((dim, dim))
     for r in range(dim):
         lineno, rest = take("A")

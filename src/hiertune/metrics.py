@@ -6,6 +6,13 @@ models that are right at the leaf for locally wrong reasons. Treecut
 accuracy scores the model on randomly coarsened vocabularies and averages,
 probing robustness to label granularity. All sampling is seeded, so a
 report is a pure function of its inputs.
+
+Every prediction is an argmax over a column subset of one score matrix,
+the cosines of the samples against every non-root node in the tree's
+column layout, built in blocks of ``EVAL_BLOCK`` samples. Ties go to the
+smallest node index. A prediction is right exactly when it is the true
+leaf or one of its ancestors, since every vocabulary scored is an
+antichain that covers the leaf.
 """
 from __future__ import annotations
 
@@ -13,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, predict
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_distinct
+
+# Samples per score block. Eval holds one block's scores (and a few
+# temporaries of the same shape) at a time, so its memory stays bounded
+# by EVAL_BLOCK x (n_nodes - 1) floats whatever the sample count. At 256
+# the eval peak on a 1,250-node tree stays below the training peak.
+EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -54,13 +67,37 @@ def _require_data(data: SampleSet) -> None:
         raise ValueError("evaluation data is empty")
 
 
+def _score_blocks(
+    tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
+):
+    """Yield (leaf labels, scores) per block of samples, columns in layout order."""
+    _require_data(data)
+    _, what, _ = unit_weights(params, table, tree.layout.nodes)
+    for lo in range(0, len(data), EVAL_BLOCK):
+        block = np.asarray(data.features[lo : lo + EVAL_BLOCK], dtype=np.float64)
+        fhat, _ = unit_rows(block, "features")
+        yield data.leaf_labels[lo : lo + EVAL_BLOCK], fhat @ what.T
+
+
+def _argmax_member(tree: TaxonomyTree, scores: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Highest-scoring member per row; ``members`` ascend, so ties go to the smallest."""
+    return members[np.argmax(scores[:, tree.layout.column[members]], axis=1)]
+
+
+def _on_path(tree: TaxonomyTree, leaves: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Whether each predicted node is its sample's leaf or one of its ancestors."""
+    return tree.layout.ancestors[leaves, nodes]
+
+
 def leaf_accuracy(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
 ) -> float:
     """Fraction of samples whose leaf-vocabulary prediction is the true leaf."""
-    _require_data(data)
-    pred = predict(params, table, tree.leaf_label_set(), data.features)
-    return float((pred == data.leaf_labels).mean())
+    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
+    right = 0
+    for labels, scores in _score_blocks(tree, params, table, data):
+        right += int((_argmax_member(tree, scores, leaves) == labels).sum())
+    return right / len(data)
 
 
 def hca(
@@ -74,25 +111,23 @@ def hca(
     choices and always succeed, so only branching nodes are scored.
     Never exceeds leaf accuracy.
     """
-    _require_data(data)
-    ok = predict(params, table, tree.leaf_label_set(), data.features) == data.leaf_labels
-    node_pred: dict[int, np.ndarray] = {}
-    for node in tree.internal_nodes:
-        if len(tree.children[node]) >= 2:
-            node_pred[node] = predict(
-                params, table, tree.node_label_set(node), data.features
-            )
-    for i in range(len(data)):
-        if not ok[i]:
-            continue
-        below = int(data.leaf_labels[i])
-        for node in tree.ancestors(below):
-            preds = node_pred.get(node)
-            if preds is not None and int(preds[i]) != below:
-                ok[i] = False
-                break
-            below = node
-    return float(ok.mean())
+    lay = tree.layout
+    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
+    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
+    branching = lay.sizes >= 2
+    right = 0
+    for labels, scores in _score_blocks(tree, params, table, data):
+        ok = _argmax_member(tree, scores, leaves) == labels
+        # Each internal node's decision: the first column of its group
+        # that reaches the group maximum, i.e. its smallest best child.
+        top = np.maximum.reduceat(scores, lay.starts, axis=1)
+        first = np.where(scores == top[:, lay.group], np.arange(len(lay.nodes)), len(lay.nodes))
+        decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
+        scored = lay.ancestors[np.ix_(labels, internal)] & branching
+        wrong = scored & ~_on_path(tree, labels[:, None], decided)
+        ok &= ~wrong.any(axis=1)
+        right += int(ok.sum())
+    return right / len(data)
 
 
 def mta(
@@ -118,26 +153,22 @@ def mta(
     if cuts_per_beta < 1:
         raise ValueError("cuts_per_beta must be at least 1")
     bundle = build_matrices(tree)
-    groups = []
-    for bi, beta in enumerate(betas):
-        rng = Rng64(derive_seed(seed, bi + 1))
-        group = []
-        for cut in sample_distinct(tree, bundle, beta, cuts_per_beta, rng):
-            targets = np.asarray(
-                [tree.target_in(int(leaf), cut) for leaf in data.leaf_labels],
-                dtype=np.int64,
-            )
-            pred = predict(params, table, cut, data.features)
-            group.append(
-                CutResult(
-                    beta=float(beta),
-                    size=len(cut),
-                    accuracy=float((pred == targets).mean()),
-                )
-            )
-        groups.append(tuple(group))
+    drawn = [
+        sample_distinct(tree, bundle, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))
+        for bi, beta in enumerate(betas)
+    ]
+    members = [np.asarray(cut.members, dtype=np.int64) for cuts in drawn for cut in cuts]
+    right = np.zeros(len(members), dtype=np.int64)
+    for labels, scores in _score_blocks(tree, params, table, data):
+        for k, cut in enumerate(members):
+            right[k] += int(_on_path(tree, labels, _argmax_member(tree, scores, cut)).sum())
+    accuracy = iter((right / len(data)).tolist())
+    groups = tuple(
+        tuple(CutResult(beta=float(beta), size=len(cut), accuracy=next(accuracy)) for cut in cuts)
+        for beta, cuts in zip(betas, drawn)
+    )
     pooled = float(np.mean([r.accuracy for group in groups for r in group]))
-    return pooled, tuple(groups)
+    return pooled, groups
 
 
 def evaluate(

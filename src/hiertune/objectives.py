@@ -1,12 +1,16 @@
 """Training objectives: cross-entropy over tree-derived vocabularies.
 
-Both objectives reduce to one primitive: softmax cross-entropy of a batch
-against a label set, where each sample's target is the unique label on its
-leaf's root path. The node-centric loss averages that primitive over every
-internal node's child set, teaching each local decision; the treecut loss
-applies it to one sampled fringe, teaching global consistency. Gradients
-with respect to the affine map are closed-form throughout and are checked
-against finite differences in the test suite.
+Every vocabulary drawn from the tree is a column subset of one score
+matrix: the cosines of a batch against the mapped weights of every
+non-root node, in the tree's column layout (``TaxonomyTree.layout``). A
+sample's target in a vocabulary is its leaf's row of the ancestor-or-self
+matrix restricted to that vocabulary's columns. The treecut loss is a
+softmax over one sampled fringe's columns, teaching global consistency;
+the node-centric loss is one segmented softmax over the layout's parent
+groups, averaging every internal node's child-set cross-entropy to teach
+each local decision. Gradients with respect to the affine map are
+closed-form throughout and are checked against finite differences in the
+test suite.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
 from .taxonomy import KIND_TREECUT, LabelSet, TaxonomyTree
 
@@ -33,56 +37,117 @@ class LossValue:
         return cls(0.0, np.zeros((dim, dim)), np.zeros(dim), n_contributing)
 
 
-def _ce_core(
-    tree: TaxonomyTree,
-    params: PromptParams,
-    table: EmbeddingTable,
-    labels: LabelSet,
-    batch: SampleSet,
-) -> tuple[LossValue, np.ndarray]:
-    """Mean cross-entropy of ``batch`` against ``labels``, with gradients.
+@dataclass(frozen=True)
+class _Scores:
+    """Cosines of unit features against unit mapped weights, plus what
+    the backward pass needs: embedding rows, unit weights and weight
+    norms per column, and the unit features per row."""
 
-    Samples whose leaf has no label on its root path are skipped; the
-    returned mask marks the contributors. The mean runs over contributors
-    only.
+    emb: np.ndarray
+    what: np.ndarray
+    wnorm: np.ndarray
+    vhat: np.ndarray
+    cos: np.ndarray
+
+    def take(self, cols: np.ndarray) -> _Scores:
+        return _Scores(self.emb[cols], self.what[cols], self.wnorm[cols], self.vhat, self.cos[:, cols])
+
+
+def _score(
+    params: PromptParams, table: EmbeddingTable, nodes, features: np.ndarray
+) -> _Scores:
+    emb, what, wnorm = unit_weights(params, table, nodes)
+    vhat, _ = unit_rows(np.asarray(features, dtype=np.float64), "features")
+    return _Scores(emb, what, wnorm, vhat, vhat @ what.T)
+
+
+def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
+    """Map gradients from ``g``, the loss gradient at the cosines: through
+    the weight normalization, then through w = A e + b. Overwrites ``g``."""
+    d_weights = g.T @ sc.vhat
+    g *= sc.cos
+    d_weights -= g.sum(axis=0)[:, None] * sc.what
+    d_weights /= sc.wnorm[:, None]
+    return d_weights.T @ sc.emb, d_weights.sum(axis=0)
+
+
+def _target_hits(tree: TaxonomyTree, members, leaves: np.ndarray) -> np.ndarray:
+    """(samples, members) bool: the member is the leaf or one of its ancestors."""
+    return tree.layout.ancestors[np.ix_(leaves, members)]
+
+
+def _vocab_loss(sc: _Scores, targets: np.ndarray, tau: float) -> LossValue:
+    """Mean softmax cross-entropy of every score row against its target column."""
+    n = len(targets)
+    rows = np.arange(n)
+    z = sc.cos / tau
+    z -= z.max(axis=1, keepdims=True)
+    picked = z[rows, targets]
+    np.exp(z, out=z)
+    sez = z.sum(axis=1, keepdims=True)
+    value = float(-(picked - np.log(sez[:, 0])).mean())
+    # Softmax minus one-hot at the logits, scaled to the mean over rows.
+    z /= sez
+    z[rows, targets] -= 1.0
+    z /= tau * n
+    grad_w, grad_b = _backward(z, sc)
+    return LossValue(value, grad_w, grad_b, n)
+
+
+def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: float) -> LossValue:
+    """The node-centric loss from scores over every layout column.
+
+    A sample enters the term of each branching internal node on its root
+    path; its target there is the group column on that path. Each term is
+    the mean over the samples that enter it, and the sum of terms is
+    divided by the number of internal nodes, contributing or not.
     """
-    if len(labels) < 2:
-        raise ValueError("cross-entropy needs at least two labels")
-    member_pos = {m: k for k, m in enumerate(labels.members)}
-    targets = np.full(len(batch), -1, dtype=np.int64)
-    for i, leaf in enumerate(batch.leaf_labels):
-        t = tree.target_in(int(leaf), labels)
-        if t is not None:
-            targets[i] = member_pos[t]
-    mask = targets >= 0
-    n_contrib = int(mask.sum())
-    if n_contrib == 0:
-        return LossValue.zero(params.dim), mask
+    lay = tree.layout
+    n_internal = len(lay.sizes)
+    rows, cols = np.nonzero(_target_hits(tree, lay.nodes, leaves))
+    groups = lay.group[cols]
+    branching = lay.sizes[groups] >= 2
+    rows, cols, groups = rows[branching], cols[branching], groups[branching]
+    if rows.size == 0:
+        return LossValue.zero(sc.emb.shape[1])
+    counts = np.bincount(groups, minlength=n_internal)
+    enters = np.zeros((len(leaves), n_internal), dtype=bool)
+    enters[rows, groups] = True
 
-    emb = table.rows(labels.members)
-    weights = emb @ params.weight.T + params.bias
-    what, wnorm = unit_rows(weights, "label weights")
-    vhat, _ = unit_rows(np.asarray(batch.features[mask], dtype=np.float64), "features")
-    cos = vhat @ what.T
-    z = cos / params.tau
-    shift = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shift)
-    sez = ez.sum(axis=1, keepdims=True)
-    rows = np.arange(n_contrib)
-    t = targets[mask]
-    value = float(-(shift[rows, t] - np.log(sez[:, 0])).mean())
-
-    # Backprop: softmax-minus-onehot at the cosine logits, then through
-    # the weight normalization, then through w = A e + b.
-    c = ez / sez
-    c[rows, t] -= 1.0
-    c /= params.tau * n_contrib
-    colsum = (c * cos).sum(axis=0)
-    d_weights = (c.T @ vhat - colsum[:, None] * what) / wnorm[:, None]
-    return (
-        LossValue(value, d_weights.T @ emb, d_weights.sum(axis=0), n_contrib),
-        mask,
+    z = sc.cos / tau
+    z -= np.maximum.reduceat(z, lay.starts, axis=1)[:, lay.group]
+    picked = z[rows, cols]
+    np.exp(z, out=z)
+    sez = np.add.reduceat(z, lay.starts, axis=1)
+    sums = np.bincount(groups, weights=np.log(sez[rows, groups]) - picked, minlength=n_internal)
+    used = counts > 0
+    value = float(np.sum(sums[used] / counts[used])) / n_internal
+    # Per group: softmax minus one-hot, scaled to the mean over the samples
+    # that enter it; zero for the rest.
+    z /= sez[:, lay.group]
+    z[rows, cols] -= 1.0
+    z /= tau * np.maximum(counts, 1)[lay.group]
+    z *= enters[:, lay.group]
+    grad_w, grad_b = _backward(z, sc)
+    return LossValue(
+        value, grad_w / n_internal, grad_b / n_internal, int(enters.any(axis=1).sum())
     )
+
+
+def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, tau: float) -> LossValue:
+    """The treecut loss from scores over the cut's columns, in member order."""
+    if len(cut) == 1:
+        return LossValue.zero(sc.emb.shape[1], n_contributing=len(batch))
+    targets = np.argmax(_target_hits(tree, cut.members, batch.leaf_labels), axis=1)
+    return _vocab_loss(sc, targets, tau)
+
+
+def _check_cut(tree: TaxonomyTree, cut: LabelSet, batch: SampleSet) -> None:
+    if len(batch) == 0:
+        raise ValueError("batch is empty")
+    if cut.kind != KIND_TREECUT:
+        raise ValueError(f"expected a treecut label set, got kind {cut.kind!r}")
+    tree.treecut_label_set(cut.members)
 
 
 def cross_entropy_loss(
@@ -92,11 +157,24 @@ def cross_entropy_loss(
     labels: LabelSet,
     batch: SampleSet,
 ) -> LossValue:
-    """Mean cross-entropy of a batch against one label set."""
+    """Mean cross-entropy of a batch against one label set.
+
+    A sample's target is the label on its leaf's root path. Samples with
+    no such label are skipped, and the mean runs over the rest.
+    """
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    loss, _ = _ce_core(tree, params, table, labels, batch)
-    return loss
+    if len(labels) < 2:
+        raise ValueError("cross-entropy needs at least two labels")
+    hits = _target_hits(tree, labels.members, batch.leaf_labels)
+    n_hits = hits.sum(axis=1)
+    if (n_hits > 1).any():
+        raise ValueError("label set is not an antichain")
+    mask = n_hits == 1
+    if not mask.any():
+        return LossValue.zero(params.dim)
+    sc = _score(params, table, labels.members, batch.features[mask])
+    return _vocab_loss(sc, np.argmax(hits[mask], axis=1), params.tau)
 
 
 def node_centric_loss(
@@ -114,26 +192,8 @@ def node_centric_loss(
     """
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    n_internal = len(tree.internal_nodes)
-    dim = params.dim
-    value = 0.0
-    grad_w = np.zeros((dim, dim))
-    grad_b = np.zeros(dim)
-    union = np.zeros(len(batch), dtype=bool)
-    for node in tree.internal_nodes:
-        if len(tree.children[node]) < 2:
-            continue
-        part, mask = _ce_core(tree, params, table, tree.node_label_set(node), batch)
-        value += part.value
-        grad_w += part.grad_weight
-        grad_b += part.grad_bias
-        union |= mask
-    return LossValue(
-        value / n_internal,
-        grad_w / n_internal,
-        grad_b / n_internal,
-        int(union.sum()),
-    )
+    sc = _score(params, table, tree.layout.nodes, batch.features)
+    return _node_centric(tree, sc, batch.leaf_labels, params.tau)
 
 
 def treecut_loss(
@@ -148,15 +208,9 @@ def treecut_loss(
     The fringe covers every leaf, so every sample contributes. A
     one-label fringe forces the answer and carries no loss.
     """
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    if cut.kind != KIND_TREECUT:
-        raise ValueError(f"expected a treecut label set, got kind {cut.kind!r}")
-    tree.treecut_label_set(cut.members)
-    if len(cut) == 1:
-        return LossValue.zero(params.dim, n_contributing=len(batch))
-    loss, _ = _ce_core(tree, params, table, cut, batch)
-    return loss
+    _check_cut(tree, cut, batch)
+    sc = _score(params, table, cut.members, batch.features)
+    return _treecut(tree, sc, cut, batch, params.tau)
 
 
 def total_loss(
@@ -170,15 +224,24 @@ def total_loss(
     """Treecut loss plus ``lam`` times the node-centric loss.
 
     Returns (total, treecut part, node part). At ``lam`` 0 the node part
-    is skipped entirely and the total is the treecut object itself, so a
-    zero weight is exact, not approximate.
+    is skipped entirely, only the cut's columns are scored, and the total
+    is the treecut object itself, so a zero weight is exact, not
+    approximate. Otherwise one score matrix over every column serves both
+    parts; each part's gradient goes through the backward pass on its own
+    columns, so the total is exactly the treecut part plus ``lam`` times
+    the node part.
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    dtl = treecut_loss(tree, params, table, cut, batch)
     if lam == 0.0:
+        dtl = treecut_loss(tree, params, table, cut, batch)
         return dtl, dtl, LossValue.zero(params.dim)
-    ncl = node_centric_loss(tree, params, table, batch)
+    _check_cut(tree, cut, batch)
+    lay = tree.layout
+    sc = _score(params, table, lay.nodes, batch.features)
+    ncl = _node_centric(tree, sc, batch.leaf_labels, params.tau)
+    cut_cols = lay.column[np.asarray(cut.members, dtype=np.int64)]
+    dtl = _treecut(tree, sc.take(cut_cols), cut, batch, params.tau)
     total = LossValue(
         dtl.value + lam * ncl.value,
         dtl.grad_weight + lam * ncl.grad_weight,

@@ -9,6 +9,9 @@ structure holds read-only references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 KIND_LEAF = "leaf"
 KIND_NODE = "node"
@@ -42,6 +45,33 @@ class LabelSet:
 
 
 @dataclass(frozen=True)
+class ColumnLayout:
+    """Column order of the score matrix, and ancestry, fixed per tree.
+
+    Every non-root node owns one column. Columns are grouped by parent,
+    the groups follow ``internal_nodes`` order, and each group holds its
+    children in ascending index order, so every internal node's child
+    vocabulary is one contiguous slice.
+
+    nodes      (L,) node of each column
+    column     (n_nodes,) column of each node; -1 for the root
+    starts     (K,) first column of each internal node's group
+    sizes      (K,) child count of each internal node
+    group      (L,) position in ``internal_nodes`` of each column's parent
+    ancestors  (n_nodes, n_nodes) bool; [v, u] is true when u is v or an
+               ancestor of v, so a leaf's row restricted to a vocabulary
+               marks its target there
+    """
+
+    nodes: np.ndarray
+    column: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    group: np.ndarray
+    ancestors: np.ndarray
+
+
+@dataclass(frozen=True)
 class TaxonomyTree:
     """Immutable rooted tree of named class nodes.
 
@@ -63,6 +93,33 @@ class TaxonomyTree:
     @property
     def n_nodes(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def layout(self) -> ColumnLayout:
+        """The score-matrix layout, built on first use and kept."""
+        n = self.n_nodes
+        anc = np.zeros((n, n), dtype=bool)
+        for v, p in enumerate(self.parents):
+            if p is not None:
+                anc[v] = anc[p]
+            anc[v, v] = True
+        sizes = np.asarray([len(self.children[p]) for p in self.internal_nodes], dtype=np.int64)
+        nodes = np.asarray(
+            [c for p in self.internal_nodes for c in self.children[p]], dtype=np.int64
+        )
+        column = np.full(n, -1, dtype=np.int64)
+        column[nodes] = np.arange(len(nodes))
+        layout = ColumnLayout(
+            nodes=nodes,
+            column=column,
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+            group=np.repeat(np.arange(len(sizes)), sizes),
+            ancestors=anc,
+        )
+        for arr in vars(layout).values():
+            arr.flags.writeable = False
+        return layout
 
     def is_leaf(self, node: int) -> bool:
         self._check_index(node)
@@ -124,25 +181,30 @@ class TaxonomyTree:
 
         A valid treecut vocabulary excludes the root, is an antichain (no
         member is an ancestor of another), and covers every leaf (each leaf
-        has exactly one ancestor-or-self among the members).
+        has exactly one ancestor-or-self among the members). Exact cover
+        implies the antichain property, because every member has a leaf
+        below it; the antichain message names the first member that lies
+        under another.
         """
-        unique = sorted(set(members))
-        if len(unique) != len(members):
+        given = np.asarray(members, dtype=np.int64).reshape(-1)
+        unique = np.unique(given)
+        if unique.size != given.size:
             raise ValueError("treecut members must be distinct")
-        member_set = set(unique)
-        if self.root in member_set:
+        if (unique == self.root).any():
             raise ValueError("treecut must not contain the root")
-        for m in unique:
-            self._check_index(m)
-            if member_set.intersection(self.ancestors(m)):
-                raise ValueError(f"treecut is not an antichain at {self.names[m]!r}")
-        for leaf in self.leaf_nodes:
-            covers = sum(1 for n in (leaf, *self.ancestors(leaf)) if n in member_set)
-            if covers != 1:
-                raise ValueError(
-                    f"treecut does not cover leaf {self.names[leaf]!r} exactly once"
-                )
-        return LabelSet(tuple(unique), KIND_TREECUT)
+        outside = unique[(unique < 0) | (unique >= self.n_nodes)]
+        if outside.size:
+            raise ValueError(f"node index {outside[0]} out of range")
+        anc = self.layout.ancestors
+        cover = anc[list(self.leaf_nodes)][:, unique].sum(axis=1)
+        if (cover > 1).any():
+            under = anc[np.ix_(unique, unique)].sum(axis=1) > 1
+            name = self.names[int(unique[np.argmax(under)])]
+            raise ValueError(f"treecut is not an antichain at {name!r}")
+        if (cover == 0).any():
+            leaf = self.leaf_nodes[int(np.argmin(cover))]
+            raise ValueError(f"treecut does not cover leaf {self.names[leaf]!r} exactly once")
+        return LabelSet(tuple(unique.tolist()), KIND_TREECUT)
 
 
 def load_tree(document: str) -> TaxonomyTree:

@@ -71,18 +71,13 @@ class KeepFlags:
 def build_matrices(tree: TaxonomyTree) -> MatrixBundle:
     """Precompute the relation matrices for ``tree``.
 
-    One pass down the file order fills an ancestor-or-self incidence
-    matrix; the bundle fields are submatrix views of it.
+    The bundle fields are submatrices of the tree's ancestor-or-self
+    incidence matrix (``tree.layout.ancestors``).
     """
     n = tree.n_nodes
     if len(tree.leaf_nodes) < 2:
         raise ValueError("tree must have at least two leaves")
-    anc = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        p = tree.parents[v]
-        if p is not None:
-            anc[v] = anc[p]
-        anc[v, v] = True
+    anc = tree.layout.ancestors
 
     internal = np.asarray(tree.internal_nodes, dtype=np.int64)
     labels = np.arange(1, n, dtype=np.int64)

@@ -126,6 +126,30 @@ def test_samples_loader_validation():
         load_samples("#dim 2\ns0\tn4\t0.0\t-0.0\n", tree)
 
 
+def test_samples_loader_rejects_duplicate_ids():
+    tree = demo_tree()
+    with pytest.raises(FormatError, match=r"line 3: duplicate sample id 'x'"):
+        load_samples("#dim 2\nx\tn4\t1.0\t0.0\nx\tn6\t0.0\t1.0\n", tree)
+
+
+def test_loaders_reject_digit_separators():
+    # float() reads "1_0" as 10.0; no writer emits it, so every loader
+    # refuses it and names the line.
+    tree = demo_tree()
+    good_rows = "\n".join(f"n{i}\t1.0\t0.0" for i in range(1, 7))
+    with pytest.raises(FormatError, match=r"embedding table line 3: bad number '1_0'"):
+        load_embeddings("#dim 2\n" + good_rows.replace("n2\t1.0", "n2\t1_0") + "\n", tree)
+    with pytest.raises(FormatError, match=r"sample file line 2: bad number '0_5'"):
+        load_samples("#dim 2\ns_0\tn4\t1.0\t0_5\n", tree)
+    good = write_params(PromptParams.identity(2, 0.5))
+    with pytest.raises(FormatError, match=r"params file line 3: bad number '1_0'"):
+        load_params(good.replace("A\t1.0\t0.0", "A\t1_0\t0.0", 1))
+    with pytest.raises(FormatError, match=r"params file line 2: bad number '0_5'"):
+        load_params(good.replace("tau\t0.5", "tau\t0_5"))
+    # Underscores in names and ids stay legal.
+    assert load_samples("#dim 2\ns_0\tn4\t1.0\t0.5\n", tree).ids == ("s_0",)
+
+
 def test_params_round_trip_is_byte_exact():
     params = PromptParams(
         weight=np.array([[0.1, 1e-17], [-0.0, 1.0 / 3.0]]),
