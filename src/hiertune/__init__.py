@@ -31,7 +31,6 @@ from .synth import gen_synth
 from .taxonomy import LabelSet, TaxonomyTree, TreeFormatError, load_tree
 from .trainer import TrainConfig, TrainLog, cosine_lr, train
 from .treecut import (
-    KeepFlags,
     MatrixBundle,
     blocked_mask,
     build_matrices,
@@ -76,7 +75,6 @@ __all__ = [
     "TrainLog",
     "cosine_lr",
     "train",
-    "KeepFlags",
     "MatrixBundle",
     "blocked_mask",
     "build_matrices",

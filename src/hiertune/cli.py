@@ -31,8 +31,12 @@ from .trainer import TrainConfig, train
 from .treecut import build_matrices, sample_distinct
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str, error: type[ValueError] = FormatError) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _out_dir(path: str) -> Path:
@@ -52,7 +56,7 @@ def _parse_betas(text: str) -> tuple[float, ...]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree))
+    tree = load_tree(_read(args.tree, TreeFormatError))
     print(
         f"{tree.n_nodes} nodes, {len(tree.leaf_nodes)} leaves, "
         f"{len(tree.internal_nodes)} internal"
@@ -61,7 +65,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_cuts(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree))
+    tree = load_tree(_read(args.tree, TreeFormatError))
     bundle = build_matrices(tree)
     cuts = sample_distinct(tree, bundle, args.beta, args.count, Rng64(args.seed))
     print(f"# beta={format_float(args.beta)} seed={args.seed}")
@@ -73,7 +77,7 @@ def cmd_sample_cuts(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree))
+    tree = load_tree(_read(args.tree, TreeFormatError))
     table = load_embeddings(_read(args.emb), tree)
     samples = load_samples(_read(args.samples), tree)
     config = TrainConfig(
@@ -101,7 +105,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree))
+    tree = load_tree(_read(args.tree, TreeFormatError))
     table = load_embeddings(_read(args.emb), tree)
     samples = load_samples(_read(args.samples), tree)
     params = load_params(_read(args.params))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
-from .rng import Rng64, derive_seed
+from .rng import MASK64, Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_distinct
 
@@ -152,6 +152,8 @@ def mta(
         raise ValueError("betas must be non-empty")
     if cuts_per_beta < 1:
         raise ValueError("cuts_per_beta must be at least 1")
+    if not 0 <= seed <= MASK64:  # derive_seed would fold it into range
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     bundle = build_matrices(tree)
     drawn = [
         sample_distinct(tree, bundle, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))

@@ -103,15 +103,15 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     divided by the number of internal nodes, contributing or not.
     """
     lay = tree.layout
-    n_internal = len(lay.sizes)
+    n_groups = len(lay.sizes)
     rows, cols = np.nonzero(_target_hits(tree, lay.nodes, leaves))
     groups = lay.group[cols]
     branching = lay.sizes[groups] >= 2
     rows, cols, groups = rows[branching], cols[branching], groups[branching]
     if rows.size == 0:
         return LossValue.zero(sc.emb.shape[1])
-    counts = np.bincount(groups, minlength=n_internal)
-    enters = np.zeros((len(leaves), n_internal), dtype=bool)
+    counts = np.bincount(groups, minlength=n_groups)
+    enters = np.zeros((len(leaves), n_groups), dtype=bool)
     enters[rows, groups] = True
 
     z = sc.cos / tau
@@ -119,9 +119,9 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     picked = z[rows, cols]
     np.exp(z, out=z)
     sez = np.add.reduceat(z, lay.starts, axis=1)
-    sums = np.bincount(groups, weights=np.log(sez[rows, groups]) - picked, minlength=n_internal)
+    sums = np.bincount(groups, weights=np.log(sez[rows, groups]) - picked, minlength=n_groups)
     used = counts > 0
-    value = float(np.sum(sums[used] / counts[used])) / n_internal
+    value = float(np.sum(sums[used] / counts[used])) / n_groups
     # Per group: softmax minus one-hot, scaled to the mean over the samples
     # that enter it; zero for the rest.
     z /= sez[:, lay.group]
@@ -130,7 +130,7 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     z *= enters[:, lay.group]
     grad_w, grad_b = _backward(z, sc)
     return LossValue(
-        value, grad_w / n_internal, grad_b / n_internal, int(enters.any(axis=1).sum())
+        value, grad_w / n_groups, grad_b / n_groups, int(enters.any(axis=1).sum())
     )
 
 

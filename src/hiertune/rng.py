@@ -30,7 +30,9 @@ class Rng64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64

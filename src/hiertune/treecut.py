@@ -4,12 +4,13 @@ A treecut keeps some internal nodes expanded and collapses the rest; its
 label set is the fringe of the pruned tree. Sampling works on a vector of
 independent keep flags over the internal nodes, repaired so that a node
 only stays expanded when its whole ancestor chain is, then mapped to the
-fringe through two precomputed relation masks. Everything here is dense
-integer linear algebra so a cut costs two mat-vecs regardless of shape.
+fringe through two boolean masks sliced from the tree's ancestor matrix,
+so a cut costs a few dense array reductions and no tree walk.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,119 +23,87 @@ from .taxonomy import LabelSet, TaxonomyTree
 ENUMERATE_LIMIT = 20
 
 # A rejection sampler for distinct cuts gives up after this many draws per
-# requested cut (small trees can have fewer distinct cuts than asked for).
+# requested cut (at rates near 0 or 1 some reachable cuts are very rare).
 DISTINCT_DRAW_FACTOR = 100
 
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """Dense relation matrices of one tree, fixed for its lifetime.
+    """Boolean ancestry masks of one tree, fixed for its lifetime.
 
     ``internal_nodes`` (length K, ascending) index the rows; ``labels`` are
-    all non-root nodes (length L, ascending) and index the columns.
+    all non-root nodes (length L, ascending) and index the columns. Each
+    mask is a slice of the tree's ancestor-or-self matrix
+    (``tree.layout.ancestors``).
 
-    dependency        K x K; 1 where the column node is an ancestor-or-self
-                      of the row node, limited to internal nodes.
-    dependency_counts row sums of ``dependency`` (ancestor chain lengths).
-    relation          K x L in {-1, 0, 1}: 1 where the label is an
-                      ancestor-or-self of the internal node, 0 where it is
-                      a strict descendant, -1 where the two are unrelated.
-    ancestor_mask     relation clamped to {0, 1}: the 1-entries only.
-    descendant_mask   1 where relation is 0: the strict-descendant pairs.
+    dependency       K x K; true where the column node is an ancestor-or-self
+                     of the row node.
+    ancestor_mask    K x L; true where the label is an ancestor-or-self of
+                     the internal node.
+    descendant_mask  K x L; true where the label is a strict descendant of
+                     the internal node.
     """
 
     internal_nodes: tuple[int, ...]
     labels: tuple[int, ...]
     dependency: np.ndarray
-    dependency_counts: np.ndarray
-    relation: np.ndarray
     ancestor_mask: np.ndarray
     descendant_mask: np.ndarray
 
-    @property
-    def n_internal(self) -> int:
-        return len(self.internal_nodes)
-
-
-@dataclass(frozen=True)
-class KeepFlags:
-    """Keep flags over the internal nodes, in ``MatrixBundle`` row order.
-
-    ``corrected`` records whether the chain repair has run; the blocked
-    mask is only meaningful afterwards.
-    """
-
-    kept: np.ndarray
-    corrected: bool
-
 
 def build_matrices(tree: TaxonomyTree) -> MatrixBundle:
-    """Precompute the relation matrices for ``tree``.
-
-    The bundle fields are submatrices of the tree's ancestor-or-self
-    incidence matrix (``tree.layout.ancestors``).
-    """
-    n = tree.n_nodes
+    """Slice the ancestry masks for ``tree`` out of its ancestor matrix."""
     if len(tree.leaf_nodes) < 2:
         raise ValueError("tree must have at least two leaves")
     anc = tree.layout.ancestors
-
     internal = np.asarray(tree.internal_nodes, dtype=np.int64)
-    labels = np.arange(1, n, dtype=np.int64)
-    dependency = anc[np.ix_(internal, internal)].astype(np.int64)
-    up = anc[np.ix_(internal, labels)]
-    down = anc[np.ix_(labels, internal)].T
-    # Self pairs satisfy both tests; the ancestor branch wins, so the
-    # diagonal-like entries land at 1 as required.
-    relation = np.where(up, 1, np.where(down, 0, -1)).astype(np.int64)
+    up = anc[internal, 1:]
     return MatrixBundle(
-        internal_nodes=tuple(int(i) for i in internal),
-        labels=tuple(int(j) for j in labels),
-        dependency=dependency,
-        dependency_counts=dependency.sum(axis=1),
-        relation=relation,
-        ancestor_mask=np.maximum(relation, 0),
-        descendant_mask=(1 - np.abs(relation)),
+        internal_nodes=tree.internal_nodes,
+        labels=tuple(range(1, tree.n_nodes)),
+        dependency=anc[np.ix_(internal, internal)],
+        ancestor_mask=up,
+        # A non-root internal node is also a label; it counts as its own
+        # ancestor-or-self, never as its own descendant.
+        descendant_mask=anc[1:, internal].T & ~up,
     )
 
 
-def correct_flags(kept: np.ndarray, bundle: MatrixBundle) -> KeepFlags:
-    """Zero out flags whose ancestor chain is not fully kept.
+def correct_flags(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
+    """Keep flags (0/1, in row order) with every broken chain dropped.
 
-    A node can only stay expanded when every internal ancestor is; the
-    repair compares each row's kept-ancestor count against the full chain
-    length. Idempotent. The root flag must already be 1.
+    A node stays expanded only when none of its internal ancestors-or-self
+    is dropped. Returns a bool array; idempotent. The root flag must be 1.
     """
-    kept = np.asarray(kept, dtype=np.int64)
-    if kept.shape != (bundle.n_internal,):
-        raise ValueError(f"expected {bundle.n_internal} flags, got shape {kept.shape}")
-    if not np.isin(kept, (0, 1)).all():
+    kept = np.asarray(kept)
+    k = len(bundle.internal_nodes)
+    if kept.shape != (k,):
+        raise ValueError(f"expected {k} flags, got shape {kept.shape}")
+    keep = kept == 1
+    if not (keep | (kept == 0)).all():
         raise ValueError("flags must be 0 or 1")
-    if kept[0] != 1:
+    if not keep[0]:
         raise ValueError("root flag must be 1")
-    repaired = kept * (bundle.dependency @ kept == bundle.dependency_counts)
-    return KeepFlags(kept=repaired.astype(np.int64), corrected=True)
+    return keep & ~bundle.dependency[:, ~keep].any(axis=1)
 
 
-def blocked_mask(flags: KeepFlags, bundle: MatrixBundle) -> np.ndarray:
+def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
     """Per-label count of reasons the label is off the cut fringe.
 
-    A label is blocked once for each kept internal node it sits on or
-    above (the cut descends past it) and once for each dropped internal
-    node it sits strictly below (the cut stops above it). Labels with a
-    zero count form the fringe.
+    The flags are repaired first (see ``correct_flags``). A label is then
+    blocked once for each kept internal node it sits on or above (the cut
+    descends past it) and once for each dropped internal node it sits
+    strictly below (the cut stops above it). Labels with a zero count form
+    the fringe.
     """
-    if not flags.corrected:
-        raise ValueError("flags must be chain-corrected first")
-    kept = flags.kept
-    return bundle.ancestor_mask.T @ kept + bundle.descendant_mask.T @ (1 - kept)
+    keep = correct_flags(kept, bundle)
+    return bundle.ancestor_mask[keep].sum(axis=0) + bundle.descendant_mask[~keep].sum(axis=0)
 
 
-def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, flags: KeepFlags) -> LabelSet:
-    """The fringe label set selected by ``flags``, validated as a treecut."""
-    blocked = blocked_mask(flags, bundle)
-    members = tuple(int(bundle.labels[j]) for j in np.flatnonzero(blocked == 0))
-    return tree.treecut_label_set(members)
+def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, kept: np.ndarray) -> LabelSet:
+    """The fringe label set selected by the repaired ``kept`` flags, validated as a treecut."""
+    blocked = blocked_mask(kept, bundle)
+    return tree.treecut_label_set(tuple(bundle.labels[j] for j in np.flatnonzero(blocked == 0)))
 
 
 def sample_treecut(
@@ -148,10 +117,23 @@ def sample_treecut(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    kept = np.ones(bundle.n_internal, dtype=np.int64)
-    for i in range(1, bundle.n_internal):
-        kept[i] = 1 if rng.next_unit() >= beta else 0
-    return cut_from_flags(tree, bundle, correct_flags(kept, bundle))
+    kept = [True] + [rng.next_unit() >= beta for _ in bundle.internal_nodes[1:]]
+    return cut_from_flags(tree, bundle, np.array(kept))
+
+
+def _treecut_count(tree: TaxonomyTree) -> int:
+    """Number of distinct treecuts, without enumerating them.
+
+    A non-root internal node is either on the cut or expanded into a cut
+    of each child subtree, so it has 1 + (product over its children)
+    choices; a leaf has one, and the whole tree takes the product over
+    the root's children.
+    """
+    ways = [1] * tree.n_nodes
+    for v in reversed(range(tree.n_nodes)):  # children follow their parent
+        if tree.children[v]:
+            ways[v] = 1 + math.prod(ways[c] for c in tree.children[v])
+    return math.prod(ways[c] for c in tree.children[tree.root])
 
 
 def sample_distinct(
@@ -163,18 +145,22 @@ def sample_distinct(
 ) -> tuple[LabelSet, ...]:
     """Up to ``count`` distinct treecuts at rate ``beta``, by rejection.
 
-    Cuts appear in first-draw order. Gives up after ``100 * count`` draws,
-    returning however many distinct cuts surfaced; small trees simply do
-    not have ``count`` distinct cuts at every rate.
+    Cuts appear in first-draw order. Draws stop once every reachable cut
+    has appeared: uniform draws lie in [0, 1), so rates 0 and 1 each reach
+    exactly one cut, and any other rate can reach every treecut. Otherwise
+    gives up after ``100 * count`` draws, returning however many distinct
+    cuts surfaced.
     """
     if count <= 0:
         raise ValueError("count must be positive")
+    reachable = 1 if beta in (0.0, 1.0) else _treecut_count(tree)
+    target = min(count, reachable)
     seen: dict[tuple[int, ...], LabelSet] = {}
     for _ in range(DISTINCT_DRAW_FACTOR * count):
         cut = sample_treecut(tree, bundle, beta, rng)
         if cut.members not in seen:
             seen[cut.members] = cut
-            if len(seen) == count:
+            if len(seen) == target:
                 break
     return tuple(seen.values())
 

@@ -3,10 +3,15 @@
 These are the per-vocabulary, per-node and per-sample versions of the
 losses, the metrics and the treecut check, kept as they were before the
 library moved to one score matrix per batch. They are slow and simple on
-purpose: each loops the way the definitions read. Nothing in the package
-imports this module.
+purpose: each loops the way the definitions read. The treecut sampler is
+kept as it was before its masks became boolean slices: an integer bundle
+with a {-1, 0, 1} relation matrix, flags repaired by comparing kept
+ancestor counts, and a flag type that records whether the repair ran.
+Nothing in the package imports this module.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
 from hiertune.rng import Rng64, derive_seed
 from hiertune.taxonomy import KIND_TREECUT, LabelSet, TaxonomyTree
-from hiertune.treecut import build_matrices, sample_distinct
 
 
 def treecut_label_set(tree: TaxonomyTree, members: tuple[int, ...] | list[int]) -> LabelSet:
@@ -43,6 +47,127 @@ def treecut_label_set(tree: TaxonomyTree, members: tuple[int, ...] | list[int]) 
                 f"treecut does not cover leaf {tree.names[leaf]!r} exactly once"
             )
     return LabelSet(tuple(unique), KIND_TREECUT)
+
+
+# ---------------------------------------------------------------- treecut
+
+DISTINCT_DRAW_FACTOR = 100
+
+
+@dataclass(frozen=True)
+class MatrixBundle:
+    """Dense integer relation matrices of one tree.
+
+    dependency        K x K; 1 where the column node is an ancestor-or-self
+                      of the row node, limited to internal nodes.
+    dependency_counts row sums of ``dependency`` (ancestor chain lengths).
+    relation          K x L in {-1, 0, 1}: 1 where the label is an
+                      ancestor-or-self of the internal node, 0 where it is
+                      a strict descendant, -1 where the two are unrelated.
+    ancestor_mask     relation clamped to {0, 1}: the 1-entries only.
+    descendant_mask   1 where relation is 0: the strict-descendant pairs.
+    """
+
+    internal_nodes: tuple[int, ...]
+    labels: tuple[int, ...]
+    dependency: np.ndarray
+    dependency_counts: np.ndarray
+    relation: np.ndarray
+    ancestor_mask: np.ndarray
+    descendant_mask: np.ndarray
+
+    @property
+    def n_internal(self) -> int:
+        return len(self.internal_nodes)
+
+
+@dataclass(frozen=True)
+class KeepFlags:
+    """Keep flags over the internal nodes; ``corrected`` once repaired."""
+
+    kept: np.ndarray
+    corrected: bool
+
+
+def build_matrices(tree: TaxonomyTree) -> MatrixBundle:
+    """The relation matrices, built from ancestor chains."""
+    n = tree.n_nodes
+    if len(tree.leaf_nodes) < 2:
+        raise ValueError("tree must have at least two leaves")
+    anc = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        anc[v, v] = True
+        anc[v, list(tree.ancestors(v))] = True
+    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
+    labels = np.arange(1, n, dtype=np.int64)
+    dependency = anc[np.ix_(internal, internal)].astype(np.int64)
+    up = anc[np.ix_(internal, labels)]
+    down = anc[np.ix_(labels, internal)].T
+    relation = np.where(up, 1, np.where(down, 0, -1)).astype(np.int64)
+    return MatrixBundle(
+        internal_nodes=tuple(int(i) for i in internal),
+        labels=tuple(int(j) for j in labels),
+        dependency=dependency,
+        dependency_counts=dependency.sum(axis=1),
+        relation=relation,
+        ancestor_mask=np.maximum(relation, 0),
+        descendant_mask=(1 - np.abs(relation)),
+    )
+
+
+def correct_flags(kept: np.ndarray, bundle: MatrixBundle) -> KeepFlags:
+    """Zero flags whose kept-ancestor count falls short of the chain length."""
+    kept = np.asarray(kept, dtype=np.int64)
+    if kept.shape != (bundle.n_internal,):
+        raise ValueError(f"expected {bundle.n_internal} flags, got shape {kept.shape}")
+    if not np.isin(kept, (0, 1)).all():
+        raise ValueError("flags must be 0 or 1")
+    if kept[0] != 1:
+        raise ValueError("root flag must be 1")
+    repaired = kept * (bundle.dependency @ kept == bundle.dependency_counts)
+    return KeepFlags(kept=repaired.astype(np.int64), corrected=True)
+
+
+def blocked_mask(flags: KeepFlags, bundle: MatrixBundle) -> np.ndarray:
+    """Per-label blocked count, as two integer mat-vecs."""
+    if not flags.corrected:
+        raise ValueError("flags must be chain-corrected first")
+    kept = flags.kept
+    return bundle.ancestor_mask.T @ kept + bundle.descendant_mask.T @ (1 - kept)
+
+
+def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, flags: KeepFlags) -> LabelSet:
+    blocked = blocked_mask(flags, bundle)
+    members = tuple(int(bundle.labels[j]) for j in np.flatnonzero(blocked == 0))
+    return treecut_label_set(tree, members)
+
+
+def sample_treecut(
+    tree: TaxonomyTree, bundle: MatrixBundle, beta: float, rng: Rng64
+) -> LabelSet:
+    """One cut: one uniform draw per non-root internal node, in row order."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    kept = np.ones(bundle.n_internal, dtype=np.int64)
+    for i in range(1, bundle.n_internal):
+        kept[i] = 1 if rng.next_unit() >= beta else 0
+    return cut_from_flags(tree, bundle, correct_flags(kept, bundle))
+
+
+def sample_distinct(
+    tree: TaxonomyTree, bundle: MatrixBundle, beta: float, count: int, rng: Rng64
+) -> tuple[LabelSet, ...]:
+    """Distinct cuts in first-draw order; always up to ``100 * count`` draws."""
+    if count <= 0:
+        raise ValueError("count must be positive")
+    seen: dict[tuple[int, ...], LabelSet] = {}
+    for _ in range(DISTINCT_DRAW_FACTOR * count):
+        cut = sample_treecut(tree, bundle, beta, rng)
+        if cut.members not in seen:
+            seen[cut.members] = cut
+            if len(seen) == count:
+                break
+    return tuple(seen.values())
 
 
 # ------------------------------------------------------------- objectives

@@ -70,6 +70,36 @@ def test_missing_file_is_an_io_error(tmp_path):
     assert err.startswith("E:io:")
 
 
+def test_non_utf8_input_is_a_tree_or_format_error(synth_dir, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"n0\t-\nn1\tn0\xff\n")
+    rc, _, err = run_cli("validate", "--tree", str(bad))
+    assert rc == 1
+    assert err.startswith("E:tree:") and "UTF-8" in err
+    args = data_args(synth_dir)
+    args[args.index("--samples") + 1] = str(bad)
+    rc, _, err = run_cli("train", *args, "--out", str(tmp_path / "run"))
+    assert rc == 1
+    assert err.startswith("E:format:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_refused(synth_dir, demo_path, tmp_path, seed):
+    params_path = tmp_path / "params.txt"
+    params_path.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    commands = [
+        ["sample-cuts", "--tree", str(demo_path)],
+        ["train", *data_args(synth_dir), "--out", str(tmp_path / "run"), "--epochs", "1"],
+        ["eval", *data_args(synth_dir), "--params", str(params_path),
+         "--out", str(tmp_path / "eval")],
+    ]
+    for command in commands:
+        rc, out, err = run_cli(*command, "--seed", seed)
+        assert rc == 1
+        assert err.startswith("E:invalid:seed must be in [0, 2**64)")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
 def test_sample_cuts_rate_zero_lists_leaf_fringe(demo_path):
     rc, out, _ = run_cli(
         "sample-cuts", "--tree", str(demo_path), "--beta", "0", "--count", "1"

@@ -1,10 +1,11 @@
-"""The score-matrix losses, metrics and cut check against the reference loops.
+"""The score-matrix losses, metrics, cut check and sampler against references.
 
 ``oracle`` keeps the per-vocabulary, per-node and per-sample versions the
 library used before it moved to one score matrix per batch. On random
 trees, with one-child nodes, exact score ties and one-label cuts, losses
 and gradients must agree to 1e-12 relative and every prediction and
-accuracy must be exactly equal.
+accuracy must be exactly equal. It also keeps the integer-matrix treecut
+sampler; the boolean-mask one must give the same flags, masks and cuts.
 """
 from __future__ import annotations
 
@@ -21,13 +22,17 @@ from hiertune import (
     Rng64,
     TaxonomyTree,
     build_matrices,
+    blocked_mask,
+    correct_flags,
     cross_entropy_loss,
+    cut_from_flags,
     hca,
     leaf_accuracy,
     load_tree,
     mta,
     node_centric_loss,
     predict,
+    sample_distinct,
     sample_treecut,
     total_loss,
     treecut_loss,
@@ -158,3 +163,43 @@ def test_treecut_check_accepts_sampled_cuts_and_rejects_out_of_range():
     for bad in (-1, tree.n_nodes):
         with pytest.raises(ValueError, match="out of range"):
             tree.treecut_label_set((*tree.leaf_nodes, bad))
+
+
+def sampler_tree(seed: int, one_child_root: bool) -> TaxonomyTree:
+    tree = random_tree(Rng64(seed), max_internal=8, max_nodes=24)
+    return under_single_child_root(tree) if one_child_root else tree
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_flag_algebra_matches_reference(seed, one_child_root, data):
+    tree = sampler_tree(seed, one_child_root)
+    new, old = build_matrices(tree), oracle.build_matrices(tree)
+    k = len(new.internal_nodes)
+    flags = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    if flags[0] == 0:
+        with pytest.raises(ValueError, match="root flag"):
+            correct_flags(flags, new)
+        return
+    repaired = oracle.correct_flags(flags, old)
+    np.testing.assert_array_equal(correct_flags(flags, new), repaired.kept)
+    np.testing.assert_array_equal(blocked_mask(flags, new), oracle.blocked_mask(repaired, old))
+    assert cut_from_flags(tree, new, flags) == oracle.cut_from_flags(tree, old, repaired)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)),
+    st.integers(1, 12),
+)
+def test_sampler_matches_reference(seed, one_child_root, beta, count):
+    tree = sampler_tree(seed, one_child_root)
+    new, old = build_matrices(tree), oracle.build_matrices(tree)
+    new_rng, old_rng = Rng64(seed), Rng64(seed)
+    for _ in range(5):
+        assert sample_treecut(tree, new, beta, new_rng) == oracle.sample_treecut(
+            tree, old, beta, old_rng
+        )
+    assert sample_distinct(tree, new, beta, count, Rng64(seed)) == oracle.sample_distinct(
+        tree, old, beta, count, Rng64(seed)
+    )

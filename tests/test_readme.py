@@ -1,0 +1,25 @@
+"""The README's code must run as printed."""
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from hiertune import gen_synth
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_block_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "data").mkdir()
+    tree_text, _, _ = gen_synth(27, 3, 64, 1, 0.6, 0)
+    (tmp_path / "data" / "tree.txt").write_text(tree_text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().strip()

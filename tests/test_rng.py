@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from hiertune import Rng64, derive_seed
 from hiertune.rng import GOLDEN, MASK64, mix64
@@ -44,6 +45,14 @@ def test_next_unit_frozen_and_in_range():
     values = [big.next_unit() for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert abs(float(np.mean(values)) - 0.5) < 0.02
+
+
+def test_seed_outside_64_bits_is_refused():
+    for bad in (-1, -5, 2**64, 2**70):
+        with pytest.raises(ValueError, match="seed must be in"):
+            Rng64(bad)
+    assert Rng64(MASK64).state == MASK64
+    assert derive_seed(-1, 1) == MASK64 - 1  # derived seeds stay masked
 
 
 def test_mix64_fixed_point_and_mask():

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hiertune import (
     Rng64,
@@ -17,6 +19,7 @@ from hiertune import (
     sample_distinct,
     sample_treecut,
 )
+from hiertune import treecut
 from hiertune.treecut import DISTINCT_DRAW_FACTOR, ENUMERATE_LIMIT
 
 from helpers import demo_tree, names_of, random_tree
@@ -34,15 +37,19 @@ def test_matrix_bundle_demo_values():
     np.testing.assert_array_equal(
         bundle.dependency, [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
     )
-    np.testing.assert_array_equal(bundle.dependency_counts, [1, 2, 3])
-    np.testing.assert_array_equal(
-        bundle.relation,
+    # 1: label is an ancestor-or-self of the row node, 0: a strict
+    # descendant, -1: unrelated.
+    relation = np.array(
         [
             [0, 0, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, -1],
             [1, 1, -1, 0, 0, -1],
-        ],
+        ]
     )
+    np.testing.assert_array_equal(bundle.ancestor_mask, relation == 1)
+    np.testing.assert_array_equal(bundle.descendant_mask, relation == 0)
+    for mask in (bundle.dependency, bundle.ancestor_mask, bundle.descendant_mask):
+        assert mask.dtype == bool
 
 
 def test_relation_encodes_ancestry():
@@ -59,13 +66,8 @@ def test_relation_encodes_ancestry():
                     expected = 0
                 else:
                     expected = -1
-                assert bundle.relation[row, col] == expected
-        np.testing.assert_array_equal(
-            bundle.ancestor_mask, np.maximum(bundle.relation, 0)
-        )
-        np.testing.assert_array_equal(
-            bundle.descendant_mask, (bundle.relation == 0).astype(np.int64)
-        )
+                assert bundle.ancestor_mask[row, col] == (expected == 1)
+                assert bundle.descendant_mask[row, col] == (expected == 0)
 
 
 def test_dependency_lower_triangular_unit_diagonal():
@@ -76,20 +78,13 @@ def test_dependency_lower_triangular_unit_diagonal():
         dep = bundle.dependency
         np.testing.assert_array_equal(np.diag(dep), np.ones(len(dep), dtype=dep.dtype))
         assert np.all(np.triu(dep, 1) == 0)
-        np.testing.assert_array_equal(bundle.dependency_counts, dep.sum(axis=1))
 
 
 def test_correct_flags_demo_cases():
     _, bundle = demo_bundle()
-    np.testing.assert_array_equal(
-        correct_flags(np.array([1, 0, 1]), bundle).kept, [1, 0, 0]
-    )
-    np.testing.assert_array_equal(
-        correct_flags(np.array([1, 1, 1]), bundle).kept, [1, 1, 1]
-    )
-    np.testing.assert_array_equal(
-        correct_flags(np.array([1, 1, 0]), bundle).kept, [1, 1, 0]
-    )
+    np.testing.assert_array_equal(correct_flags(np.array([1, 0, 1]), bundle), [1, 0, 0])
+    np.testing.assert_array_equal(correct_flags(np.array([1, 1, 1]), bundle), [1, 1, 1])
+    np.testing.assert_array_equal(correct_flags(np.array([1, 1, 0]), bundle), [1, 1, 0])
 
 
 def test_correct_flags_validation():
@@ -111,8 +106,8 @@ def test_correct_flags_idempotent():
         for _ in range(10):
             raw = np.array([1] + [rng.next_below(2) for _ in range(k - 1)])
             once = correct_flags(raw, bundle)
-            twice = correct_flags(once.kept, bundle)
-            np.testing.assert_array_equal(once.kept, twice.kept)
+            twice = correct_flags(once, bundle)
+            np.testing.assert_array_equal(once, twice)
 
 
 def test_blocked_mask_demo_patterns():
@@ -124,7 +119,7 @@ def test_blocked_mask_demo_patterns():
     }
     for pattern, (mask_expected, cut_expected) in cases.items():
         flags = correct_flags(np.array(pattern), bundle)
-        np.testing.assert_array_equal(flags.kept, pattern)
+        np.testing.assert_array_equal(flags, pattern)
         mask = blocked_mask(flags, bundle)
         if mask_expected is not None:
             np.testing.assert_array_equal(mask, mask_expected)
@@ -136,13 +131,11 @@ def test_blocked_mask_demo_patterns():
         assert zero_labels == cut.members
 
 
-def test_blocked_mask_requires_corrected_flags():
-    from hiertune import KeepFlags
-
-    _, bundle = demo_bundle()
-    raw = KeepFlags(kept=np.array([1, 0, 1]), corrected=False)
-    with pytest.raises(ValueError):
-        blocked_mask(raw, bundle)
+def test_blocked_mask_repairs_raw_flags():
+    tree, bundle = demo_bundle()
+    raw, repaired = np.array([1, 0, 1]), np.array([1, 0, 0])
+    np.testing.assert_array_equal(blocked_mask(raw, bundle), blocked_mask(repaired, bundle))
+    assert cut_from_flags(tree, bundle, raw) == cut_from_flags(tree, bundle, repaired)
 
 
 def test_blocked_mask_extremes():
@@ -272,6 +265,29 @@ def test_sample_distinct_first_appearance_order():
             break
     drawn = sample_distinct(tree, bundle, 0.5, 3, Rng64(0))
     assert [c.members for c in drawn] == replay
+
+
+def test_sample_distinct_stops_when_no_new_cut_can_appear(monkeypatch):
+    tree, bundle = demo_bundle()
+    draws = []
+
+    def counted(*args):
+        draws.append(args[2])
+        return sample_treecut(*args)
+
+    monkeypatch.setattr(treecut, "sample_treecut", counted)
+    for beta in (0.0, 1.0):
+        assert len(sample_distinct(tree, bundle, beta, 5, Rng64(3))) == 1
+    assert draws == [0.0, 1.0]
+    draws.clear()
+    assert len(sample_distinct(tree, bundle, 0.5, 10, Rng64(0))) == 3
+    assert len(draws) < 10 * DISTINCT_DRAW_FACTOR
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_treecut_count_matches_enumeration(seed):
+    tree = random_tree(Rng64(seed), max_internal=8, max_nodes=24)
+    assert treecut._treecut_count(tree) == len(enumerate_treecuts(tree))
 
 
 def test_sample_distinct_count_validation():
