@@ -9,6 +9,7 @@ inconsistent inputs).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -39,9 +40,26 @@ def _read(path: str, error: type[ValueError] = FormatError) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _out_dir(path: str) -> Path:
+def _write_outputs(path: str, texts: dict[str, str]) -> Path:
+    """Write already rendered outputs into directory ``path`` as one set.
+
+    Each text goes to a temporary file in that directory; only when all of
+    them are written are they renamed into place with ``os.replace``, so a
+    failure part-way leaves the earlier files, not a mix of old and new.
+    """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    staged: list[Path] = []
+    try:
+        for name, text in texts.items():
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            staged.append(tmp)
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, name in zip(staged, texts):
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
     return out
 
 
@@ -91,9 +109,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         shots=args.shots,
     )
     params, log = train(config, tree, table, samples)
-    out = _out_dir(args.out)
-    (out / "params.txt").write_text(write_params(params), encoding="utf-8")
-    (out / "train_log.tsv").write_text(write_train_log(log), encoding="utf-8")
+    out = _write_outputs(args.out, {
+        "params.txt": write_params(params),
+        "train_log.tsv": write_train_log(log),
+    })
     print(
         f"seed {config.seed}: {len(log.records)} iterations, "
         f"final total loss {format_float(log.records[-1].total)}"
@@ -112,9 +131,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(
         tree, params, table, samples, _parse_betas(args.betas), args.T, args.seed
     )
-    out = _out_dir(args.out)
-    (out / "report.tsv").write_text(write_report(report), encoding="utf-8")
-    (out / "report_cuts.tsv").write_text(write_cut_details(report), encoding="utf-8")
+    out = _write_outputs(args.out, {
+        "report.tsv": write_report(report),
+        "report_cuts.tsv": write_cut_details(report),
+    })
     print(
         f"seed {args.seed}: leaf_acc {format_float(report.leaf_acc)}, "
         f"hca {format_float(report.hca)}, mta {format_float(report.mta)}"
@@ -128,10 +148,11 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     tree_text, emb_text, samples_text = gen_synth(
         args.leaves, args.depth, args.dim, args.per_leaf, args.noise, args.seed
     )
-    out = _out_dir(args.out)
-    (out / "tree.txt").write_text(tree_text, encoding="utf-8")
-    (out / "embeddings.tsv").write_text(emb_text, encoding="utf-8")
-    (out / "samples.tsv").write_text(samples_text, encoding="utf-8")
+    out = _write_outputs(args.out, {
+        "tree.txt": tree_text,
+        "embeddings.tsv": emb_text,
+        "samples.tsv": samples_text,
+    })
     print(f"seed {args.seed}: wrote tree.txt, embeddings.tsv, samples.tsv in {out}")
     return 0
 

@@ -5,6 +5,10 @@ serialized with repr, the shortest digits that parse back to the same
 binary64 value, so write-load-write is a fixpoint and equal values always
 produce equal bytes. Loaders validate eagerly and raise FormatError with
 the offending line number.
+
+Rows of numbers are parsed one row at a time: one ``map(float, ...)`` call
+per row, written straight into a preallocated matrix. Only a row that
+fails goes through the per-token parser, which names the first bad token.
 """
 from __future__ import annotations
 
@@ -25,6 +29,11 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _row_text(row: np.ndarray) -> str:
+    """A vector as TAB-separated ``format_float`` strings, in one C-level pass."""
+    return "\t".join(map(float.__repr__, row.tolist()))
+
+
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
         value = float(token)
@@ -35,17 +44,50 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
     return value
 
 
-def _floats(tokens: list[str], lineno: int, what: str) -> np.ndarray:
-    """Parse one row of numbers.
+def _parse_row(out: np.ndarray, tokens: list[str], lineno: int, what: str) -> None:
+    """Parse one row of numbers into ``out``, a float64 vector of its length.
 
-    Python's float() also reads digit separators (``1_0`` is 10.0), which
-    no writer emits, so a row holding an underscore is refused; the check
-    runs once per row.
+    Python's float() also reads digit separators (``1_0`` is 10.0) and
+    non-ASCII digits and spaces (``١`` is 1.0), which no writer emits, so a
+    row holding either is refused, naming its first such token; the check
+    runs once per row. A row that does not parse, or parses to a
+    non-finite value, is parsed again token by token to name the first bad
+    token.
     """
-    if "_" in "".join(tokens):
-        bad = next(t for t in tokens if "_" in t)
+    joined = "".join(tokens)
+    if "_" in joined or not joined.isascii():
+        bad = next(t for t in tokens if "_" in t or not t.isascii())
         raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
-    return np.asarray([_parse_float(t, lineno, what) for t in tokens], dtype=np.float64)
+    try:
+        out[:] = list(map(float, tokens))
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(out).all():
+            return
+    out[:] = [_parse_float(t, lineno, what) for t in tokens]
+
+
+def _matrix_for(text: str, n_rows: int, dim: int) -> np.ndarray:
+    """An uninitialised float64 matrix for up to ``n_rows`` rows of ``text``.
+
+    The declared ``dim`` is not trusted with the allocation. Every row a
+    loader accepts spans at least ``2 * dim`` characters (``dim`` tabs and
+    ``dim`` digits), so a loader writes at most ``len(text) // (2 * dim) +
+    1`` rows before it refuses a document whose ``dim`` overstates its
+    rows, and no row can hold ``dim + 1`` fields when ``dim >= len(text)``.
+    A valid document always gets all of its rows; a corrupt ``dim`` gets an
+    error naming its line, not a request for more memory than the text
+    could fill.
+    """
+    if dim >= len(text):
+        return np.empty((0, dim), dtype=np.float64)
+    return np.empty((min(n_rows, len(text) // (2 * dim) + 1), dim), dtype=np.float64)
+
+
+def _is_count(token: str) -> bool:
+    """True for a plain ASCII decimal integer (str.isdigit also takes ² and ٣)."""
+    return token.isascii() and token.isdigit()
 
 
 def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
@@ -54,7 +96,7 @@ def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
     if not lines or not lines[0].startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
     parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
         raise FormatError(f"{what}: malformed dimension header {lines[0]!r}")
     dim = int(parts[1])
     rows = [
@@ -79,8 +121,9 @@ def write_tree(tree: TaxonomyTree) -> str:
 
 def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
     dim, rows = _split_dim_doc(text, "embedding table")
+    values = _matrix_for(text, len(rows), dim)
     mapping: dict[str, np.ndarray] = {}
-    for lineno, line in rows:
+    for r, (lineno, line) in enumerate(rows):
         fields = line.split("\t")
         if len(fields) != dim + 1:
             raise FormatError(
@@ -89,7 +132,8 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
         name = fields[0].strip()
         if name in mapping:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
-        mapping[name] = _floats(fields[1:], lineno, "embedding table")
+        _parse_row(values[r], fields[1:], lineno, "embedding table")
+        mapping[name] = values[r]
     return EmbeddingTable.from_names(tree, dim, mapping)
 
 
@@ -98,8 +142,7 @@ def write_embeddings(table: EmbeddingTable, tree: TaxonomyTree) -> str:
     for i, name in enumerate(tree.names):
         if i == tree.root:
             continue
-        row = "\t".join(format_float(x) for x in table.vectors[i])
-        lines.append(f"{name}\t{row}")
+        lines.append(f"{name}\t{_row_text(table.vectors[i])}")
     return "\n".join(lines) + "\n"
 
 
@@ -109,9 +152,9 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
     dim, rows = _split_dim_doc(text, "sample file")
     ids: list[str] = []
     labels: list[int] = []
-    feats: list[np.ndarray] = []
+    features = _matrix_for(text, len(rows), dim)
     seen: set[str] = set()
-    for lineno, line in rows:
+    for r, (lineno, line) in enumerate(rows):
         fields = line.split("\t")
         if len(fields) != dim + 2:
             raise FormatError(
@@ -126,15 +169,11 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
         leaf = tree.name_index[leaf_name]
         if not tree.is_leaf(leaf):
             raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
-        vec = _floats(fields[2:], lineno, "sample file")
-        if not vec.any():
+        _parse_row(features[r], fields[2:], lineno, "sample file")
+        if not features[r].any():
             raise FormatError(f"sample file line {lineno}: all-zero feature")
         ids.append(sid)
         labels.append(leaf)
-        feats.append(vec)
-    features = (
-        np.stack(feats) if feats else np.zeros((0, dim), dtype=np.float64)
-    )
     return SampleSet(
         ids=tuple(ids),
         leaf_labels=np.asarray(labels, dtype=np.int64),
@@ -145,8 +184,8 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
 def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
     lines = [f"#dim {dim}"]
     for i, sid in enumerate(samples.ids):
-        row = "\t".join(format_float(x) for x in samples.features[i])
-        lines.append(f"{sid}\t{tree.names[int(samples.leaf_labels[i])]}\t{row}")
+        leaf = tree.names[int(samples.leaf_labels[i])]
+        lines.append(f"{sid}\t{leaf}\t{_row_text(samples.features[i])}")
     return "\n".join(lines) + "\n"
 
 
@@ -171,36 +210,37 @@ def load_params(text: str) -> PromptParams:
         return lineno, fields[1:]
 
     lineno, rest = take("dim")
-    if len(rest) != 1 or not rest[0].isdigit() or int(rest[0]) < 1:
+    if len(rest) != 1 or not _is_count(rest[0]) or int(rest[0]) < 1:
         raise FormatError(f"params file line {lineno}: bad dimension")
     dim = int(rest[0])
     lineno, rest = take("tau")
     if len(rest) != 1:
         raise FormatError(f"params file line {lineno}: bad tau record")
-    tau = float(_floats(rest, lineno, "params file")[0])
-    weight = np.zeros((dim, dim))
+    tau = np.empty(1)
+    _parse_row(tau, rest, lineno, "params file")
+    weight = _matrix_for(text, dim, dim)
     for r in range(dim):
         lineno, rest = take("A")
         if len(rest) != dim:
             raise FormatError(f"params file line {lineno}: expected {dim} values")
-        weight[r] = _floats(rest, lineno, "params file")
+        _parse_row(weight[r], rest, lineno, "params file")
     lineno, rest = take("c")
     if len(rest) != dim:
         raise FormatError(f"params file line {lineno}: expected {dim} values")
-    bias = _floats(rest, lineno, "params file")
+    bias = np.empty(dim)
+    _parse_row(bias, rest, lineno, "params file")
     if rows:
         raise FormatError(f"params file line {rows[0][0]}: unexpected trailing record")
     try:
-        return PromptParams(weight=weight, bias=bias, tau=tau)
+        return PromptParams(weight=weight, bias=bias, tau=float(tau[0]))
     except ValueError as exc:
         raise FormatError(f"params file: {exc}") from None
 
 
 def write_params(params: PromptParams) -> str:
     lines = [f"dim\t{params.dim}", f"tau\t{format_float(params.tau)}"]
-    for row in params.weight:
-        lines.append("A\t" + "\t".join(format_float(x) for x in row))
-    lines.append("c\t" + "\t".join(format_float(x) for x in params.bias))
+    lines.extend("A\t" + _row_text(row) for row in params.weight)
+    lines.append("c\t" + _row_text(params.bias))
     return "\n".join(lines) + "\n"
 
 

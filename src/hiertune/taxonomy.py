@@ -196,7 +196,9 @@ class TaxonomyTree:
         if outside.size:
             raise ValueError(f"node index {outside[0]} out of range")
         anc = self.layout.ancestors
-        cover = anc[list(self.leaf_nodes)][:, unique].sum(axis=1)
+        # int32 sums run faster than the int64 default; a count cannot
+        # exceed the tree's node count.
+        cover = anc[list(self.leaf_nodes)][:, unique].sum(axis=1, dtype=np.int32)
         if (cover > 1).any():
             under = anc[np.ix_(unique, unique)].sum(axis=1) > 1
             name = self.names[int(unique[np.argmax(under)])]

@@ -6,8 +6,10 @@ library moved to one score matrix per batch. They are slow and simple on
 purpose: each loops the way the definitions read. The treecut sampler is
 kept as it was before its masks became boolean slices: an integer bundle
 with a {-1, 0, 1} relation matrix, flags repaired by comparing kept
-ancestor counts, and a flag type that records whether the repair ran.
-Nothing in the package imports this module.
+ancestor counts, and a flag type that records whether the repair ran. The
+file loaders are kept as they were before rows of numbers were parsed in
+one call per row: every token goes through its own float() and
+finiteness check. Nothing in the package imports this module.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from hiertune.classifier import (
     predict,
     unit_rows,
 )
+from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
 from hiertune.rng import Rng64, derive_seed
@@ -377,3 +380,145 @@ def mta(
         groups.append(tuple(group))
     pooled = float(np.mean([r.accuracy for group in groups for r in group]))
     return pooled, tuple(groups)
+
+
+# ------------------------------------------------------------ file loaders
+#
+# Per-token loaders. The only change from the package's earlier code is
+# the number syntax fixed together with the row parser: a value token must
+# be ASCII (float() also reads other scripts' digits and spaces) and is
+# refused like a digit separator, by the once-per-row screen, and a
+# dimension must be ASCII digits (str.isdigit also takes superscripts).
+
+def _parse_float(token: str, lineno: int, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise FormatError(f"{what} line {lineno}: bad number {token!r}") from None
+    if not np.isfinite(value):
+        raise FormatError(f"{what} line {lineno}: non-finite number {token!r}")
+    return value
+
+
+def _floats(tokens: list[str], lineno: int, what: str) -> np.ndarray:
+    if "_" in "".join(tokens) or not "".join(tokens).isascii():
+        bad = next(t for t in tokens if "_" in t or not t.isascii())
+        raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
+    return np.asarray([_parse_float(t, lineno, what) for t in tokens], dtype=np.float64)
+
+
+def _is_count(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("#dim"):
+        raise FormatError(f"{what}: first line must be '#dim <d>'")
+    parts = lines[0].split()
+    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
+        raise FormatError(f"{what}: malformed dimension header {lines[0]!r}")
+    dim = int(parts[1])
+    rows = [
+        (i, ln)
+        for i, ln in enumerate(lines[1:], start=2)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    return dim, rows
+
+
+def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
+    dim, rows = _split_dim_doc(text, "embedding table")
+    mapping: dict[str, np.ndarray] = {}
+    for lineno, line in rows:
+        fields = line.split("\t")
+        if len(fields) != dim + 1:
+            raise FormatError(
+                f"embedding table line {lineno}: expected name plus {dim} values"
+            )
+        name = fields[0].strip()
+        if name in mapping:
+            raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
+        mapping[name] = _floats(fields[1:], lineno, "embedding table")
+    return EmbeddingTable.from_names(tree, dim, mapping)
+
+
+def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
+    dim, rows = _split_dim_doc(text, "sample file")
+    ids: list[str] = []
+    labels: list[int] = []
+    feats: list[np.ndarray] = []
+    seen: set[str] = set()
+    for lineno, line in rows:
+        fields = line.split("\t")
+        if len(fields) != dim + 2:
+            raise FormatError(
+                f"sample file line {lineno}: expected id, leaf, and {dim} values"
+            )
+        sid, leaf_name = fields[0].strip(), fields[1].strip()
+        if sid in seen:
+            raise FormatError(f"sample file line {lineno}: duplicate sample id {sid!r}")
+        seen.add(sid)
+        if leaf_name not in tree.name_index:
+            raise FormatError(f"sample file line {lineno}: unknown leaf {leaf_name!r}")
+        leaf = tree.name_index[leaf_name]
+        if not tree.is_leaf(leaf):
+            raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
+        vec = _floats(fields[2:], lineno, "sample file")
+        if not vec.any():
+            raise FormatError(f"sample file line {lineno}: all-zero feature")
+        ids.append(sid)
+        labels.append(leaf)
+        feats.append(vec)
+    features = (
+        np.stack(feats) if feats else np.zeros((0, dim), dtype=np.float64)
+    )
+    return SampleSet(
+        ids=tuple(ids),
+        leaf_labels=np.asarray(labels, dtype=np.int64),
+        features=features,
+    )
+
+
+def load_params(text: str) -> PromptParams:
+    rows = [
+        (i, ln)
+        for i, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+
+    def take(expected: str) -> tuple[int, list[str]]:
+        if not rows:
+            raise FormatError(f"params file: missing {expected!r} record")
+        lineno, line = rows.pop(0)
+        fields = line.split("\t")
+        if fields[0] != expected:
+            raise FormatError(
+                f"params file line {lineno}: expected {expected!r}, got {fields[0]!r}"
+            )
+        return lineno, fields[1:]
+
+    lineno, rest = take("dim")
+    if len(rest) != 1 or not _is_count(rest[0]) or int(rest[0]) < 1:
+        raise FormatError(f"params file line {lineno}: bad dimension")
+    dim = int(rest[0])
+    lineno, rest = take("tau")
+    if len(rest) != 1:
+        raise FormatError(f"params file line {lineno}: bad tau record")
+    tau = float(_floats(rest, lineno, "params file")[0])
+    weight = np.zeros((dim, dim))
+    for r in range(dim):
+        lineno, rest = take("A")
+        if len(rest) != dim:
+            raise FormatError(f"params file line {lineno}: expected {dim} values")
+        weight[r] = _floats(rest, lineno, "params file")
+    lineno, rest = take("c")
+    if len(rest) != dim:
+        raise FormatError(f"params file line {lineno}: expected {dim} values")
+    bias = _floats(rest, lineno, "params file")
+    if rows:
+        raise FormatError(f"params file line {rows[0][0]}: unexpected trailing record")
+    try:
+        return PromptParams(weight=weight, bias=bias, tau=tau)
+    except ValueError as exc:
+        raise FormatError(f"params file: {exc}") from None

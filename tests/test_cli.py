@@ -5,6 +5,7 @@ import contextlib
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,65 @@ def test_non_utf8_input_is_a_tree_or_format_error(synth_dir, tmp_path):
     rc, _, err = run_cli("train", *args, "--out", str(tmp_path / "run"))
     assert rc == 1
     assert err.startswith("E:format:") and "UTF-8" in err
+
+
+# str.isdigit() takes the superscript two and the Arabic-Indic three;
+# int() refuses the first and reads the second as 3.
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_dimension_is_a_format_error(synth_dir, tmp_path, digit):
+    params_path = tmp_path / "params.txt"
+    params_path.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    files = {
+        "--emb": ("#dim 8", f"#dim {digit}", "embedding table: malformed dimension header"),
+        "--samples": ("#dim 8", f"#dim {digit}", "sample file: malformed dimension header"),
+        "--params": ("dim\t8", f"dim\t{digit}", "params file line 1: bad dimension"),
+    }
+    for flag, (good, bad, message) in files.items():
+        args = [*data_args(synth_dir), "--params", str(params_path),
+                "--out", str(tmp_path / "eval")]
+        i = args.index(flag) + 1
+        edited = tmp_path / f"edited{flag}"
+        edited.write_text(
+            Path(args[i]).read_text(encoding="utf-8").replace(good, bad, 1), encoding="utf-8"
+        )
+        args[i] = str(edited)
+        rc, _, err = run_cli("eval", *args)
+        assert rc == 1
+        assert err.startswith(f"E:format:{message}"), err
+
+
+def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    args = ["train", *data_args(synth_dir), "--out", str(run), "--epochs", "1", "--batch-size", "8"]
+
+    def render_fails(log):
+        raise RuntimeError("render failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_train_log", render_fails)
+        rc, _, err = run_cli(*args)
+    assert (rc, err) == (1, "E:train:render failed\n")
+    assert not (run / "params.txt").exists()
+
+    run.mkdir()
+    (run / "params.txt").write_text("earlier", encoding="utf-8")
+    write_text = Path.write_text
+
+    def disk_full(path, text, *rest, **kw):
+        if "train_log" in path.name:
+            raise OSError(28, "No space left on device")
+        return write_text(path, text, *rest, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", disk_full)
+        rc, _, err = run_cli(*args)
+    assert rc == 1 and err.startswith("E:io:")
+    assert [p.name for p in run.iterdir()] == ["params.txt"]
+    assert (run / "params.txt").read_text(encoding="utf-8") == "earlier"
+
+    rc, _, _ = run_cli(*args)
+    assert rc == 0
+    assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -6,6 +6,9 @@ trees, with one-child nodes, exact score ties and one-label cuts, losses
 and gradients must agree to 1e-12 relative and every prediction and
 accuracy must be exactly equal. It also keeps the integer-matrix treecut
 sampler; the boolean-mask one must give the same flags, masks and cuts.
+Its per-token file loaders must agree with the row-at-a-time ones on
+written documents with bad tokens, wrong field counts and bad records
+spliced in: the same arrays, byte for byte, or the same error.
 """
 from __future__ import annotations
 
@@ -13,13 +16,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from hiertune import (
     EmbeddingTable,
+    PromptParams,
     Rng64,
+    SampleSet,
     TaxonomyTree,
     build_matrices,
     blocked_mask,
@@ -37,7 +42,7 @@ from hiertune import (
     total_loss,
     treecut_loss,
 )
-from hiertune import metrics
+from hiertune import fileio, metrics
 
 from helpers import noisy_samples, random_params, random_table, random_tree
 
@@ -203,3 +208,120 @@ def test_sampler_matches_reference(seed, one_child_root, beta, count):
     assert sample_distinct(tree, new, beta, count, Rng64(seed)) == oracle.sample_distinct(
         tree, old, beta, count, Rng64(seed)
     )
+
+
+# ------------------------------------------------------------ file loaders
+
+BAD_TOKENS = ("", "nan", "inf", "1_0", "\u0661", "x", "+1", "1e3")
+
+
+def loaded(loader, *args):
+    """A loader's result as comparable bytes, or its error's type and message."""
+    try:
+        result = loader(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    if isinstance(result, EmbeddingTable):
+        return result.dim, result.vectors.tobytes()
+    if hasattr(result, "features"):
+        return (result.ids, result.leaf_labels.tobytes(), result.features.shape,
+                result.features.tobytes())
+    return result.tau, result.weight.tobytes(), result.bias.tobytes()
+
+
+def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
+    """Splice one defect into a data line of a written document."""
+    first = 0 if kind == "params" else 1
+    i = draw(st.integers(first, len(lines) - 1))
+    fields = lines[i].split("\t")
+    values = 2 if kind == "samples" else 1  # fields before the first number
+    defect = draw(st.sampled_from(
+        ("token", "token", "add", "remove", "duplicate", "zero", "unknown")
+    ))
+    if defect == "token" and len(fields) > values:
+        for j in draw(st.lists(st.integers(values, len(fields) - 1), min_size=1, max_size=3)):
+            fields[j] = draw(st.sampled_from(BAD_TOKENS))
+    elif defect == "add":
+        fields.append(draw(st.sampled_from(("0.5", *BAD_TOKENS))))
+    elif defect == "remove" and len(fields) > 1:
+        fields.pop(draw(st.integers(1, len(fields) - 1)))
+    elif defect == "duplicate":
+        fields[0] = lines[draw(st.integers(first, len(lines) - 1))].split("\t")[0]
+    elif defect == "zero":
+        fields[values:] = ["0.0" if k % 2 else "-0.0" for k in range(len(fields) - values)]
+    elif defect == "unknown":
+        column = 1 if kind == "samples" else 0
+        fields[column] = draw(st.sampled_from(("ghost", tree.names[tree.root])))
+    lines[i] = "\t".join(fields)
+
+
+@settings(max_examples=300)  # cheap examples; many defect combinations
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("embeddings", "samples", "params")),
+       st.data())
+def test_loaders_match_reference(seed, kind, data):
+    tree = random_tree(Rng64(seed), max_internal=4, max_nodes=10)
+    dim = data.draw(st.integers(1, 4))
+    table = random_table(tree, dim, seed=seed)
+    if kind == "embeddings":
+        text = fileio.write_embeddings(table, tree)
+        new, old = fileio.load_embeddings, oracle.load_embeddings
+    elif kind == "samples":
+        text = fileio.write_samples(noisy_samples(tree, table, 1, 0.5, seed), tree, dim)
+        new, old = fileio.load_samples, oracle.load_samples
+    else:
+        text = fileio.write_params(random_params(dim, tau=0.5, seed=seed))
+        new, old = fileio.load_params, oracle.load_params
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate(data.draw, lines, kind, tree)
+    text = "\n".join(lines) + "\n"
+    args = (text,) if kind == "params" else (text, tree)
+    assert loaded(new, *args) == loaded(old, *args)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_shortest(text: str, skip_lines: int, skip_fields: int) -> None:
+    """Every number in ``text`` is written as ``format_float`` writes it."""
+    for line in text.splitlines()[skip_lines:]:
+        for token in line.split("\t")[skip_fields:]:
+            assert fileio.format_float(float(token)) == token
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.data())
+def test_write_load_write_is_a_fixpoint(seed, dim, data):
+    tree = random_tree(Rng64(seed), max_internal=4, max_nodes=10)
+
+    def matrix(rows: int) -> np.ndarray:
+        flat = data.draw(st.lists(finite, min_size=rows * dim, max_size=rows * dim))
+        out = np.asarray(flat, dtype=np.float64).reshape(rows, dim)
+        out[~out.any(axis=1), 0] = 1.0  # all-zero rows are refused on load
+        return out
+
+    vectors = matrix(tree.n_nodes)
+    vectors[tree.root] = 0.0
+    table = EmbeddingTable(dim=dim, vectors=vectors)
+    text = fileio.write_embeddings(table, tree)
+    assert_shortest(text, 1, 1)
+    again = fileio.load_embeddings(text, tree)
+    assert again.vectors.tobytes() == vectors.tobytes()
+    assert fileio.write_embeddings(again, tree) == text
+
+    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
+    samples = SampleSet(ids=tuple(f"s{i}" for i in range(len(leaves))),
+                        leaf_labels=leaves, features=matrix(len(leaves)))
+    text = fileio.write_samples(samples, tree, dim)
+    assert_shortest(text, 1, 2)
+    again = fileio.load_samples(text, tree)
+    assert again.features.tobytes() == samples.features.tobytes()
+    assert fileio.write_samples(again, tree, dim) == text
+
+    params = PromptParams(weight=matrix(dim), bias=matrix(1)[0],
+                          tau=data.draw(st.floats(min_value=1e-300, max_value=1e300)))
+    text = fileio.write_params(params)
+    assert_shortest(text, 1, 1)
+    again = fileio.load_params(text)
+    assert (again.weight.tobytes(), again.bias.tobytes(), again.tau) == (
+        params.weight.tobytes(), params.bias.tobytes(), params.tau)
+    assert fileio.write_params(again) == text

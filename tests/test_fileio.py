@@ -1,6 +1,8 @@
 """Text artifact formats: round-trips are byte-exact, loaders validate."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hiertune import (
     SampleSet,
     TrainLog,
 )
+from hiertune import fileio
 from hiertune.fileio import (
     FormatError,
     format_float,
@@ -148,6 +151,66 @@ def test_loaders_reject_digit_separators():
         load_params(good.replace("tau\t0.5", "tau\t0_5"))
     # Underscores in names and ids stay legal.
     assert load_samples("#dim 2\ns_0\tn4\t1.0\t0.5\n", tree).ids == ("s_0",)
+
+
+def test_loaders_reject_non_ascii_numbers():
+    # float() reads other scripts' digits and spaces ("\u0662" is 2.0), which
+    # no writer emits. The once-per-row screen names the row's first
+    # underscore or non-ASCII token, ahead of any other bad token.
+    tree = demo_tree()
+    good_rows = "\n".join(f"n{i}\t1.0\t0.0" for i in range(1, 7))
+    with pytest.raises(FormatError, match="embedding table line 4: bad number '\u0661.\u0665'"):
+        load_embeddings("#dim 2\n" + good_rows.replace("n3\t1.0", "n3\t\u0661.\u0665") + "\n", tree)
+    with pytest.raises(FormatError, match="sample file line 2: bad number '\u0662'"):
+        load_samples("#dim 3\ns0\tn4\tx\t\u0662\t1_0\n", tree)
+    nbsp = "1.0\u00a0"
+    with pytest.raises(FormatError, match=re.escape(f"line 2: bad number {nbsp!r}")):
+        load_samples(f"#dim 1\ns0\tn4\t{nbsp}\n", tree)
+    good = write_params(PromptParams.identity(2, 0.5))
+    with pytest.raises(FormatError, match="params file line 5: bad number '\u0660.\u0665'"):
+        load_params(good.replace("c\t0.0\t0.0", "c\t0.0\t\u0660.\u0665"))
+    # Non-ASCII names and ids stay legal.
+    assert load_samples("#dim 1\n\u00e9\tn4\t1.0\n", tree).ids == ("\u00e9",)
+
+
+def test_overstated_dimension_is_a_format_error():
+    # Loaders size their matrices from the text, not from the declared
+    # dimension alone, so a corrupt header fails on its first row instead
+    # of asking for rows x dim floats up front.
+    tree = demo_tree()
+    samples = "".join(f"s{i}\tn4\t1.0\t0.0\n" for i in range(3000))
+    embeddings = "".join(f"n{i}\t1.0\t0.0\n" for i in range(1, 7))
+    for dim in (20_000, 10**7, 10**12):
+        with pytest.raises(FormatError, match=f"line 2: expected id, leaf, and {dim} values"):
+            load_samples(f"#dim {dim}\n" + samples, tree)
+        with pytest.raises(FormatError, match=f"line 2: expected name plus {dim} values"):
+            load_embeddings(f"#dim {dim}\n" + embeddings, tree)
+        with pytest.raises(FormatError, match=f"line 3: expected {dim} values"):
+            load_params(f"dim\t{dim}\ntau\t0.5\n" + "A\t1.0\t0.0\n" * 3000)
+
+
+def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):
+    # The per-token parser only names the bad token of a failing row; a
+    # valid document is parsed a row at a time without it.
+    def per_token(token, lineno, what):
+        raise AssertionError(f"per-token parse of line {lineno}")
+
+    monkeypatch.setattr(fileio, "_parse_float", per_token)
+    tree = demo_tree()
+    leaves = np.asarray([tree.index("n4"), tree.index("n6")] * 250)
+    data = SampleSet(
+        ids=tuple(f"s{i}" for i in range(500)),
+        leaf_labels=leaves,
+        features=np.random.default_rng(0).standard_normal((500, 8)),
+    )
+    loaded = load_samples(write_samples(data, tree, dim=8), tree)
+    np.testing.assert_array_equal(loaded.features, data.features)
+    tree, table = embeddings_fixture()
+    np.testing.assert_array_equal(
+        load_embeddings(write_embeddings(table, tree), tree).vectors, table.vectors
+    )
+    params = PromptParams.identity(3, 0.07)
+    assert write_params(load_params(write_params(params))) == write_params(params)
 
 
 def test_params_round_trip_is_byte_exact():
