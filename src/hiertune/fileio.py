@@ -9,10 +9,15 @@ the offending line number.
 Rows of numbers are parsed one row at a time: one ``map(float, ...)`` call
 per row, written straight into a preallocated matrix. Only a row that
 fails goes through the per-token parser, which names the first bad token.
+They are written a block of rows at a time by orjson, whose digits are
+repr's; only the few values whose layout differs are rendered one by one.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+import orjson
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet
 from .metrics import MetricsReport
@@ -29,9 +34,37 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _row_text(row: np.ndarray) -> str:
-    """A vector as TAB-separated ``format_float`` strings, in one C-level pass."""
-    return "\t".join(map(float.__repr__, row.tolist()))
+# Rows formatted per orjson call. A block's numbers are held a few times
+# over while it is formatted (as Python floats, orjson's bytes, text and
+# row strings), so this, not the matrix size, sets the writers' extra
+# memory. At dim 260, gen-synth's peak resident memory was about 1.5 MB
+# above the per-value writer's with 64 rows and 6.5 MB with 256, at the
+# same speed.
+WRITE_BLOCK = 64
+
+
+def _row_texts(matrix: np.ndarray) -> Iterator[str]:
+    """Each row of ``matrix`` as TAB-separated ``format_float`` strings.
+
+    orjson writes a float with Ryu's shortest round-trip digits, the digits
+    repr gives, and lays them out as repr does for 0 and for 1e-4 <= |x| <
+    1e16. Every other value (exponent form, subnormals, and nan / inf,
+    which orjson writes as ``null``) is rendered again by ``format_float``,
+    so each token is byte for byte ``format_float``'s.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    for start in range(0, len(matrix), WRITE_BLOCK):
+        block = matrix[start : start + WRITE_BLOCK]
+        rows = orjson.dumps(block.tolist()).decode()[2:-2].replace(",", "\t").split("]\t[")
+        size = np.abs(block)
+        with np.errstate(invalid="ignore"):
+            other = ~((size >= 1e-4) & (size < 1e16)) & (block != 0)
+        for r in np.flatnonzero(other.any(axis=1)).tolist():
+            tokens = rows[r].split("\t")
+            for c in np.flatnonzero(other[r]).tolist():
+                tokens[c] = format_float(block[r, c])
+            rows[r] = "\t".join(tokens)
+        yield from rows
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
@@ -122,7 +155,7 @@ def write_tree(tree: TaxonomyTree) -> str:
 def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
     dim, rows = _split_dim_doc(text, "embedding table")
     values = _matrix_for(text, len(rows), dim)
-    mapping: dict[str, np.ndarray] = {}
+    nodes: dict[str, int] = {}
     for r, (lineno, line) in enumerate(rows):
         fields = line.split("\t")
         if len(fields) != dim + 1:
@@ -130,19 +163,32 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
                 f"embedding table line {lineno}: expected name plus {dim} values"
             )
         name = fields[0].strip()
-        if name in mapping:
+        if name in nodes:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
+        node = tree.name_index.get(name, tree.root)
+        if node == tree.root:
+            raise FormatError(
+                f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
+            )
         _parse_row(values[r], fields[1:], lineno, "embedding table")
-        mapping[name] = values[r]
-    return EmbeddingTable.from_names(tree, dim, mapping)
+        if not values[r].any():
+            raise FormatError(
+                f"embedding table line {lineno}: embedding for {name!r} is all zeros"
+            )
+        nodes[name] = node
+    if len(nodes) < tree.n_nodes - 1:
+        missing = sorted(set(tree.names) - set(nodes) - {tree.names[tree.root]})
+        raise FormatError(f"embedding table: missing embeddings for: {', '.join(missing)}")
+    vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
+    vectors[list(nodes.values())] = values[: len(nodes)]
+    return EmbeddingTable(dim=dim, vectors=vectors)
 
 
 def write_embeddings(table: EmbeddingTable, tree: TaxonomyTree) -> str:
     lines = [f"#dim {table.dim}"]
-    for i, name in enumerate(tree.names):
-        if i == tree.root:
-            continue
-        lines.append(f"{name}\t{_row_text(table.vectors[i])}")
+    for i, (name, row) in enumerate(zip(tree.names, _row_texts(table.vectors))):
+        if i != tree.root:
+            lines.append(f"{name}\t{row}")
     return "\n".join(lines) + "\n"
 
 
@@ -183,9 +229,12 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
 
 def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
     lines = [f"#dim {dim}"]
-    for i, sid in enumerate(samples.ids):
-        leaf = tree.names[int(samples.leaf_labels[i])]
-        lines.append(f"{sid}\t{leaf}\t{_row_text(samples.features[i])}")
+    lines.extend(
+        f"{sid}\t{tree.names[leaf]}\t{row}"
+        for sid, leaf, row in zip(
+            samples.ids, samples.leaf_labels.tolist(), _row_texts(samples.features)
+        )
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -238,9 +287,11 @@ def load_params(text: str) -> PromptParams:
 
 
 def write_params(params: PromptParams) -> str:
-    lines = [f"dim\t{params.dim}", f"tau\t{format_float(params.tau)}"]
-    lines.extend("A\t" + _row_text(row) for row in params.weight)
-    lines.append("c\t" + _row_text(params.bias))
+    (tau,) = _row_texts(np.array([[params.tau]]))
+    (bias,) = _row_texts(params.bias[None, :])
+    lines = [f"dim\t{params.dim}", f"tau\t{tau}"]
+    lines.extend("A\t" + row for row in _row_texts(params.weight))
+    lines.append("c\t" + bias)
     return "\n".join(lines) + "\n"
 
 

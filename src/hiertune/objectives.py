@@ -220,6 +220,8 @@ def total_loss(
     cut: LabelSet,
     batch: SampleSet,
     lam: float,
+    *,
+    check_cut: bool = True,
 ) -> tuple[LossValue, LossValue, LossValue]:
     """Treecut loss plus ``lam`` times the node-centric loss.
 
@@ -230,13 +232,19 @@ def total_loss(
     parts; each part's gradient goes through the backward pass on its own
     columns, so the total is exactly the treecut part plus ``lam`` times
     the node part.
+
+    The cut and batch are checked as ``treecut_loss`` checks them unless
+    ``check_cut`` is False, which is for a non-empty batch and a cut that
+    ``treecut.cut_from_flags`` already checked, as the trainer's are.
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
+    if check_cut:
+        _check_cut(tree, cut, batch)
     if lam == 0.0:
-        dtl = treecut_loss(tree, params, table, cut, batch)
+        sc = _score(params, table, cut.members, batch.features)
+        dtl = _treecut(tree, sc, cut, batch, params.tau)
         return dtl, dtl, LossValue.zero(params.dim)
-    _check_cut(tree, cut, batch)
     lay = tree.layout
     sc = _score(params, table, lay.nodes, batch.features)
     ncl = _node_centric(tree, sc, batch.leaf_labels, params.tau)

@@ -165,10 +165,9 @@ def gen_synth(
         features=np.concatenate(blocks, axis=0),
     )
 
-    sample_lines = write_samples(samples, tree, dim).splitlines()
-    sample_lines.insert(1, f"# seed {seed}")
+    header, body = write_samples(samples, tree, dim).split("\n", 1)
     return (
         write_tree(tree),
         write_embeddings(table, tree),
-        "\n".join(sample_lines) + "\n",
+        f"{header}\n# seed {seed}\n{body}",
     )

@@ -147,7 +147,9 @@ def train(
             lr = cosine_lr(iteration, total_steps, config.base_lr)
             cut = sample_treecut(tree, bundle, config.beta, cut_rng)
             params = PromptParams(weight=weight, bias=bias, tau=config.tau)
-            total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
+            total, dtl, ncl = total_loss(
+                tree, params, emb, cut, batch, config.lam, check_cut=False
+            )
             if not math.isfinite(total.value):
                 raise RuntimeError(f"non-finite loss at iteration {iteration}")
             weight = weight - lr * total.grad_weight

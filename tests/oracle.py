@@ -9,7 +9,9 @@ with a {-1, 0, 1} relation matrix, flags repaired by comparing kept
 ancestor counts, and a flag type that records whether the repair ran. The
 file loaders are kept as they were before rows of numbers were parsed in
 one call per row: every token goes through its own float() and
-finiteness check. Nothing in the package imports this module.
+finiteness check. The row writer is kept as it was before orjson wrote
+rows a block at a time: one float.__repr__ per value. Nothing in the
+package imports this module.
 """
 from __future__ import annotations
 
@@ -389,6 +391,9 @@ def mta(
 # be ASCII (float() also reads other scripts' digits and spaces) and is
 # refused like a digit separator, by the once-per-row screen, and a
 # dimension must be ASCII digits (str.isdigit also takes superscripts).
+# The embedding loader also names the line of an unknown name or an
+# all-zero row, and raises FormatError for missing names, where it once
+# left all three to EmbeddingTable.from_names and its plain ValueError.
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
@@ -439,7 +444,22 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
         name = fields[0].strip()
         if name in mapping:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
-        mapping[name] = _floats(fields[1:], lineno, "embedding table")
+        if name not in tree.name_index or tree.index(name) == tree.root:
+            raise FormatError(
+                f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
+            )
+        vec = _floats(fields[1:], lineno, "embedding table")
+        if not vec.any():
+            raise FormatError(
+                f"embedding table line {lineno}: embedding for {name!r} is all zeros"
+            )
+        mapping[name] = vec
+    missing = [
+        tree.names[i] for i in range(tree.n_nodes)
+        if i != tree.root and tree.names[i] not in mapping
+    ]
+    if missing:
+        raise FormatError(f"embedding table: missing embeddings for: {', '.join(sorted(missing))}")
     return EmbeddingTable.from_names(tree, dim, mapping)
 
 
@@ -522,3 +542,13 @@ def load_params(text: str) -> PromptParams:
         return PromptParams(weight=weight, bias=bias, tau=tau)
     except ValueError as exc:
         raise FormatError(f"params file: {exc}") from None
+
+
+# ------------------------------------------------------------- row writer
+#
+# One row at a time, one float.__repr__ per value, as the writers formatted
+# rows of numbers before orjson formatted them a block at a time.
+
+def row_texts(matrix: np.ndarray) -> list[str]:
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    return ["\t".join(map(float.__repr__, row)) for row in rows]

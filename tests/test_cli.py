@@ -109,6 +109,27 @@ def test_non_ascii_dimension_is_a_format_error(synth_dir, tmp_path, digit):
         assert err.startswith(f"E:format:{message}"), err
 
 
+def test_embedding_table_faults_are_format_errors(synth_dir, tmp_path):
+    # Line 3 of the generated table is n2's row.
+    good = (synth_dir / "embeddings.tsv").read_text(encoding="utf-8")
+    lines = good.splitlines(keepends=True)
+    assert lines[2].startswith("n2\t")
+    zeroed = "n2" + "\t0.0" * 8 + "\n"
+    renamed = lines[2].replace("n2", "ghost", 1)
+    cases = {
+        "zero": (zeroed, "embedding table line 3: embedding for 'n2' is all zeros"),
+        "unknown": (renamed, "embedding table line 3: embeddings for unknown nodes: ghost"),
+        "missing": ("", "embedding table: missing embeddings for: n2"),
+    }
+    for name, (row, message) in cases.items():
+        edited = tmp_path / f"{name}.tsv"
+        edited.write_text("".join(lines[:2] + [row] + lines[3:]), encoding="utf-8")
+        args = data_args(synth_dir)
+        args[args.index("--emb") + 1] = str(edited)
+        rc, _, err = run_cli("train", *args, "--out", str(tmp_path / "run"))
+        assert (rc, err) == (1, f"E:format:{message}\n")
+
+
 def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypatch):
     run = tmp_path / "run"
     args = ["train", *data_args(synth_dir), "--out", str(run), "--epochs", "1", "--batch-size", "8"]

@@ -8,16 +8,20 @@ accuracy must be exactly equal. It also keeps the integer-matrix treecut
 sampler; the boolean-mask one must give the same flags, masks and cuts.
 Its per-token file loaders must agree with the row-at-a-time ones on
 written documents with bad tokens, wrong field counts and bad records
-spliced in: the same arrays, byte for byte, or the same error.
+spliced in: the same arrays, byte for byte, or the same error. Its
+one-float.__repr__-per-value row writer must give the same bytes as the
+block-at-a-time orjson one, on every kind of float.
 """
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle
 from hiertune import (
@@ -325,3 +329,40 @@ def test_write_load_write_is_a_fixpoint(seed, dim, data):
     assert (again.weight.tobytes(), again.bias.tobytes(), again.tau) == (
         params.weight.tobytes(), params.bias.tobytes(), params.tau)
     assert fileio.write_params(again) == text
+
+
+# Both sides of each edge of the range where orjson and repr lay a float
+# out alike (0, and 1e-4 <= |x| < 1e16), and the values orjson cannot
+# write as repr does.
+EDGES = tuple(
+    v
+    for edge in (1e-4, 1e16)
+    for sign in (1.0, -1.0)
+    for v in (sign * math.nextafter(edge, 0.0), sign * edge,
+              sign * math.nextafter(edge, math.inf))
+)
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 300), st.integers(1, 8)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(), st.sampled_from(EDGES + SPECIALS)))))
+def test_row_writer_matches_reference(matrix):
+    # Rows past fileio.WRITE_BLOCK cross a block boundary.
+    assert list(fileio._row_texts(matrix)) == oracle.row_texts(matrix)
+
+
+def test_row_writer_sweep_matches_reference():
+    gen = np.random.default_rng(0)
+    powers = np.ldexp(1.0, np.arange(-14, 54))
+    neighbours = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    mantissas = 10.0 ** gen.uniform(-4.0, 16.0, 90_000)
+    mantissas = mantissas[mantissas < 1e16]
+    integers = np.arange(5_000, dtype=np.float64)
+    decimals = gen.integers(1, 10**6, 5_000) / 10.0 ** gen.integers(1, 6, 5_000)
+    values = np.concatenate([neighbours, mantissas, integers, decimals])
+    values *= np.where(gen.random(len(values)) < 0.5, -1.0, 1.0)
+    matrix = np.resize(values, (len(values) // 7 + 1, 7))
+    assert list(fileio._row_texts(matrix)) == oracle.row_texts(matrix)

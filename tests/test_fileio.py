@@ -31,6 +31,7 @@ from hiertune.fileio import (
 from hiertune.metrics import CutResult, MetricsReport
 from hiertune.trainer import IterationRecord
 
+import oracle
 from helpers import DEMO_DOC, demo_tree, random_tree
 
 AWKWARD = (0.1, 1.0 / 3.0, 1e-17, -0.0, 2.0**-52, 123456.78901234567)
@@ -211,6 +212,37 @@ def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):
     )
     params = PromptParams.identity(3, 0.07)
     assert write_params(load_params(write_params(params))) == write_params(params)
+
+
+def test_in_range_rows_never_reach_the_scalar_formatter(monkeypatch):
+    # format_float renders only the values orjson lays out differently
+    # from repr; rows of zeros and of 1e-4 <= |x| < 1e16 are written by
+    # orjson alone.
+    def per_value(x):
+        raise AssertionError(f"per-value format of {x!r}")
+
+    values = np.random.default_rng(0).standard_normal((500, 8))
+    values[np.abs(values) < 1e-4] = 0.0
+    tree = demo_tree()
+    data = SampleSet(
+        ids=tuple(f"s{i}" for i in range(500)),
+        leaf_labels=np.asarray([tree.index("n4"), tree.index("n6")] * 250),
+        features=values,
+    )
+    params = PromptParams(weight=values[:8], bias=values[8], tau=0.07)
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "format_float", per_value)
+        samples_text = write_samples(data, tree, dim=8)
+        params_text = write_params(params)
+    assert samples_text.splitlines()[1:] == [
+        f"{sid}\t{tree.names[leaf]}\t{row}"
+        for sid, leaf, row in zip(data.ids, data.leaf_labels, oracle.row_texts(values))
+    ]
+    assert params_text.splitlines()[1:] == [
+        "tau\t0.07",
+        *("A\t" + row for row in oracle.row_texts(values[:8])),
+        "c\t" + oracle.row_texts(values[8:9])[0],
+    ]
 
 
 def test_params_round_trip_is_byte_exact():

@@ -205,3 +205,23 @@ def test_non_finite_loss_aborts(monkeypatch):
     monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: (blown, blown, blown))
     with pytest.raises(RuntimeError, match="non-finite"):
         train(TrainConfig(epochs=1, batch_size=4), tree, table, data)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_each_step_checks_its_cut_once(monkeypatch, lam):
+    # The sampler checks every cut it builds; the loss does not check the
+    # trainer's cuts again.
+    from hiertune.taxonomy import TaxonomyTree
+
+    checks = []
+    check = TaxonomyTree.treecut_label_set
+
+    def counted(self, members):
+        checks.append(members)
+        return check(self, members)
+
+    monkeypatch.setattr(TaxonomyTree, "treecut_label_set", counted)
+    tree, table, data = demo_task(per_leaf=4)
+    config = TrainConfig(epochs=2, batch_size=8, lam=lam, beta=0.5, seed=1)
+    _, log = train(config, tree, table, data)
+    assert len(checks) == len(log.records)
