@@ -7,25 +7,17 @@ local (per-node) and global (per-cut) cross-entropies, and score models
 on flat, path-consistent, and granularity-averaged accuracy. Every
 random choice is seeded; equal inputs give byte-equal outputs.
 """
-from .classifier import (
-    EmbeddingTable,
-    PromptParams,
-    SampleSet,
-    cosine_scores,
-    node_weights,
-    posterior,
-    predict,
-    unit_rows,
+from .classifier import EmbeddingTable, PromptParams, SampleSet, predict
+from .metrics import (
+    CutResult,
+    MetricsReport,
+    evaluate,
+    hca,
+    leaf_accuracy,
+    mta,
+    score_blocks,
 )
-from .metrics import CutResult, MetricsReport, evaluate, hca, leaf_accuracy, mta
-from .objectives import (
-    LossValue,
-    cross_entropy_loss,
-    gradient_check,
-    node_centric_loss,
-    total_loss,
-    treecut_loss,
-)
+from .objectives import LossValue, gradient_check, node_centric_loss, total_loss, treecut_loss
 from .rng import Rng64, derive_seed
 from .synth import gen_synth
 from .taxonomy import LabelSet, TaxonomyTree, TreeFormatError, load_tree
@@ -47,19 +39,15 @@ __all__ = [
     "EmbeddingTable",
     "PromptParams",
     "SampleSet",
-    "cosine_scores",
-    "node_weights",
-    "posterior",
     "predict",
-    "unit_rows",
     "CutResult",
     "MetricsReport",
     "evaluate",
     "hca",
     "leaf_accuracy",
     "mta",
+    "score_blocks",
     "LossValue",
-    "cross_entropy_loss",
     "gradient_check",
     "node_centric_loss",
     "total_loss",

@@ -1,10 +1,11 @@
 """Cosine-similarity classifier over node embeddings, with a tunable map.
 
-Every node carries a fixed text embedding. A classifier for a label set
-scores a feature vector by cosine similarity against the *mapped* node
-embeddings w = A e + c, softmaxed at temperature tau. With A = I, c = 0
-the classifier is the zero-shot baseline; training moves only A and c, so
-one parameter pair serves every label set drawn from the tree.
+Every node carries a fixed text embedding. A feature vector is scored by
+cosine similarity against the *mapped* node embeddings w = A e + c, and a
+classifier for a label set predicts the member with the highest cosine.
+With A = I, c = 0 the classifier is the zero-shot baseline; training moves
+only A and c, so one parameter pair serves every label set drawn from the
+tree.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import LabelSet, TaxonomyTree
+from .taxonomy import TaxonomyTree
 
 
 @dataclass(frozen=True)
@@ -25,30 +26,6 @@ class EmbeddingTable:
 
     dim: int
     vectors: np.ndarray
-
-    @classmethod
-    def from_names(
-        cls, tree: TaxonomyTree, dim: int, mapping: dict[str, np.ndarray]
-    ) -> EmbeddingTable:
-        """Assemble a table from name-keyed vectors, one per non-root node."""
-        wanted = {tree.names[i] for i in range(tree.n_nodes) if i != tree.root}
-        missing = wanted - set(mapping)
-        extra = set(mapping) - wanted
-        if missing:
-            raise ValueError(f"missing embeddings for: {', '.join(sorted(missing))}")
-        if extra:
-            raise ValueError(f"embeddings for unknown nodes: {', '.join(sorted(extra))}")
-        vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
-        for name, vec in mapping.items():
-            row = np.asarray(vec, dtype=np.float64)
-            if row.shape != (dim,):
-                raise ValueError(f"embedding for {name!r} has shape {row.shape}, want ({dim},)")
-            if not np.isfinite(row).all():
-                raise ValueError(f"embedding for {name!r} is not finite")
-            if not row.any():
-                raise ValueError(f"embedding for {name!r} is all zeros")
-            vectors[tree.index(name)] = row
-        return cls(dim=dim, vectors=vectors)
 
     def rows(self, nodes: tuple[int, ...] | np.ndarray) -> np.ndarray:
         return self.vectors[np.asarray(nodes, dtype=np.int64)]
@@ -95,8 +72,8 @@ class PromptParams:
             raise ValueError("weight must be (dim, dim) and bias (dim,)")
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("parameters must be finite")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     @property
     def dim(self) -> int:
@@ -122,13 +99,6 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def node_weights(params: PromptParams, table: EmbeddingTable, labels: LabelSet) -> np.ndarray:
-    """Mapped classifier weights for each label, one row per member."""
-    if table.dim != params.dim:
-        raise ValueError("embedding and parameter dimensions differ")
-    return table.rows(labels.members) @ params.weight.T + params.bias
-
-
 def unit_weights(
     params: PromptParams, table: EmbeddingTable, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,41 +114,12 @@ def unit_weights(
     return emb, what, wnorm
 
 
-def cosine_scores(
-    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
-) -> np.ndarray:
-    """Cosine similarity of each feature row against each label weight."""
-    fhat, _ = unit_rows(np.asarray(features, dtype=np.float64), "features")
-    what, _ = unit_rows(node_weights(params, table, labels), "label weights")
-    return fhat @ what.T
+def predict(tree: TaxonomyTree, scores: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Highest-scoring member per row of a layout-column score matrix.
 
-def posterior(
-    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
-) -> np.ndarray:
-    """Softmax over cosine scores at temperature tau, one row per sample.
-
-    At least two labels are required; a one-label softmax is vacuous and
-    hides vocabulary bugs.
+    ``scores`` holds one column per non-root node in ``tree.layout`` order,
+    as ``metrics.score_blocks`` yields them; ``members`` is the vocabulary
+    as ascending node indices, so a tie goes to the smallest one. A
+    one-member vocabulary is allowed; the answer is forced.
     """
-    if len(labels) < 2:
-        raise ValueError("posterior needs at least two labels")
-    z = cosine_scores(params, table, labels, features) / params.tau
-    z -= z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
-
-
-def predict(
-    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
-) -> np.ndarray:
-    """Highest-cosine label per sample, as tree node indices.
-
-    Ties resolve to the smallest node index (argmax keeps the first
-    maximum and members are ascending). Single-label sets are allowed;
-    the answer is forced but still well-defined.
-    """
-    if len(labels) < 1:
-        raise ValueError("predict needs at least one label")
-    scores = cosine_scores(params, table, labels, features)
-    members = np.asarray(labels.members, dtype=np.int64)
-    return members[np.argmax(scores, axis=1)]
+    return members[np.argmax(scores[:, tree.layout.column[members]], axis=1)]

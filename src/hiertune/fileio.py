@@ -21,7 +21,7 @@ import orjson
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet
 from .metrics import MetricsReport
-from .taxonomy import TaxonomyTree
+from .taxonomy import TaxonomyTree, _split_lines
 from .trainer import TrainLog
 
 
@@ -125,7 +125,7 @@ def _is_count(token: str) -> bool:
 
 def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
     """Parse the mandatory `#dim <d>` first line; return dim and data lines."""
-    lines = text.splitlines()
+    lines = _split_lines(text)
     if not lines or not lines[0].startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
     parts = lines[0].split()
@@ -243,7 +243,7 @@ def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
 def load_params(text: str) -> PromptParams:
     rows = [
         (i, ln)
-        for i, ln in enumerate(text.splitlines(), start=1)
+        for i, ln in enumerate(_split_lines(text), start=1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
 

@@ -7,20 +7,29 @@ accuracy scores the model on randomly coarsened vocabularies and averages,
 probing robustness to label granularity. All sampling is seeded, so a
 report is a pure function of its inputs.
 
-Every prediction is an argmax over a column subset of one score matrix,
-the cosines of the samples against every non-root node in the tree's
-column layout, built in blocks of ``EVAL_BLOCK`` samples. Ties go to the
-smallest node index. A prediction is right exactly when it is the true
-leaf or one of its ancestors, since every vocabulary scored is an
-antichain that covers the leaf.
+Every prediction is ``classifier.predict``: an argmax over a column
+subset of one score matrix, the cosines of the samples against every
+non-root node in the tree's column layout, which ``score_blocks`` builds
+in blocks of ``EVAL_BLOCK`` samples. Ties go to the smallest node index.
+A prediction is right exactly when it is the true leaf or one of its
+ancestors, since every vocabulary scored is an antichain that covers the
+leaf.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
+from .classifier import (
+    EmbeddingTable,
+    PromptParams,
+    SampleSet,
+    predict,
+    unit_rows,
+    unit_weights,
+)
 from .rng import MASK64, Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_distinct
@@ -67,21 +76,21 @@ def _require_data(data: SampleSet) -> None:
         raise ValueError("evaluation data is empty")
 
 
-def _score_blocks(
+def score_blocks(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
-):
-    """Yield (leaf labels, scores) per block of samples, columns in layout order."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (leaf labels, scores) per ``EVAL_BLOCK`` samples.
+
+    ``scores`` holds the cosines of the block's features against the
+    mapped weights of every non-root node, one column per node in the
+    tree's layout order; the weights are built once for all blocks.
+    """
     _require_data(data)
     _, what, _ = unit_weights(params, table, tree.layout.nodes)
     for lo in range(0, len(data), EVAL_BLOCK):
         block = np.asarray(data.features[lo : lo + EVAL_BLOCK], dtype=np.float64)
         fhat, _ = unit_rows(block, "features")
         yield data.leaf_labels[lo : lo + EVAL_BLOCK], fhat @ what.T
-
-
-def _argmax_member(tree: TaxonomyTree, scores: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Highest-scoring member per row; ``members`` ascend, so ties go to the smallest."""
-    return members[np.argmax(scores[:, tree.layout.column[members]], axis=1)]
 
 
 def _on_path(tree: TaxonomyTree, leaves: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -95,8 +104,8 @@ def leaf_accuracy(
     """Fraction of samples whose leaf-vocabulary prediction is the true leaf."""
     leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
     right = 0
-    for labels, scores in _score_blocks(tree, params, table, data):
-        right += int((_argmax_member(tree, scores, leaves) == labels).sum())
+    for labels, scores in score_blocks(tree, params, table, data):
+        right += int((predict(tree, scores, leaves) == labels).sum())
     return right / len(data)
 
 
@@ -116,8 +125,8 @@ def hca(
     internal = np.asarray(tree.internal_nodes, dtype=np.int64)
     branching = lay.sizes >= 2
     right = 0
-    for labels, scores in _score_blocks(tree, params, table, data):
-        ok = _argmax_member(tree, scores, leaves) == labels
+    for labels, scores in score_blocks(tree, params, table, data):
+        ok = predict(tree, scores, leaves) == labels
         # Each internal node's decision: the first column of its group
         # that reaches the group maximum, i.e. its smallest best child.
         top = np.maximum.reduceat(scores, lay.starts, axis=1)
@@ -161,9 +170,9 @@ def mta(
     ]
     members = [np.asarray(cut.members, dtype=np.int64) for cuts in drawn for cut in cuts]
     right = np.zeros(len(members), dtype=np.int64)
-    for labels, scores in _score_blocks(tree, params, table, data):
+    for labels, scores in score_blocks(tree, params, table, data):
         for k, cut in enumerate(members):
-            right[k] += int(_on_path(tree, labels, _argmax_member(tree, scores, cut)).sum())
+            right[k] += int(_on_path(tree, labels, predict(tree, scores, cut)).sum())
     accuracy = iter((right / len(data)).tolist())
     groups = tuple(
         tuple(CutResult(beta=float(beta), size=len(cut), accuracy=next(accuracy)) for cut in cuts)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
-from .taxonomy import KIND_TREECUT, LabelSet, TaxonomyTree
+from .taxonomy import LabelSet, TaxonomyTree
 
 
 @dataclass(frozen=True)
@@ -145,36 +145,7 @@ def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, t
 def _check_cut(tree: TaxonomyTree, cut: LabelSet, batch: SampleSet) -> None:
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    if cut.kind != KIND_TREECUT:
-        raise ValueError(f"expected a treecut label set, got kind {cut.kind!r}")
     tree.treecut_label_set(cut.members)
-
-
-def cross_entropy_loss(
-    tree: TaxonomyTree,
-    params: PromptParams,
-    table: EmbeddingTable,
-    labels: LabelSet,
-    batch: SampleSet,
-) -> LossValue:
-    """Mean cross-entropy of a batch against one label set.
-
-    A sample's target is the label on its leaf's root path. Samples with
-    no such label are skipped, and the mean runs over the rest.
-    """
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    if len(labels) < 2:
-        raise ValueError("cross-entropy needs at least two labels")
-    hits = _target_hits(tree, labels.members, batch.leaf_labels)
-    n_hits = hits.sum(axis=1)
-    if (n_hits > 1).any():
-        raise ValueError("label set is not an antichain")
-    mask = n_hits == 1
-    if not mask.any():
-        return LossValue.zero(params.dim)
-    sc = _score(params, table, labels.members, batch.features[mask])
-    return _vocab_loss(sc, np.argmax(hits[mask], axis=1), params.tau)
 
 
 def node_centric_loss(

@@ -2,9 +2,9 @@
 
 A taxonomy tree organizes dataset classes (the leaves) under superclass
 nodes. A classification decision always happens against a *label set*: the
-full leaf set, the children of one node, or the leaf fringe of a pruned
-subtree (a treecut). Trees are immutable after load; every derived
-structure holds read-only references.
+full leaf set, the children of one node (one group of the column layout),
+or the leaf fringe of a pruned subtree (a treecut). Trees are immutable
+after load; every derived structure holds read-only references.
 """
 from __future__ import annotations
 
@@ -13,13 +13,19 @@ from functools import cached_property
 
 import numpy as np
 
-KIND_LEAF = "leaf"
-KIND_NODE = "node"
-KIND_TREECUT = "treecut"
-
 
 class TreeFormatError(ValueError):
     """A tree document violates the file format or the tree invariants."""
+
+
+def _split_lines(text: str) -> list[str]:
+    """``text`` split only at the breaks universal-newline reading translates.
+
+    ``str.splitlines`` also splits at form feeds, ``\x85``, ``\u2028`` and
+    others, shifting the line number of every fault after one. A text that
+    ends in a break gives a last, empty line, which every reader skips.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 @dataclass(frozen=True)
@@ -27,21 +33,15 @@ class LabelSet:
     """An ordered classification vocabulary of tree nodes.
 
     ``members`` holds node indices in ascending order (the canonical order
-    used for matrix columns, softmax rows, and tie-breaking). ``kind``
-    records how the set was formed; ``center`` is the parent node for
-    children-of-node sets. Build instances through the ``TaxonomyTree``
-    factories, which validate; the raw constructor does not.
+    used for matrix columns, softmax rows, and tie-breaking). Build
+    instances through ``TaxonomyTree.treecut_label_set``, which validates;
+    the raw constructor does not.
     """
 
     members: tuple[int, ...]
-    kind: str
-    center: int | None = None
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.members
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,6 @@ class TaxonomyTree:
             raise ValueError(f"label set is not an antichain: {names} share a path")
         return hits[0] if hits else None
 
-    def leaf_label_set(self) -> LabelSet:
-        return LabelSet(self.leaf_nodes, KIND_LEAF)
-
-    def node_label_set(self, node: int) -> LabelSet:
-        """The children of ``node`` as a vocabulary."""
-        self._check_index(node)
-        if not self.children[node]:
-            raise ValueError(f"node {self.names[node]!r} is a leaf and has no label set")
-        return LabelSet(tuple(sorted(self.children[node])), KIND_NODE, center=node)
-
     def treecut_label_set(self, members: tuple[int, ...] | list[int]) -> LabelSet:
         """Validate ``members`` as a treecut fringe and wrap it.
 
@@ -206,7 +196,7 @@ class TaxonomyTree:
         if (cover == 0).any():
             leaf = self.leaf_nodes[int(np.argmin(cover))]
             raise ValueError(f"treecut does not cover leaf {self.names[leaf]!r} exactly once")
-        return LabelSet(tuple(unique.tolist()), KIND_TREECUT)
+        return LabelSet(tuple(unique.tolist()))
 
 
 def load_tree(document: str) -> TaxonomyTree:
@@ -222,8 +212,7 @@ def load_tree(document: str) -> TaxonomyTree:
     index: dict[str, int] = {}
     root_seen = False
 
-    for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(_split_lines(document), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

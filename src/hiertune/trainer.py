@@ -43,14 +43,14 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be at least 1 when given")
 

@@ -7,6 +7,9 @@ from hiertune import EmbeddingTable, PromptParams, Rng64, SampleSet, TaxonomyTre
 
 DEMO_DOC = "n0\t-\nn1\tn0\nn2\tn1\nn3\tn1\nn4\tn2\nn5\tn2\nn6\tn0\n"
 
+# Characters str.splitlines breaks at that end no line in a document.
+ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 def demo_tree() -> TaxonomyTree:
     """Seven-node tree used by the worked examples.

@@ -10,27 +10,43 @@ ancestor counts, and a flag type that records whether the repair ran. The
 file loaders are kept as they were before rows of numbers were parsed in
 one call per row: every token goes through its own float() and
 finiteness check. The row writer is kept as it was before orjson wrote
-rows a block at a time: one float.__repr__ per value. Nothing in the
-package imports this module.
+rows a block at a time: one float.__repr__ per value. The per-vocabulary
+classifier (cosine scores, posterior and predict over one label set), the
+name-keyed table assembly and the leaf and children-of-node label sets are
+kept as they were before the library scored every vocabulary as columns
+of one matrix. Nothing in the package imports this module.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from hiertune.classifier import (
-    EmbeddingTable,
-    PromptParams,
-    SampleSet,
-    predict,
-    unit_rows,
-)
+from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
 from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
 from hiertune.rng import Rng64, derive_seed
-from hiertune.taxonomy import KIND_TREECUT, LabelSet, TaxonomyTree
+from hiertune.taxonomy import LabelSet, TaxonomyTree
+
+
+# -------------------------------------------------------------- label sets
+#
+# The leaf and children-of-node vocabularies were LabelSet factories on
+# the tree, and each LabelSet carried a kind tag. The tags are gone: a
+# vocabulary is its ascending members, and only a treecut is validated.
+
+def leaf_label_set(tree: TaxonomyTree) -> LabelSet:
+    return LabelSet(tree.leaf_nodes)
+
+
+def node_label_set(tree: TaxonomyTree, node: int) -> LabelSet:
+    """The children of ``node`` as a vocabulary."""
+    tree._check_index(node)
+    if not tree.children[node]:
+        raise ValueError(f"node {tree.names[node]!r} is a leaf and has no label set")
+    return LabelSet(tuple(sorted(tree.children[node])))
 
 
 def treecut_label_set(tree: TaxonomyTree, members: tuple[int, ...] | list[int]) -> LabelSet:
@@ -51,7 +67,7 @@ def treecut_label_set(tree: TaxonomyTree, members: tuple[int, ...] | list[int]) 
             raise ValueError(
                 f"treecut does not cover leaf {tree.names[leaf]!r} exactly once"
             )
-    return LabelSet(tuple(unique), KIND_TREECUT)
+    return LabelSet(tuple(unique))
 
 
 # ---------------------------------------------------------------- treecut
@@ -175,6 +191,64 @@ def sample_distinct(
     return tuple(seen.values())
 
 
+# ------------------------------------------------------------- classifier
+
+def from_names(tree: TaxonomyTree, dim: int, mapping: dict[str, np.ndarray]) -> EmbeddingTable:
+    """Assemble a table from name-keyed vectors, one per non-root node."""
+    wanted = {tree.names[i] for i in range(tree.n_nodes) if i != tree.root}
+    missing = wanted - set(mapping)
+    extra = set(mapping) - wanted
+    if missing:
+        raise ValueError(f"missing embeddings for: {', '.join(sorted(missing))}")
+    if extra:
+        raise ValueError(f"embeddings for unknown nodes: {', '.join(sorted(extra))}")
+    vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
+    for name, vec in mapping.items():
+        row = np.asarray(vec, dtype=np.float64)
+        if row.shape != (dim,):
+            raise ValueError(f"embedding for {name!r} has shape {row.shape}, want ({dim},)")
+        if not np.isfinite(row).all():
+            raise ValueError(f"embedding for {name!r} is not finite")
+        if not row.any():
+            raise ValueError(f"embedding for {name!r} is all zeros")
+        vectors[tree.index(name)] = row
+    return EmbeddingTable(dim=dim, vectors=vectors)
+
+
+def cosine_scores(
+    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
+) -> np.ndarray:
+    """Cosine similarity of each feature row against each label weight."""
+    if table.dim != params.dim:
+        raise ValueError("embedding and parameter dimensions differ")
+    weights = table.rows(labels.members) @ params.weight.T + params.bias
+    fhat, _ = unit_rows(np.asarray(features, dtype=np.float64), "features")
+    what, _ = unit_rows(weights, "label weights")
+    return fhat @ what.T
+
+
+def posterior(
+    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
+) -> np.ndarray:
+    """Softmax over cosine scores at temperature tau, one row per sample."""
+    if len(labels) < 2:
+        raise ValueError("posterior needs at least two labels")
+    z = cosine_scores(params, table, labels, features) / params.tau
+    z -= z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def predict(
+    params: PromptParams, table: EmbeddingTable, labels: LabelSet, features: np.ndarray
+) -> np.ndarray:
+    """Highest-cosine label per sample; members ascend, so ties go to the smallest."""
+    if len(labels) < 1:
+        raise ValueError("predict needs at least one label")
+    scores = cosine_scores(params, table, labels, features)
+    return np.asarray(labels.members, dtype=np.int64)[np.argmax(scores, axis=1)]
+
+
 # ------------------------------------------------------------- objectives
 
 def _ce_core(
@@ -261,7 +335,7 @@ def node_centric_loss(
     for node in tree.internal_nodes:
         if len(tree.children[node]) < 2:
             continue
-        part, mask = _ce_core(tree, params, table, tree.node_label_set(node), batch)
+        part, mask = _ce_core(tree, params, table, node_label_set(tree, node), batch)
         value += part.value
         grad_w += part.grad_weight
         grad_b += part.grad_bias
@@ -284,8 +358,6 @@ def treecut_loss(
     """Cross-entropy of a batch against one treecut fringe."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    if cut.kind != KIND_TREECUT:
-        raise ValueError(f"expected a treecut label set, got kind {cut.kind!r}")
     treecut_label_set(tree, cut.members)
     if len(cut) == 1:
         return LossValue.zero(params.dim, n_contributing=len(batch))
@@ -323,7 +395,7 @@ def leaf_accuracy(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
 ) -> float:
     """Fraction of samples whose leaf-vocabulary prediction is the true leaf."""
-    pred = predict(params, table, tree.leaf_label_set(), data.features)
+    pred = predict(params, table, leaf_label_set(tree), data.features)
     return float((pred == data.leaf_labels).mean())
 
 
@@ -331,12 +403,12 @@ def hca(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
 ) -> float:
     """Fraction of samples correct at the leaf and at every branching ancestor."""
-    ok = predict(params, table, tree.leaf_label_set(), data.features) == data.leaf_labels
+    ok = predict(params, table, leaf_label_set(tree), data.features) == data.leaf_labels
     node_pred: dict[int, np.ndarray] = {}
     for node in tree.internal_nodes:
         if len(tree.children[node]) >= 2:
             node_pred[node] = predict(
-                params, table, tree.node_label_set(node), data.features
+                params, table, node_label_set(tree, node), data.features
             )
     for i in range(len(data)):
         if not ok[i]:
@@ -394,6 +466,12 @@ def mta(
 # The embedding loader also names the line of an unknown name or an
 # all-zero row, and raises FormatError for missing names, where it once
 # left all three to EmbeddingTable.from_names and its plain ValueError.
+# Records end only at the breaks universal-newline reading translates,
+# where they once also ended at form feeds, \x85, \u2028 and the like.
+
+def _lines(text: str) -> list[str]:
+    return [ln[:-1] if ln.endswith("\n") else ln for ln in io.StringIO(text, newline=None)]
+
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
@@ -417,7 +495,7 @@ def _is_count(token: str) -> bool:
 
 
 def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
-    lines = text.splitlines()
+    lines = _lines(text)
     if not lines or not lines[0].startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
     parts = lines[0].split()
@@ -460,7 +538,7 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
     ]
     if missing:
         raise FormatError(f"embedding table: missing embeddings for: {', '.join(sorted(missing))}")
-    return EmbeddingTable.from_names(tree, dim, mapping)
+    return from_names(tree, dim, mapping)
 
 
 def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
@@ -503,7 +581,7 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
 def load_params(text: str) -> PromptParams:
     rows = [
         (i, ln)
-        for i, ln in enumerate(text.splitlines(), start=1)
+        for i, ln in enumerate(_lines(text), start=1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
 

@@ -1,4 +1,4 @@
-"""Embedding tables, the affine map, cosine scoring, posterior, predict."""
+"""Embedding tables, the affine map, layout-column scores, softmax, predict."""
 from __future__ import annotations
 
 import math
@@ -9,15 +9,14 @@ import pytest
 from hiertune import (
     EmbeddingTable,
     PromptParams,
-    Rng64,
     SampleSet,
-    cosine_scores,
     load_tree,
-    node_weights,
-    posterior,
     predict,
-    unit_rows,
+    score_blocks,
+    treecut_loss,
 )
+from hiertune.classifier import unit_rows, unit_weights
+from hiertune.fileio import FormatError, load_embeddings
 
 from helpers import basis_table, demo_tree, random_params, random_table
 
@@ -26,14 +25,42 @@ STAR_DOC = "r\t-\na\tr\nb\tr\n"
 
 def star_fixture(vec_a, vec_b, dim=3):
     tree = load_tree(STAR_DOC)
-    table = EmbeddingTable.from_names(
-        tree, dim, {"a": np.asarray(vec_a, float), "b": np.asarray(vec_b, float)}
+    vectors = np.zeros((tree.n_nodes, dim))
+    vectors[tree.index("a")] = vec_a
+    vectors[tree.index("b")] = vec_b
+    return tree, EmbeddingTable(dim=dim, vectors=vectors), np.asarray(tree.leaf_nodes)
+
+
+def scores_of(tree, params, table, feats) -> np.ndarray:
+    """The layout-column score matrix of ``feats``, blocks stacked."""
+    data = SampleSet(
+        ids=tuple(f"s{i}" for i in range(len(feats))),
+        leaf_labels=np.full(len(feats), tree.leaf_nodes[0]),
+        features=np.asarray(feats, dtype=float),
     )
-    return tree, table, tree.leaf_label_set()
+    return np.concatenate([s for _, s in score_blocks(tree, params, table, data)])
+
+
+def leaf_loss(tree, params, table, leaf: int, feature) -> float:
+    """Treecut loss of one sample on the leaf vocabulary: -log of its softmax share."""
+    batch = SampleSet(
+        ids=("s",), leaf_labels=np.array([leaf]), features=np.asarray([feature], dtype=float)
+    )
+    cut = tree.treecut_label_set(tree.leaf_nodes)
+    return treecut_loss(tree, params, table, cut, batch).value
+
+
+def embedding_doc(mapping: dict[str, np.ndarray], dim: int = 3) -> str:
+    rows = [f"{name}\t" + "\t".join(map(repr, map(float, vec))) for name, vec in mapping.items()]
+    return "\n".join([f"#dim {dim}", *rows]) + "\n"
 
 
 def test_from_names_assembles_aligned_rows():
-    tree, table, _ = star_fixture([1, 0, 0], [0, 2, 0])
+    # The loader aligns name-keyed rows with node indices, in any file order.
+    tree = load_tree(STAR_DOC)
+    table = load_embeddings(
+        embedding_doc({"b": np.array([0, 2, 0]), "a": np.array([1, 0, 0])}), tree
+    )
     np.testing.assert_array_equal(table.vectors[tree.root], [0, 0, 0])
     np.testing.assert_array_equal(table.vectors[tree.index("a")], [1, 0, 0])
     np.testing.assert_array_equal(table.vectors[tree.index("b")], [0, 2, 0])
@@ -54,8 +81,8 @@ def test_from_names_assembles_aligned_rows():
 )
 def test_from_names_rejects_bad_mappings(mapping):
     tree = load_tree(STAR_DOC)
-    with pytest.raises(ValueError):
-        EmbeddingTable.from_names(tree, 3, mapping)
+    with pytest.raises(FormatError):
+        load_embeddings(embedding_doc(mapping), tree)
 
 
 def test_sample_set_validation_and_take():
@@ -82,8 +109,8 @@ def test_prompt_params_validation():
         PromptParams(weight=np.eye(2), bias=np.zeros(3), tau=1.0)
     with pytest.raises(ValueError):
         PromptParams(weight=np.full((2, 2), np.inf), bias=np.zeros(2), tau=1.0)
-    for bad_tau in (0.0, -0.5):
-        with pytest.raises(ValueError):
+    for bad_tau in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {bad_tau}"):
             PromptParams(weight=np.eye(2), bias=np.zeros(2), tau=bad_tau)
     ident = PromptParams.identity(4, 0.07)
     np.testing.assert_array_equal(ident.weight, np.eye(4))
@@ -104,123 +131,105 @@ def test_unit_rows_normalizes_and_rejects():
 
 def test_node_weights_identity_and_affine():
     tree, table, labels = star_fixture([1, 0, 0], [0, 2, 0])
-    ident = PromptParams.identity(3, 1.0)
-    np.testing.assert_array_equal(
-        node_weights(ident, table, labels), table.rows(labels.members)
-    )
-    doubled = PromptParams(weight=2 * np.eye(3), bias=np.zeros(3), tau=1.0)
-    np.testing.assert_array_equal(
-        node_weights(doubled, table, labels), 2 * table.rows(labels.members)
-    )
-    shifted = PromptParams(weight=np.eye(3), bias=np.array([0.0, 0.0, 7.0]), tau=1.0)
-    np.testing.assert_array_equal(
-        node_weights(shifted, table, labels),
-        table.rows(labels.members) + np.array([0.0, 0.0, 7.0]),
-    )
+    rows = table.rows(labels)
+    for weight, bias, mapped in (
+        (np.eye(3), np.zeros(3), rows),
+        (2 * np.eye(3), np.zeros(3), 2 * rows),
+        (np.eye(3), np.array([0.0, 0.0, 7.0]), rows + np.array([0.0, 0.0, 7.0])),
+    ):
+        params = PromptParams(weight=weight, bias=bias, tau=1.0)
+        emb, what, wnorm = unit_weights(params, table, labels)
+        np.testing.assert_array_equal(emb, rows)
+        np.testing.assert_array_equal(wnorm, np.linalg.norm(mapped, axis=1))
+        np.testing.assert_array_equal(what, mapped / wnorm[:, None])
 
 
 def test_node_weights_dimension_mismatch():
     tree, table, labels = star_fixture([1, 0, 0], [0, 2, 0])
-    with pytest.raises(ValueError):
-        node_weights(PromptParams.identity(2, 1.0), table, labels)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        unit_weights(PromptParams.identity(2, 1.0), table, labels)
 
 
 def test_cosine_scores_orthonormal_oracle():
-    _, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
+    tree, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
     ident = PromptParams.identity(3, 1.0)
-    scores = cosine_scores(ident, table, labels, np.array([[1.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(scores, [[1.0, 0.0]], atol=1e-15)
+    scores = scores_of(tree, ident, table, [[1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(scores[:, tree.layout.column[labels]], [[1.0, 0.0]], atol=1e-15)
 
 
 def test_posterior_two_label_oracle():
     # cosines (1, 0) at tau=1: softmax puts e/(e+1) on the first label.
-    _, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
+    tree, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
     ident = PromptParams.identity(3, 1.0)
-    p = posterior(ident, table, labels, np.array([[2.0, 0.0, 0.0]]))
-    expected = math.e / (math.e + 1.0)
-    assert p.shape == (1, 2)
-    np.testing.assert_allclose(p[0], [expected, 1.0 - expected], atol=1e-12)
-    assert abs(p[0, 0] - 0.7310585786300049) < 1e-12
+    share = math.exp(-leaf_loss(tree, ident, table, labels[0], [2.0, 0.0, 0.0]))
+    assert abs(share - math.e / (math.e + 1.0)) < 1e-12
+    assert abs(share - 0.7310585786300049) < 1e-12
 
 
 def test_posterior_identical_embeddings_split_evenly():
-    _, table, labels = star_fixture([1, 1, 0], [1, 1, 0])
+    tree, table, labels = star_fixture([1, 1, 0], [1, 1, 0])
     ident = PromptParams.identity(3, 1.0)
-    p = posterior(ident, table, labels, np.array([[0.3, -0.4, 1.0]]))
-    np.testing.assert_allclose(p, [[0.5, 0.5]], atol=1e-12)
+    for leaf in labels:
+        loss = leaf_loss(tree, ident, table, leaf, [0.3, -0.4, 1.0])
+        assert abs(loss - math.log(2.0)) < 1e-12
 
 
 def test_posterior_high_temperature_flattens():
-    _, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
+    tree, table, labels = star_fixture([1, 0, 0], [0, 1, 0])
     hot = PromptParams.identity(3, 1e6)
-    p = posterior(hot, table, labels, np.array([[1.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(p, [[0.5, 0.5]], atol=1e-5)
+    loss = leaf_loss(tree, hot, table, labels[0], [1.0, 0.0, 0.0])
+    assert abs(math.exp(-loss) - 0.5) < 1e-5
 
 
 def test_posterior_rows_sum_to_one():
+    # Each leaf's softmax share of one feature, read off the leaf-cut loss
+    # of that feature labelled with the leaf, sums to one over the leaves.
     tree = demo_tree()
     table = random_table(tree, 6, seed=11)
-    labels = tree.leaf_label_set()
     gen = np.random.Generator(np.random.PCG64(3))
     for seed in range(5):
         params = random_params(6, tau=0.25, seed=seed)
-        feats = gen.standard_normal((7, 6))
-        p = posterior(params, table, labels, feats)
-        assert p.shape == (7, 4)
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(7), atol=1e-12)
-        assert (p > 0).all()
-
-
-def test_posterior_requires_two_labels():
-    chain = load_tree("r\t-\na\tr\n")
-    table = EmbeddingTable.from_names(chain, 2, {"a": np.array([1.0, 0.0])})
-    with pytest.raises(ValueError, match="at least two labels"):
-        posterior(PromptParams.identity(2, 1.0), table, chain.leaf_label_set(), np.ones((1, 2)))
+        for feature in gen.standard_normal((7, 6)):
+            shares = [
+                math.exp(-leaf_loss(tree, params, table, leaf, feature))
+                for leaf in tree.leaf_nodes
+            ]
+            assert abs(sum(shares) - 1.0) < 1e-12
+            assert min(shares) > 0
 
 
 def test_posterior_scale_invariance():
     tree = demo_tree()
     table = random_table(tree, 6, seed=2)
-    labels = tree.leaf_label_set()
     params = random_params(6, tau=0.5, seed=9)
     feats = np.random.Generator(np.random.PCG64(8)).standard_normal((5, 6))
-    base = posterior(params, table, labels, feats)
-    np.testing.assert_allclose(
-        posterior(params, table, labels, 3.0 * feats), base, atol=1e-12
-    )
+    base = scores_of(tree, params, table, feats)
+    np.testing.assert_allclose(scores_of(tree, params, table, 3.0 * feats), base, atol=1e-12)
     scaled_map = PromptParams(weight=5.0 * params.weight, bias=5.0 * params.bias, tau=params.tau)
-    np.testing.assert_allclose(
-        posterior(scaled_map, table, labels, feats), base, atol=1e-12
-    )
+    np.testing.assert_allclose(scores_of(tree, scaled_map, table, feats), base, atol=1e-12)
 
 
 def test_predict_demo_leaf_axes():
     tree = demo_tree()
     table = basis_table(tree)
     ident = PromptParams.identity(table.dim, 1.0)
-    labels = tree.leaf_label_set()
-    feats = table.vectors[np.asarray(tree.leaf_nodes)]
-    np.testing.assert_array_equal(
-        predict(ident, table, labels, feats), list(tree.leaf_nodes)
-    )
+    leaves = np.asarray(tree.leaf_nodes)
+    scores = scores_of(tree, ident, table, table.vectors[leaves])
+    np.testing.assert_array_equal(predict(tree, scores, leaves), leaves)
 
 
 def test_predict_tie_resolves_to_smaller_index():
     tree, table, labels = star_fixture([1, 1, 0], [1, 1, 0])
-    ident = PromptParams.identity(3, 1.0)
-    out = predict(ident, table, labels, np.array([[1.0, 1.0, 0.0]]))
-    np.testing.assert_array_equal(out, [min(labels.members)])
+    scores = scores_of(tree, PromptParams.identity(3, 1.0), table, [[1.0, 1.0, 0.0]])
+    assert scores[0, 0] == scores[0, 1]
+    np.testing.assert_array_equal(predict(tree, scores, labels), [min(labels)])
 
 
 def test_predict_single_label_forced():
     chain = load_tree("r\t-\na\tr\n")
-    table = EmbeddingTable.from_names(chain, 2, {"a": np.array([1.0, 0.0])})
-    out = predict(
-        PromptParams.identity(2, 1.0),
-        table,
-        chain.leaf_label_set(),
-        np.array([[0.0, 5.0]]),
-    )
+    table = EmbeddingTable(dim=2, vectors=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    scores = scores_of(chain, PromptParams.identity(2, 1.0), table, [[0.0, 5.0]])
+    out = predict(chain, scores, np.asarray(chain.leaf_nodes))
     np.testing.assert_array_equal(out, [chain.index("a")])
 
 
@@ -229,10 +238,11 @@ def test_predict_restriction_consistency():
     table = random_table(tree, 6, seed=21)
     params = random_params(6, tau=0.3, seed=4)
     feats = np.random.Generator(np.random.PCG64(99)).standard_normal((12, 6))
-    leaves = tree.leaf_label_set()
-    fine = predict(params, table, leaves, feats)
-    pair = tree.node_label_set(tree.index("n2"))  # children of n2: {n4, n5}
-    coarse = predict(params, table, pair, feats)
+    scores = scores_of(tree, params, table, feats)
+    fine = predict(tree, scores, np.asarray(tree.leaf_nodes))
+    pair = np.asarray(tree.children[tree.index("n2")])  # children of n2: {n4, n5}
+    coarse = predict(tree, scores, pair)
+    assert set(coarse) <= set(pair)
     for k, winner in enumerate(fine):
-        if winner in pair.members:
+        if winner in pair:
             assert coarse[k] == winner

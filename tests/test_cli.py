@@ -298,6 +298,26 @@ def test_train_rejects_bad_lambda(synth_dir, tmp_path):
     assert err.startswith("E:invalid:")
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--lambda", "nan", "lam"),
+        ("--lambda", "inf", "lam"),
+        ("--lr", "inf", "base_lr"),
+        ("--tau", "inf", "tau"),
+    ],
+)
+def test_train_rejects_non_finite_flags(synth_dir, tmp_path, flag, value, field):
+    rc, _, err = run_cli(
+        "train", *data_args(synth_dir), "--out", str(tmp_path / "run"),
+        "--epochs", "1", "--batch-size", "8", flag, value,
+    )
+    assert rc == 1
+    assert err.startswith(f"E:invalid:{field} must be ")
+    assert err.rstrip().endswith(f"finite, got {value}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit) as excinfo:
         run_cli()

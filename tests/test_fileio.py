@@ -32,7 +32,7 @@ from hiertune.metrics import CutResult, MetricsReport
 from hiertune.trainer import IterationRecord
 
 import oracle
-from helpers import DEMO_DOC, demo_tree, random_tree
+from helpers import DEMO_DOC, ODD_BREAKS, demo_tree, random_tree
 
 AWKWARD = (0.1, 1.0 / 3.0, 1e-17, -0.0, 2.0**-52, 123456.78901234567)
 
@@ -284,6 +284,23 @@ def test_params_loader_validation():
         load_params(good.replace("tau\t0.5", "tau\t-1.0"))
     with pytest.raises(FormatError, match="non-finite"):
         load_params(good.replace("tau\t0.5", "tau\tnan"))
+
+
+@pytest.mark.parametrize("brk", ODD_BREAKS)
+def test_loaders_name_the_physical_line_after_an_odd_break(brk):
+    # Only \n, \r\n and \r end a record: the comment on line 2 stays one
+    # line, and the fault on line 4 is reported as line 4.
+    tree = demo_tree()
+    rows = ["n1\t1.0", "n2\t1.0", "n3\tx", "n4\t1.0", "n5\t1.0", "n6\t1.0"]
+    emb = "\n".join(["#dim 1", f"# note{brk}n9\t1.0", *rows]) + "\n"
+    with pytest.raises(FormatError, match="embedding table line 5: bad number 'x'"):
+        load_embeddings(emb, tree)
+    samples = "#dim 1\n" + f"# note{brk}s9\tn3\t1.0\n" + "s1\tn3\t1.0\ns2\tn3\tx\n"
+    with pytest.raises(FormatError, match="sample file line 4: bad number 'x'"):
+        load_samples(samples, tree)
+    params = f"dim\t1\n# note{brk}c\t1.0\ntau\t0.5\nA\tx\nc\t0.0\n"
+    with pytest.raises(FormatError, match="params file line 4: bad number 'x'"):
+        load_params(params)
 
 
 def report_fixture() -> MetricsReport:

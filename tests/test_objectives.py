@@ -1,4 +1,4 @@
-"""Cross-entropy objectives over label sets, their gradients, the mix."""
+"""Cross-entropy objectives over tree vocabularies, their gradients, the mix."""
 from __future__ import annotations
 
 import math
@@ -11,16 +11,14 @@ from hiertune import (
     LabelSet,
     PromptParams,
     SampleSet,
-    cross_entropy_loss,
     gradient_check,
     load_tree,
     node_centric_loss,
-    posterior,
     total_loss,
     treecut_loss,
 )
-from hiertune.taxonomy import KIND_TREECUT
 
+import oracle
 from helpers import (
     basis_table,
     demo_tree,
@@ -37,12 +35,26 @@ LN2 = 0.6931471805599453
 
 def star_fixture():
     tree = load_tree("r\t-\na\tr\nb\tr\n")
-    table = EmbeddingTable.from_names(
-        tree,
-        3,
-        {"a": np.array([1.0, 0.0, 0.0]), "b": np.array([0.0, 1.0, 0.0])},
-    )
+    table = EmbeddingTable(dim=3, vectors=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
     return tree, table
+
+
+def chain_fixture():
+    """A root with one leaf: no vocabulary has two labels."""
+    chain = load_tree("r\t-\na\tr\n")
+    return chain, EmbeddingTable(dim=2, vectors=np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def leaf_cut(tree):
+    return tree.treecut_label_set(tuple(tree.leaf_nodes))
+
+
+def nll(tree, params, table, vocabulary, sample: SampleSet) -> float:
+    """-log of the reference softmax share of one sample's target in ``vocabulary``."""
+    labels = LabelSet(tuple(vocabulary))
+    target = tree.target_in(int(sample.leaf_labels[0]), labels)
+    p = oracle.posterior(params, table, labels, sample.features)
+    return -math.log(p[0, labels.members.index(target)])
 
 
 def nested_demo_table() -> tuple:
@@ -76,7 +88,7 @@ def test_cross_entropy_equidistant_is_ln2():
         leaf_labels=np.array([tree.index("a")]),
         features=np.array([[1.0, 1.0, 0.0]]),
     )
-    loss = cross_entropy_loss(tree, params, table, tree.leaf_label_set(), batch)
+    loss = treecut_loss(tree, params, table, leaf_cut(tree), batch)
     assert loss.value == LN2
     assert loss.n_contributing == 1
 
@@ -85,7 +97,7 @@ def test_cross_entropy_zero_at_cold_separation():
     tree, table = star_fixture()
     cold = PromptParams.identity(3, 1e-3)
     batch = one_sample(tree, table, tree.index("a"))
-    loss = cross_entropy_loss(tree, cold, table, tree.leaf_label_set(), batch)
+    loss = treecut_loss(tree, cold, table, leaf_cut(tree), batch)
     assert loss.value == 0.0
     np.testing.assert_array_equal(loss.grad_weight, np.zeros((3, 3)))
     np.testing.assert_array_equal(loss.grad_bias, np.zeros(3))
@@ -96,9 +108,9 @@ def test_cross_entropy_matches_posterior():
     table = random_table(tree, 6, seed=14)
     params = random_params(6, tau=0.4, seed=3)
     batch = noisy_samples(tree, table, per_leaf=3, sigma=0.3, seed=8)
-    labels = tree.leaf_label_set()
-    loss = cross_entropy_loss(tree, params, table, labels, batch)
-    p = posterior(params, table, labels, batch.features)
+    labels = leaf_cut(tree)
+    loss = treecut_loss(tree, params, table, labels, batch)
+    p = oracle.posterior(params, table, labels, batch.features)
     member_pos = {m: k for k, m in enumerate(labels.members)}
     cols = [member_pos[int(leaf)] for leaf in batch.leaf_labels]
     expected = -np.log(p[np.arange(len(batch)), cols]).mean()
@@ -107,67 +119,57 @@ def test_cross_entropy_matches_posterior():
 
 
 def test_cross_entropy_projects_targets_to_ancestors():
+    # A lone n4 sample enters every node's term; its target among each
+    # node's children is the child on its root path: n1, then n2, then n4.
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 1.0)
-    labels = tree.node_label_set(tree.index("n1"))  # {n2, n3}
     batch = one_sample(tree, table, tree.index("n4"))
-    loss = cross_entropy_loss(tree, params, table, labels, batch)
-    p = posterior(params, table, labels, batch.features)
-    # target of leaf n4 inside {n2, n3} is its ancestor n2, member position 0
-    np.testing.assert_allclose(loss.value, -math.log(p[0, 0]), atol=1e-12)
+    loss = node_centric_loss(tree, params, table, batch)
+    terms = [nll(tree, params, table, tree.children[n], batch) for n in tree.internal_nodes]
+    np.testing.assert_allclose(loss.value, sum(terms) / 3, rtol=1e-12)
     assert loss.n_contributing == 1
 
 
 def test_cross_entropy_skips_samples_without_target():
+    # An n6 sample has no target among the children of n1 or n2, so it
+    # enters only the root's term, and the other two terms stay n4's.
     tree, table = nested_demo_table()
     params = random_params(table.dim, tau=0.5, seed=6)
-    labels = tree.node_label_set(tree.index("n1"))  # {n2, n3}
-    covered = one_sample(tree, table, tree.index("n4"))
-    outside = SampleSet(
-        ids=covered.ids + ("junk",),
-        leaf_labels=np.append(covered.leaf_labels, tree.index("n6")),
-        features=np.vstack([covered.features, [range(table.dim)]]),
+    n4 = one_sample(tree, table, tree.index("n4"))
+    n6 = one_sample(tree, table, tree.index("n6"))
+    batch = SampleSet(
+        ids=n4.ids + n6.ids,
+        leaf_labels=np.append(n4.leaf_labels, n6.leaf_labels),
+        features=np.vstack([n4.features, n6.features]),
     )
-    a = cross_entropy_loss(tree, params, table, labels, covered)
-    b = cross_entropy_loss(tree, params, table, labels, outside)
-    assert b.n_contributing == 1
-    assert b.value == a.value
-    np.testing.assert_array_equal(b.grad_weight, a.grad_weight)
-    np.testing.assert_array_equal(b.grad_bias, a.grad_bias)
+    loss = node_centric_loss(tree, params, table, batch)
+    root, n1, n2 = (tree.children[n] for n in tree.internal_nodes)
+    root_term = (nll(tree, params, table, root, n4) + nll(tree, params, table, root, n6)) / 2
+    expected = (root_term + nll(tree, params, table, n1, n4) + nll(tree, params, table, n2, n4)) / 3
+    np.testing.assert_allclose(loss.value, expected, rtol=1e-12)
+    assert loss.n_contributing == 2
 
 
 def test_cross_entropy_all_samples_outside_is_zero():
-    tree, table = nested_demo_table()
-    params = PromptParams.identity(table.dim, 1.0)
-    labels = tree.node_label_set(tree.index("n2"))  # {n4, n5}
-    batch = samples_at_leaves(tree, table, [tree.index("n3"), tree.index("n6")])
-    loss = cross_entropy_loss(tree, params, table, labels, batch)
+    # No node of a chain has two children, so no sample enters a term.
+    chain, table = chain_fixture()
+    batch = one_sample(chain, table, chain.index("a"))
+    loss = node_centric_loss(chain, PromptParams.identity(2, 1.0), table, batch)
     assert loss.value == 0.0
     assert loss.n_contributing == 0
-    np.testing.assert_array_equal(loss.grad_weight, np.zeros((table.dim, table.dim)))
+    np.testing.assert_array_equal(loss.grad_weight, np.zeros((2, 2)))
 
 
 def test_cross_entropy_input_validation():
     tree, table = star_fixture()
     params = PromptParams.identity(3, 1.0)
+    empty = SampleSet(ids=(), leaf_labels=np.zeros(0, np.int64), features=np.zeros((0, 3)))
     with pytest.raises(ValueError, match="empty"):
-        cross_entropy_loss(
-            tree,
-            params,
-            table,
-            tree.leaf_label_set(),
-            SampleSet(ids=(), leaf_labels=np.zeros(0, np.int64), features=np.zeros((0, 3))),
-        )
-    chain = load_tree("r\t-\na\tr\n")
-    chain_table = EmbeddingTable.from_names(chain, 2, {"a": np.array([1.0, 0.0])})
-    with pytest.raises(ValueError, match="at least two labels"):
-        cross_entropy_loss(
-            chain,
-            PromptParams.identity(2, 1.0),
-            chain_table,
-            chain.leaf_label_set(),
-            one_sample(chain, chain_table, chain.index("a")),
-        )
+        treecut_loss(tree, params, table, leaf_cut(tree), empty)
+    with pytest.raises(ValueError, match="empty"):
+        node_centric_loss(tree, params, table, empty)
+    with pytest.raises(ValueError, match="empty"):
+        total_loss(tree, params, table, leaf_cut(tree), empty, lam=0.5)
 
 
 def test_node_centric_zero_at_cold_separation():
@@ -189,9 +191,8 @@ def test_node_centric_single_outside_sample():
     params = random_params(table.dim, tau=0.3, seed=12)
     batch = one_sample(tree, table, tree.index("n6"))
     ncl = node_centric_loss(tree, params, table, batch)
-    root_ce = cross_entropy_loss(
-        tree, params, table, tree.node_label_set(tree.root), batch
-    )
+    root_cut = tree.treecut_label_set(tree.children[tree.root])  # {n1, n6}
+    root_ce = treecut_loss(tree, params, table, root_cut, batch)
     assert ncl.value == root_ce.value / 3
     np.testing.assert_array_equal(ncl.grad_weight, root_ce.grad_weight / 3)
     np.testing.assert_array_equal(ncl.grad_bias, root_ce.grad_bias / 3)
@@ -204,7 +205,7 @@ def test_node_centric_depth_one_equals_leaf_ce():
     params = random_params(table.dim, tau=0.2, seed=5)
     batch = samples_at_leaves(tree, table)
     ncl = node_centric_loss(tree, params, table, batch)
-    ce = cross_entropy_loss(tree, params, table, tree.leaf_label_set(), batch)
+    ce = treecut_loss(tree, params, table, leaf_cut(tree), batch)
     assert ncl.value == ce.value
     np.testing.assert_array_equal(ncl.grad_weight, ce.grad_weight)
     np.testing.assert_array_equal(ncl.grad_bias, ce.grad_bias)
@@ -216,10 +217,10 @@ def test_treecut_loss_on_leaf_cut_equals_plain_ce():
     batch = noisy_samples(tree, table, per_leaf=2, sigma=0.2, seed=1)
     cut = tree.treecut_label_set(tuple(tree.leaf_nodes))
     dtl = treecut_loss(tree, params, table, cut, batch)
-    ce = cross_entropy_loss(tree, params, table, tree.leaf_label_set(), batch)
-    assert dtl.value == ce.value
-    np.testing.assert_array_equal(dtl.grad_weight, ce.grad_weight)
-    np.testing.assert_array_equal(dtl.grad_bias, ce.grad_bias)
+    ce = oracle.cross_entropy_loss(tree, params, table, oracle.leaf_label_set(tree), batch)
+    np.testing.assert_allclose(dtl.value, ce.value, rtol=1e-12)
+    np.testing.assert_allclose(dtl.grad_weight, ce.grad_weight, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(dtl.grad_bias, ce.grad_bias, rtol=1e-12, atol=1e-15)
     assert dtl.n_contributing == len(batch)
 
 
@@ -229,13 +230,12 @@ def test_treecut_loss_projects_to_coarse_cut():
     cut = tree.treecut_label_set((tree.index("n1"), tree.index("n6")))
     batch = one_sample(tree, table, tree.index("n4"))
     loss = treecut_loss(tree, params, table, cut, batch)
-    p = posterior(params, table, cut, batch.features)
+    p = oracle.posterior(params, table, cut, batch.features)
     np.testing.assert_allclose(loss.value, -math.log(p[0, 0]), atol=1e-12)
 
 
 def test_treecut_loss_singleton_cut_is_free():
-    chain = load_tree("r\t-\na\tr\n")
-    table = EmbeddingTable.from_names(chain, 2, {"a": np.array([1.0, 0.0])})
+    chain, table = chain_fixture()
     params = PromptParams.identity(2, 1.0)
     batch = one_sample(chain, table, chain.index("a"))
     loss = treecut_loss(chain, params, table, chain.treecut_label_set((chain.index("a"),)), batch)
@@ -243,15 +243,21 @@ def test_treecut_loss_singleton_cut_is_free():
     assert loss.n_contributing == 1
 
 
-def test_treecut_loss_enforces_kind_and_validity():
+def test_treecut_loss_enforces_validity():
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 1.0)
     batch = one_sample(tree, table, tree.index("n4"))
-    with pytest.raises(ValueError, match="treecut"):
-        treecut_loss(tree, params, table, tree.leaf_label_set(), batch)
-    bogus = LabelSet(members=(tree.index("n1"),), kind=KIND_TREECUT, center=None)
-    with pytest.raises(ValueError):
-        treecut_loss(tree, params, table, bogus, batch)  # does not cover n6
+    # An unvalidated label set is checked, not trusted: the leaves are the
+    # rate-0 cut and pass, a lone n1 leaves n6 uncovered and fails.
+    raw = treecut_loss(tree, params, table, LabelSet(members=tree.leaf_nodes), batch)
+    checked = treecut_loss(tree, params, table, leaf_cut(tree), batch)
+    assert raw.value == checked.value
+    np.testing.assert_array_equal(raw.grad_weight, checked.grad_weight)
+    bogus = LabelSet(members=(tree.index("n1"),))
+    with pytest.raises(ValueError, match="does not cover leaf 'n6'"):
+        treecut_loss(tree, params, table, bogus, batch)
+    with pytest.raises(ValueError, match="not an antichain"):
+        treecut_loss(tree, params, table, LabelSet(members=(1, 2, 6)), batch)
 
 
 def test_total_loss_lambda_zero_is_pure_treecut():

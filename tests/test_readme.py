@@ -16,8 +16,9 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     section = text.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     (tmp_path / "data").mkdir()
-    tree_text, _, _ = gen_synth(27, 3, 64, 1, 0.6, 0)
-    (tmp_path / "data" / "tree.txt").write_text(tree_text, encoding="utf-8")
+    texts = gen_synth(27, 3, 64, 1, 0.6, 0)
+    for name, text in zip(("tree.txt", "embeddings.tsv", "samples.tsv"), texts):
+        (tmp_path / "data" / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -1,12 +1,16 @@
-"""Tree parsing, ancestor walks, label-set construction and validation."""
+"""Tree parsing, ancestor walks, vocabularies and treecut validation."""
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hiertune import Rng64, TreeFormatError, load_tree
-from hiertune.taxonomy import KIND_LEAF, KIND_NODE, KIND_TREECUT
+from hiertune import LabelSet, Rng64, TreeFormatError, load_tree
+from hiertune.fileio import write_tree
 
-from helpers import DEMO_DOC, demo_tree, names_of, random_tree
+from helpers import DEMO_DOC, ODD_BREAKS, demo_tree, names_of, random_tree
 
 
 def test_demo_tree_structure():
@@ -68,6 +72,58 @@ def test_malformed_documents_rejected(doc):
         load_tree(doc)
 
 
+@pytest.mark.parametrize("brk", ODD_BREAKS)
+def test_fault_after_an_odd_break_names_its_physical_line(brk):
+    # Only \n, \r\n and \r end a record: "more" stays part of the comment.
+    doc = f"n0\t-\n# note{brk}more\nn1\tn0\nn2 n0\n"
+    with pytest.raises(TreeFormatError, match=r"^line 4: expected 'name<TAB>parent'"):
+        load_tree(doc)
+
+
+def splice(draw, lines: list[str]) -> None:
+    """Splice one defect into the records of a tree document."""
+    names = [ln.split("\t")[0] for ln in lines if "\t" in ln]
+    i = draw(st.integers(0, len(lines) - 1))
+    name, _, parent = lines[i].partition("\t")
+    defect = draw(st.sampled_from(
+        ("tab", "dash", "duplicate", "empty", "forward", "root", "comment", "break")
+    ))
+    if defect == "tab":
+        lines[i] = draw(st.sampled_from((f"{name}\t\t{parent}", f"{lines[i]}\t", name)))
+    elif defect == "dash":
+        lines[i] = f"-\t{parent}"
+    elif defect == "duplicate":
+        lines[i] = f"{draw(st.sampled_from(names))}\t{parent}"
+    elif defect == "empty":
+        lines[i] = f"{draw(st.sampled_from(('', ' ')))}\t{parent}"
+    elif defect == "forward":
+        lines[i] = f"{name}\t{draw(st.sampled_from(names[i:] + ['ghost']))}"
+    elif defect == "root":
+        lines.insert(i, f"top{i}\t-")
+    elif defect == "comment":
+        lines.insert(i, draw(st.sampled_from(("# c", "  # c", "", "  "))))
+    else:
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(ODD_BREAKS)) + lines[i][at:]
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_spliced_tree_documents_load_or_raise_tree_format_error(seed, data):
+    lines = write_tree(random_tree(Rng64(seed), max_internal=4, max_nodes=10)).splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        splice(data.draw, lines)
+    end = data.draw(st.sampled_from(("\n", "\r\n", "\r")))
+    try:
+        tree = load_tree(end.join(lines) + end)
+    except TreeFormatError as exc:
+        numbered = re.match(r"line (\d+): ", str(exc))
+        assert numbered is None or 1 <= int(numbered.group(1)) <= len(lines)
+    else:
+        assert tree.parents[tree.root] is None
+        assert all(p is None or p < v for v, p in enumerate(tree.parents))
+
+
 def test_ancestors_demo_paths():
     tree = demo_tree()
     assert names_of(tree, tree.ancestors(4)) == ("n2", "n1", "n0")
@@ -92,42 +148,43 @@ def test_target_in_demo_cases():
     tree = demo_tree()
     cut = tree.treecut_label_set((1, 6))
     assert tree.target_in(4, cut) == 1
-    children_of_n1 = tree.node_label_set(1)
+    children_of_n1 = LabelSet(tree.children[1])
     assert tree.target_in(4, children_of_n1) == 2
     assert tree.target_in(6, children_of_n1) is None
 
 
 def test_target_in_rejects_overlapping_members():
     tree = demo_tree()
-    overlapping = tree.leaf_label_set()
-    bad = type(overlapping)(members=(1, 2), kind=KIND_NODE, center=None)
-    with pytest.raises(ValueError):
-        tree.target_in(4, bad)
+    with pytest.raises(ValueError, match="not an antichain"):
+        tree.target_in(4, LabelSet((1, 2)))
 
 
 def test_leaf_label_set():
+    # The leaf vocabulary is the rate-0 treecut.
     tree = demo_tree()
-    labels = tree.leaf_label_set()
-    assert labels.kind == KIND_LEAF
+    labels = tree.treecut_label_set(tree.leaf_nodes)
     assert names_of(tree, labels.members) == ("n3", "n4", "n5", "n6")
     assert len(labels) == 4
-    assert 4 in labels and 0 not in labels
 
 
 def test_node_label_set():
+    # Each internal node's child vocabulary is one slice of layout columns.
     tree = demo_tree()
-    assert names_of(tree, tree.node_label_set(0).members) == ("n1", "n6")
-    assert names_of(tree, tree.node_label_set(2).members) == ("n4", "n5")
-    assert tree.node_label_set(2).kind == KIND_NODE
-    assert tree.node_label_set(2).center == 2
-    with pytest.raises(ValueError):
-        tree.node_label_set(3)
+    lay = tree.layout
+    groups = [
+        names_of(tree, tuple(lay.nodes[start : start + size]))
+        for start, size in zip(lay.starts, lay.sizes)
+    ]
+    assert groups == [("n1", "n6"), ("n2", "n3"), ("n4", "n5")]
+    assert names_of(tree, tree.internal_nodes) == ("n0", "n1", "n2")
+    assert list(lay.column[lay.nodes]) == list(range(6))
+    assert lay.column[tree.root] == -1
 
 
 def test_treecut_label_set_validation():
     tree = demo_tree()
     cut = tree.treecut_label_set((6, 1))
-    assert cut.kind == KIND_TREECUT
+    assert isinstance(cut, LabelSet)
     assert cut.members == (1, 6)  # canonical ascending order
     with pytest.raises(ValueError):
         tree.treecut_label_set((0, 6))  # root forbidden
@@ -144,7 +201,7 @@ def test_node_label_set_targets_stay_in_children():
     for _ in range(25):
         tree = random_tree(rng)
         for node in tree.internal_nodes:
-            labels = tree.node_label_set(node)
+            labels = LabelSet(tree.children[node])
             subtree_leaves = [
                 leaf
                 for leaf in tree.leaf_nodes

@@ -14,9 +14,9 @@ from hiertune import (
     TrainConfig,
     build_matrices,
     cosine_lr,
-    cross_entropy_loss,
     derive_seed,
     train,
+    treecut_loss,
 )
 from hiertune.trainer import k_shot_indices, params_digest
 
@@ -80,6 +80,10 @@ def test_train_config_validation():
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    for field in ("base_lr", "lam", "tau"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^{field} must be .* finite, got {value}$"):
+                TrainConfig(**dict(good, **{field: value}))
 
 
 def test_params_digest_sensitivity():
@@ -108,7 +112,7 @@ def test_plain_baseline_equals_handrolled_sgd():
     per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * per_epoch
     cut_rng = Rng64(config.seed)
-    leaf_set = tree.leaf_label_set()
+    leaf_cut = tree.treecut_label_set(tree.leaf_nodes)
     weight, bias = np.eye(table.dim), np.zeros(table.dim)
     step = 0
     for epoch in range(config.epochs):
@@ -120,7 +124,7 @@ def test_plain_baseline_equals_handrolled_sgd():
             for _ in range(len(bundle.internal_nodes) - 1):
                 cut_rng.next_unit()  # the cut stream still advances at beta=0
             params = PromptParams(weight=weight, bias=bias, tau=config.tau)
-            loss = cross_entropy_loss(tree, params, table, leaf_set, data.take(chunk))
+            loss = treecut_loss(tree, params, table, leaf_cut, data.take(chunk))
             weight = weight - lr * loss.grad_weight
             bias = bias - lr * loss.grad_bias
             step += 1
