@@ -6,14 +6,21 @@ binary64 value, so write-load-write is a fixpoint and equal values always
 produce equal bytes. Loaders validate eagerly and raise FormatError with
 the offending line number.
 
-Rows of numbers are parsed one row at a time: one ``map(float, ...)`` call
-per row, written straight into a preallocated matrix. Only a row that
-fails goes through the per-token parser, which names the first bad token.
-They are written a block of rows at a time by orjson, whose digits are
-repr's; only the few values whose layout differs are rendered one by one.
+Rows of numbers are parsed one row at a time by orjson: the row's values,
+TABs turned to commas, are read as one JSON array and written straight
+into a preallocated matrix. Any row that orjson refuses or reads as
+anything but ``dim`` floats (``-0``, which JSON reads as the integer 0,
+``1e400``, ``.5``, ``+1``, ``nan``, a token holding a space, ...) goes
+through the per-token parser, which refuses digit separators, non-ASCII
+and ASCII whitespace in a token, reads the rest with float(), and names
+the first bad token. They are written a block of rows at a time by orjson,
+whose digits are repr's; only the few values whose layout differs are
+rendered one by one.
 """
 from __future__ import annotations
 
+import math
+import re
 from collections.abc import Iterator
 
 import numpy as np
@@ -72,32 +79,49 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
         value = float(token)
     except ValueError:
         raise FormatError(f"{what} line {lineno}: bad number {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FormatError(f"{what} line {lineno}: non-finite number {token!r}")
     return value
 
 
-def _parse_row(out: np.ndarray, tokens: list[str], lineno: int, what: str) -> None:
-    """Parse one row of numbers into ``out``, a float64 vector of its length.
+# What float() reads but no writer emits: digit separators (``1_0`` is
+# 10.0), non-ASCII digits and spaces (``\u0661`` is 1.0) and ASCII
+# whitespace around the digits (``"1.0\x0c"`` is 1.0).
+_NOT_A_TOKEN = re.compile(r"[_\s]|[^\x00-\x7f]")
 
-    Python's float() also reads digit separators (``1_0`` is 10.0) and
-    non-ASCII digits and spaces (``١`` is 1.0), which no writer emits, so a
-    row holding either is refused, naming its first such token; the check
-    runs once per row. A row that does not parse, or parses to a
-    non-finite value, is parsed again token by token to name the first bad
-    token.
+
+def _parse_row(out: np.ndarray, text: str, lineno: int, what: str) -> None:
+    """Parse one row of TAB-separated numbers into ``out``, a float64 vector.
+
+    orjson reads the row as one JSON array. It is taken only when it holds
+    exactly ``len(out)`` floats and the row holds no space: then each
+    comma-separated element, and so each token, is one JSON number, whose
+    grammar float() also reads, and orjson rounds it as float() does. JSON
+    has no nan or inf, and orjson refuses a number that overflows. Any
+    other row goes to ``_parse_tokens``.
     """
-    joined = "".join(tokens)
-    if "_" in joined or not joined.isascii():
-        bad = next(t for t in tokens if "_" in t or not t.isascii())
+    if " " not in text:
+        try:
+            values = orjson.loads("[" + text.replace("\t", ",") + "]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if len(values) == len(out) and {*map(type, values)} == {float}:
+                out[:] = values
+                return
+    _parse_tokens(out, text.split("\t"), lineno, what)
+
+
+def _parse_tokens(out: np.ndarray, tokens: list[str], lineno: int, what: str) -> None:
+    """Parse a row that orjson did not take, token by token, into ``out``.
+
+    The row is refused at its first token holding a digit separator,
+    non-ASCII or whitespace, or else at its first token that float() does
+    not read or reads as nan or inf.
+    """
+    bad = next((t for t in tokens if _NOT_A_TOKEN.search(t)), None)
+    if bad is not None:
         raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
-    try:
-        out[:] = list(map(float, tokens))
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(out).all():
-            return
     out[:] = [_parse_float(t, lineno, what) for t in tokens]
 
 
@@ -157,12 +181,12 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
     values = _matrix_for(text, len(rows), dim)
     nodes: dict[str, int] = {}
     for r, (lineno, line) in enumerate(rows):
-        fields = line.split("\t")
-        if len(fields) != dim + 1:
+        if line.count("\t") != dim:
             raise FormatError(
                 f"embedding table line {lineno}: expected name plus {dim} values"
             )
-        name = fields[0].strip()
+        name, numbers = line.split("\t", 1)
+        name = name.strip()
         if name in nodes:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
         node = tree.name_index.get(name, tree.root)
@@ -170,7 +194,7 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
             raise FormatError(
                 f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
             )
-        _parse_row(values[r], fields[1:], lineno, "embedding table")
+        _parse_row(values[r], numbers, lineno, "embedding table")
         if not values[r].any():
             raise FormatError(
                 f"embedding table line {lineno}: embedding for {name!r} is all zeros"
@@ -201,12 +225,12 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
     features = _matrix_for(text, len(rows), dim)
     seen: set[str] = set()
     for r, (lineno, line) in enumerate(rows):
-        fields = line.split("\t")
-        if len(fields) != dim + 2:
+        if line.count("\t") != dim + 1:
             raise FormatError(
                 f"sample file line {lineno}: expected id, leaf, and {dim} values"
             )
-        sid, leaf_name = fields[0].strip(), fields[1].strip()
+        sid, leaf_name, numbers = line.split("\t", 2)
+        sid, leaf_name = sid.strip(), leaf_name.strip()
         if sid in seen:
             raise FormatError(f"sample file line {lineno}: duplicate sample id {sid!r}")
         seen.add(sid)
@@ -215,7 +239,7 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
         leaf = tree.name_index[leaf_name]
         if not tree.is_leaf(leaf):
             raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
-        _parse_row(features[r], fields[2:], lineno, "sample file")
+        _parse_row(features[r], numbers, lineno, "sample file")
         if not features[r].any():
             raise FormatError(f"sample file line {lineno}: all-zero feature")
         ids.append(sid)
@@ -247,34 +271,35 @@ def load_params(text: str) -> PromptParams:
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
 
-    def take(expected: str) -> tuple[int, list[str]]:
+    def take(expected: str) -> tuple[int, str, int]:
+        """The next record's line number, text after its tag, and field count."""
         if not rows:
             raise FormatError(f"params file: missing {expected!r} record")
         lineno, line = rows.pop(0)
-        fields = line.split("\t")
-        if fields[0] != expected:
+        tag, _, rest = line.partition("\t")
+        if tag != expected:
             raise FormatError(
-                f"params file line {lineno}: expected {expected!r}, got {fields[0]!r}"
+                f"params file line {lineno}: expected {expected!r}, got {tag!r}"
             )
-        return lineno, fields[1:]
+        return lineno, rest, line.count("\t")
 
-    lineno, rest = take("dim")
-    if len(rest) != 1 or not _is_count(rest[0]) or int(rest[0]) < 1:
+    lineno, rest, n = take("dim")
+    if n != 1 or not _is_count(rest) or int(rest) < 1:
         raise FormatError(f"params file line {lineno}: bad dimension")
-    dim = int(rest[0])
-    lineno, rest = take("tau")
-    if len(rest) != 1:
+    dim = int(rest)
+    lineno, rest, n = take("tau")
+    if n != 1:
         raise FormatError(f"params file line {lineno}: bad tau record")
     tau = np.empty(1)
     _parse_row(tau, rest, lineno, "params file")
     weight = _matrix_for(text, dim, dim)
     for r in range(dim):
-        lineno, rest = take("A")
-        if len(rest) != dim:
+        lineno, rest, n = take("A")
+        if n != dim:
             raise FormatError(f"params file line {lineno}: expected {dim} values")
         _parse_row(weight[r], rest, lineno, "params file")
-    lineno, rest = take("c")
-    if len(rest) != dim:
+    lineno, rest, n = take("c")
+    if n != dim:
         raise FormatError(f"params file line {lineno}: expected {dim} values")
     bias = np.empty(dim)
     _parse_row(bias, rest, lineno, "params file")

@@ -14,6 +14,7 @@ test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +209,8 @@ def total_loss(
     ``check_cut`` is False, which is for a non-empty batch and a cut that
     ``treecut.cut_from_flags`` already checked, as the trainer's are.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
     if check_cut:
         _check_cut(tree, cut, batch)
     if lam == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_weights
 from .objectives import total_loss
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
@@ -120,7 +120,8 @@ def train(
     Per iteration: draw one treecut from the cut stream, take the total
     loss on the minibatch, step both parameter blocks by the scheduled
     rate. Epoch shuffles use their own derived streams so batch order
-    never perturbs the cut sequence. A non-finite loss aborts the run.
+    never perturbs the cut sequence. A step whose map or mapped embedding
+    norms overflow aborts the run with a RuntimeError naming the step.
     """
     if len(data) == 0:
         raise ValueError("no training samples")
@@ -137,35 +138,41 @@ def train(
     weight = np.eye(emb.dim)
     bias = np.zeros(emb.dim)
     records = []
-    iteration = 0
-    for epoch in range(config.epochs):
-        order = list(range(n))
-        Rng64(derive_seed(config.seed, epoch + 1)).shuffle(order)
-        for b in range(batches_per_epoch):
-            chunk = order[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = work.take(chunk)
-            lr = cosine_lr(iteration, total_steps, config.base_lr)
-            cut = sample_treecut(tree, bundle, config.beta, cut_rng)
-            params = PromptParams(weight=weight, bias=bias, tau=config.tau)
-            total, dtl, ncl = total_loss(
-                tree, params, emb, cut, batch, config.lam, check_cut=False
-            )
-            if not math.isfinite(total.value):
-                raise RuntimeError(f"non-finite loss at iteration {iteration}")
-            weight = weight - lr * total.grad_weight
-            bias = bias - lr * total.grad_bias
-            records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    lr=lr,
-                    cut_size=len(cut),
-                    dtl=dtl.value,
-                    ncl=ncl.value,
-                    total=total.value,
-                )
-            )
-            iteration += 1
+    # Cosine logits are bounded by 1 / tau, so a diverging run never shows
+    # a non-finite loss; it shows as overflow in the updated map or in the
+    # norms of the node embeddings it maps, which raise here instead of
+    # warning. The final map is checked on every node, as eval maps them.
+    try:
+        with np.errstate(over="raise"):
+            for epoch in range(config.epochs):
+                order = list(range(n))
+                Rng64(derive_seed(config.seed, epoch + 1)).shuffle(order)
+                for b in range(batches_per_epoch):
+                    iteration = epoch * batches_per_epoch + b
+                    chunk = order[b * config.batch_size : (b + 1) * config.batch_size]
+                    batch = work.take(chunk)
+                    lr = cosine_lr(iteration, total_steps, config.base_lr)
+                    cut = sample_treecut(tree, bundle, config.beta, cut_rng)
+                    params = PromptParams(weight=weight, bias=bias, tau=config.tau)
+                    total, dtl, ncl = total_loss(
+                        tree, params, emb, cut, batch, config.lam, check_cut=False
+                    )
+                    weight = weight - lr * total.grad_weight
+                    bias = bias - lr * total.grad_bias
+                    records.append(
+                        IterationRecord(
+                            iteration=iteration,
+                            lr=lr,
+                            cut_size=len(cut),
+                            dtl=dtl.value,
+                            ncl=ncl.value,
+                            total=total.value,
+                        )
+                    )
+            final = PromptParams(weight=weight, bias=bias, tau=config.tau)
+            unit_weights(final, emb, tree.layout.nodes)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 
-    final = PromptParams(weight=weight, bias=bias, tau=config.tau)
     log = TrainLog(records=tuple(records), params_digest=params_digest(final), seed=config.seed)
     return final, log

@@ -460,9 +460,10 @@ def mta(
 #
 # Per-token loaders. The only change from the package's earlier code is
 # the number syntax fixed together with the row parser: a value token must
-# be ASCII (float() also reads other scripts' digits and spaces) and is
-# refused like a digit separator, by the once-per-row screen, and a
-# dimension must be ASCII digits (str.isdigit also takes superscripts).
+# be ASCII (float() also reads other scripts' digits and spaces) and hold
+# no whitespace (float() strips it), and is refused like a digit separator,
+# ahead of any other bad token of its row, and a dimension must be ASCII
+# digits (str.isdigit also takes superscripts).
 # The embedding loader also names the line of an unknown name or an
 # all-zero row, and raises FormatError for missing names, where it once
 # left all three to EmbeddingTable.from_names and its plain ValueError.
@@ -484,9 +485,9 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 
 
 def _floats(tokens: list[str], lineno: int, what: str) -> np.ndarray:
-    if "_" in "".join(tokens) or not "".join(tokens).isascii():
-        bad = next(t for t in tokens if "_" in t or not t.isascii())
-        raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
+    for t in tokens:
+        if "_" in t or not t.isascii() or any(c.isspace() for c in t):
+            raise FormatError(f"{what} line {lineno}: bad number {t!r}")
     return np.asarray([_parse_float(t, lineno, what) for t in tokens], dtype=np.float64)
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -315,6 +317,22 @@ def test_train_rejects_non_finite_flags(synth_dir, tmp_path, flag, value, field)
     assert rc == 1
     assert err.startswith(f"E:invalid:{field} must be ")
     assert err.rstrip().endswith(f"finite, got {value}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_diverging_train_is_a_train_error(synth_dir, tmp_path):
+    # Cosine logits stay within 1/tau, so the loss stays finite while the
+    # map blows up; the overflow itself stops the run, without a numpy
+    # warning and without outputs.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run_cli(
+            "train", *data_args(synth_dir), "--out", str(tmp_path / "run"),
+            "--epochs", "2", "--batch-size", "8", "--lr", "1e305",
+        )
+    assert rc == 1
+    assert re.fullmatch(r"E:train:training diverged at iteration \d+: overflow .*\n", err)
+    assert caught == []
     assert not (tmp_path / "run").exists()
 
 

@@ -9,7 +9,9 @@ sampler; the boolean-mask one must give the same flags, masks and cuts.
 Its per-token file loaders must agree with the row-at-a-time ones on
 written documents with bad tokens, wrong field counts, bad records and
 comments holding odd line breaks spliced in, under each of the three line
-endings: the same arrays, byte for byte, or the same error. Its
+endings: the same arrays, byte for byte, or the same error; and so must
+they on any one number token made of digits, ``.``, ``e``, ``E``, ``+``
+and ``-``, whose value must be float()'s. Its
 one-float.__repr__-per-value row writer must give the same bytes as the
 block-at-a-time orjson one, on every kind of float.
 """
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -212,7 +214,9 @@ def test_sampler_matches_reference(seed, one_child_root, beta, count):
 
 # ------------------------------------------------------------ file loaders
 
-BAD_TOKENS = ("", "nan", "inf", "1_0", "\u0661", "x", "+1", "1e3")
+BAD_TOKENS = ("", "nan", "inf", "1_0", "\u0661", "x", "+1", "1e3",
+              "-0", "-00", "1e400", "18446744073709551617", "true", "null", '"1"',
+              "[1]", "1,2", " 1", "1\x0c")
 
 
 def loaded(loader, *args):
@@ -281,6 +285,42 @@ def test_loaders_match_reference(seed, kind, data):
     text = end.join(lines) + end
     args = (text,) if kind == "params" else (text, tree)
     assert loaded(new, *args) == loaded(old, *args)
+
+
+NUMBER_CHARS = "0123456789.eE+-"
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(NUMBER_CHARS, max_size=40),
+    st.from_regex(r"[+-]?[0-9]*\.?[0-9]*([eE][+-]?[0-9]*)?", fullmatch=True).filter(
+        lambda t: len(t) <= 40),
+))
+@example("-0")
+@example("-0.0e5")
+@example("-1e-400")
+@example("1e400")
+@example("2.2250738585072011e-308")
+@example("2.4703282292062328e-324")
+@example("18446744073709551617")
+@example("9007199254740993")
+@example("9007199254740993.00000000000000000000000000000000000000000001")
+@example("1.00000000000000011102230246251565404236316680908203125")
+def test_number_tokens_parse_as_float_does(token):
+    # Read through orjson or the per-token parser, one value gives
+    # float(token)'s bits, the sign of zero included, or the reference's
+    # error. The bias row of a one-dimensional params file may be zero.
+    text = f"dim\t1\ntau\t0.5\nA\t1.0\nc\t{token}\n"
+    new = loaded(fileio.load_params, text)
+    assert new == loaded(oracle.load_params, text)
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        assert new[2] == np.float64(value).tobytes()
+    else:
+        assert new[0] is fileio.FormatError
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -174,6 +174,29 @@ def test_loaders_reject_non_ascii_numbers():
     assert load_samples("#dim 1\n\u00e9\tn4\t1.0\n", tree).ids == ("\u00e9",)
 
 
+@pytest.mark.parametrize("pad", [" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+def test_loaders_reject_whitespace_in_numbers(pad):
+    # float() strips spaces, \x0b and \x0c, and orjson skips spaces, but no
+    # writer pads a number; every loader refuses the padded token by name.
+    tree = demo_tree()
+    for token in (pad + "1.0", "1.0" + pad, "1" + pad + "0"):
+        bad = re.escape(f"bad number {token!r}")
+        with pytest.raises(FormatError, match=f"sample file line 2: {bad}"):
+            load_samples(f"#dim 2\ns1\tn4\t{token}\t2.0\n", tree)
+        with pytest.raises(FormatError, match=f"sample file line 2: {bad}"):
+            load_samples(f"#dim 2\ns1\tn4\tx\t{token}\n", tree)
+        rows = "".join(f"n{i}\t1.0\t0.0\n" for i in range(1, 7))
+        with pytest.raises(FormatError, match=f"embedding table line 3: {bad}"):
+            load_embeddings("#dim 2\n" + rows.replace("n2\t1.0", f"n2\t{token}"), tree)
+        good = write_params(PromptParams.identity(2, 0.5))
+        with pytest.raises(FormatError, match=f"params file line 2: {bad}"):
+            load_params(good.replace("tau\t0.5", f"tau\t{token}"))
+        with pytest.raises(FormatError, match=f"params file line 5: {bad}"):
+            load_params(good.replace("c\t0.0\t0.0", f"c\t0.0\t{token}"))
+    # Spaces around ids and names stay legal.
+    assert load_samples("#dim 1\n s1 \t n4 \t1.0\n", tree).ids == ("s1",)
+
+
 def test_overstated_dimension_is_a_format_error():
     # Loaders size their matrices from the text, not from the declared
     # dimension alone, so a corrupt header fails on its first row instead
@@ -212,6 +235,39 @@ def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):
     )
     params = PromptParams.identity(3, 0.07)
     assert write_params(load_params(write_params(params))) == write_params(params)
+
+
+def test_written_numbers_never_reach_the_fallback_tier(monkeypatch):
+    # orjson takes every row a writer emits, whatever its values: exponent
+    # forms, subnormals, both zeros, the float64 extremes and both sides of
+    # the edges where orjson and repr lay floats out differently.
+    def fallback(out, tokens, lineno, what):
+        raise AssertionError(f"per-token parse of line {lineno}: {tokens}")
+
+    monkeypatch.setattr(fileio, "_parse_tokens", fallback)
+    kinds = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308, 1e22,
+             1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1, 1.0, 123456.78901234567]
+    kinds += [-x for x in kinds]
+    gen = np.random.default_rng(1)
+    values = np.resize(np.asarray(kinds), 12 * 8).reshape(12, 8)
+    values[:, 0] = 10.0 ** gen.uniform(-320, 308, 12)  # no all-zero rows
+    tree = demo_tree()
+    data = SampleSet(
+        ids=tuple(f"s{i}" for i in range(12)),
+        leaf_labels=np.asarray([tree.index("n4")] * 12),
+        features=values,
+    )
+    loaded = load_samples(write_samples(data, tree, dim=8), tree)
+    assert loaded.features.tobytes() == values.tobytes()
+    vectors = np.zeros((tree.n_nodes, 8))
+    vectors[1:] = values[: tree.n_nodes - 1]
+    table = EmbeddingTable(dim=8, vectors=vectors)
+    again = load_embeddings(write_embeddings(table, tree), tree)
+    assert again.vectors.tobytes() == vectors.tobytes()
+    params = PromptParams(weight=values[:8], bias=values[8], tau=5e-324)
+    again = load_params(write_params(params))
+    assert (again.weight.tobytes(), again.bias.tobytes(), again.tau) == (
+        params.weight.tobytes(), params.bias.tobytes(), params.tau)
 
 
 def test_in_range_rows_never_reach_the_scalar_formatter(monkeypatch):

@@ -290,6 +290,21 @@ def test_total_loss_combines_linearly():
         total_loss(tree, params, table, cut, batch, lam=-0.1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_total_loss_rejects_non_finite_lambda(lam):
+    # NaN passes a plain ``lam < 0`` check and would give a NaN loss with
+    # NaN gradients; the gradient check goes through the same guard.
+    tree, table = nested_demo_table()
+    params = random_params(table.dim, tau=0.3, seed=2)
+    cut = tree.treecut_label_set(tuple(tree.leaf_nodes))
+    batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    message = f"lam must be non-negative and finite, got {lam}"
+    with pytest.raises(ValueError, match=message):
+        total_loss(tree, params, table, cut, batch, lam)
+    with pytest.raises(ValueError, match=message):
+        gradient_check(tree, params, table, cut, batch, lam)
+
+
 def test_loss_values_are_non_negative():
     rng = Rng64(71)
     for trial in range(8):

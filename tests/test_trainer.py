@@ -201,14 +201,20 @@ def test_train_input_validation():
         train(TrainConfig(epochs=1, batch_size=4), tree, short, data)
 
 
-def test_non_finite_loss_aborts(monkeypatch):
+@pytest.mark.parametrize("base_lr, iteration", [(100.0, 0), (0.02, 2)])
+def test_overflowing_step_aborts(monkeypatch, base_lr, iteration):
+    # A gradient at the float64 maximum overflows the update itself at a
+    # large rate; at a small one the map stays finite, but mapping the
+    # node embeddings with it overflows, which the last step checks.
     from hiertune import trainer as trainer_mod
 
     tree, table, data = demo_task(per_leaf=3)
-    blown = LossValue(float("inf"), np.zeros((6, 6)), np.zeros(6), len(data))
+    huge = np.finfo(np.float64).max
+    blown = LossValue(1.0, np.full((6, 6), huge), np.zeros(6), len(data))
     monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: (blown, blown, blown))
-    with pytest.raises(RuntimeError, match="non-finite"):
-        train(TrainConfig(epochs=1, batch_size=4), tree, table, data)
+    config = TrainConfig(epochs=1, batch_size=4, base_lr=base_lr)
+    with pytest.raises(RuntimeError, match=f"diverged at iteration {iteration}: overflow"):
+        train(config, tree, table, data)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
