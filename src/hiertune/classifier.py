@@ -89,11 +89,13 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a matrix, returning (unit rows, norms).
 
     Zero rows have no direction and are an input error, not a numeric
-    condition to patch around.
+    condition to patch around; so are finite rows whose norm overflows.
     """
     norms = np.linalg.norm(x, axis=1)
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
+    if not np.isfinite(norms).all():
+        raise ValueError(f"{what} contains a row whose norm overflows")
     if (norms == 0).any():
         raise ValueError(f"{what} contains a zero-norm row")
     return x / norms[:, None], norms

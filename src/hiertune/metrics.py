@@ -31,7 +31,7 @@ from .classifier import (
     unit_weights,
 )
 from .rng import MASK64, Rng64, derive_seed
-from .taxonomy import TaxonomyTree
+from .taxonomy import LabelSet, TaxonomyTree
 from .treecut import build_matrices, sample_distinct
 
 # Samples per score block. Eval holds one block's scores (and a few
@@ -83,30 +83,53 @@ def score_blocks(
 
     ``scores`` holds the cosines of the block's features against the
     mapped weights of every non-root node, one column per node in the
-    tree's layout order; the weights are built once for all blocks.
+    tree's layout order; the weights are built once for all blocks. A
+    row norm that overflows is a ValueError, not a numpy warning.
     """
     _require_data(data)
-    _, what, _ = unit_weights(params, table, tree.layout.nodes)
+    with np.errstate(over="ignore"):
+        _, what, _ = unit_weights(params, table, tree.layout.nodes)
     for lo in range(0, len(data), EVAL_BLOCK):
         block = np.asarray(data.features[lo : lo + EVAL_BLOCK], dtype=np.float64)
-        fhat, _ = unit_rows(block, "features")
+        with np.errstate(over="ignore"):
+            fhat, _ = unit_rows(block, "features")
         yield data.leaf_labels[lo : lo + EVAL_BLOCK], fhat @ what.T
 
 
-def _on_path(tree: TaxonomyTree, leaves: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Whether each predicted node is its sample's leaf or one of its ancestors."""
-    return tree.layout.ancestors[leaves, nodes]
+def _accuracies(
+    tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet,
+    cuts: tuple[LabelSet, ...] = (),
+) -> tuple[float, float, list[float]]:
+    """Leaf accuracy, hca and each cut's accuracy, from one pass over the
+    score blocks; per block, one leaf prediction serves both of the first two."""
+    lay = tree.layout
+    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
+    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
+    branching = lay.sizes >= 2
+    members = [np.asarray(cut.members, dtype=np.int64) for cut in cuts]
+    leaf_right = hca_right = 0
+    cut_right = np.zeros(len(members), dtype=np.int64)
+    for labels, scores in score_blocks(tree, params, table, data):
+        ok = predict(tree, scores, leaves) == labels
+        leaf_right += int(ok.sum())
+        # Each internal node's decision: the first column of its group
+        # that reaches the group maximum, i.e. its smallest best child.
+        top = np.maximum.reduceat(scores, lay.starts, axis=1)
+        first = np.where(scores == top[:, lay.group], np.arange(len(lay.nodes)), len(lay.nodes))
+        decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
+        scored = lay.ancestors[np.ix_(labels, internal)] & branching
+        wrong = scored & ~lay.ancestors[labels[:, None], decided]
+        hca_right += int((ok & ~wrong.any(axis=1)).sum())
+        for k, cut in enumerate(members):
+            cut_right[k] += int(lay.ancestors[labels, predict(tree, scores, cut)].sum())
+    return leaf_right / len(data), hca_right / len(data), (cut_right / len(data)).tolist()
 
 
 def leaf_accuracy(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
 ) -> float:
     """Fraction of samples whose leaf-vocabulary prediction is the true leaf."""
-    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
-    right = 0
-    for labels, scores in score_blocks(tree, params, table, data):
-        right += int((predict(tree, scores, leaves) == labels).sum())
-    return right / len(data)
+    return _accuracies(tree, params, table, data)[0]
 
 
 def hca(
@@ -120,23 +143,7 @@ def hca(
     choices and always succeed, so only branching nodes are scored.
     Never exceeds leaf accuracy.
     """
-    lay = tree.layout
-    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
-    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
-    branching = lay.sizes >= 2
-    right = 0
-    for labels, scores in score_blocks(tree, params, table, data):
-        ok = predict(tree, scores, leaves) == labels
-        # Each internal node's decision: the first column of its group
-        # that reaches the group maximum, i.e. its smallest best child.
-        top = np.maximum.reduceat(scores, lay.starts, axis=1)
-        first = np.where(scores == top[:, lay.group], np.arange(len(lay.nodes)), len(lay.nodes))
-        decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
-        scored = lay.ancestors[np.ix_(labels, internal)] & branching
-        wrong = scored & ~_on_path(tree, labels[:, None], decided)
-        ok &= ~wrong.any(axis=1)
-        right += int(ok.sum())
-    return right / len(data)
+    return _accuracies(tree, params, table, data)[1]
 
 
 def mta(
@@ -156,6 +163,25 @@ def mta(
     prediction equals the cut member covering its true leaf. Returns the
     pooled mean over every cut drawn, plus per-rate groups.
     """
+    report = evaluate(tree, params, table, data, betas, cuts_per_beta, seed)
+    cuts = iter(report.cuts)
+    return report.mta, tuple(tuple(next(cuts) for _ in sizes) for sizes in report.cuts_used)
+
+
+def evaluate(
+    tree: TaxonomyTree,
+    params: PromptParams,
+    table: EmbeddingTable,
+    data: SampleSet,
+    betas: tuple[float, ...],
+    cuts_per_beta: int,
+    seed: int,
+) -> MetricsReport:
+    """All three metrics in one report, from one pass over the score blocks.
+
+    The treecuts are drawn first, as ``mta`` describes; the pass then
+    predicts the leaves once per block and each cut once per block.
+    """
     _require_data(data)
     if not betas:
         raise ValueError("betas must be non-empty")
@@ -168,39 +194,19 @@ def mta(
         sample_distinct(tree, bundle, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))
         for bi, beta in enumerate(betas)
     ]
-    members = [np.asarray(cut.members, dtype=np.int64) for cuts in drawn for cut in cuts]
-    right = np.zeros(len(members), dtype=np.int64)
-    for labels, scores in score_blocks(tree, params, table, data):
-        for k, cut in enumerate(members):
-            right[k] += int(_on_path(tree, labels, predict(tree, scores, cut)).sum())
-    accuracy = iter((right / len(data)).tolist())
+    flat = tuple(cut for cuts in drawn for cut in cuts)
+    leaf_acc, hca_acc, cut_acc = _accuracies(tree, params, table, data, flat)
+    accuracy = iter(cut_acc)
     groups = tuple(
         tuple(CutResult(beta=float(beta), size=len(cut), accuracy=next(accuracy)) for cut in cuts)
         for beta, cuts in zip(betas, drawn)
     )
-    pooled = float(np.mean([r.accuracy for group in groups for r in group]))
-    return pooled, groups
-
-
-def evaluate(
-    tree: TaxonomyTree,
-    params: PromptParams,
-    table: EmbeddingTable,
-    data: SampleSet,
-    betas: tuple[float, ...],
-    cuts_per_beta: int,
-    seed: int,
-) -> MetricsReport:
-    """All three metrics in one report."""
-    pooled, groups = mta(tree, params, table, data, betas, cuts_per_beta, seed)
     return MetricsReport(
-        leaf_acc=leaf_accuracy(tree, params, table, data),
-        hca=hca(tree, params, table, data),
-        mta=pooled,
+        leaf_acc=leaf_acc,
+        hca=hca_acc,
+        mta=float(np.mean(cut_acc)),
         betas=tuple(float(b) for b in betas),
-        mta_per_beta=tuple(
-            float(np.mean([r.accuracy for r in group])) for group in groups
-        ),
+        mta_per_beta=tuple(float(np.mean([r.accuracy for r in group])) for group in groups),
         cuts_used=tuple(tuple(r.size for r in group) for group in groups),
         cuts=tuple(r for group in groups for r in group),
         seed=seed,

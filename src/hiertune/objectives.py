@@ -143,12 +143,6 @@ def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, t
     return _vocab_loss(sc, targets, tau)
 
 
-def _check_cut(tree: TaxonomyTree, cut: LabelSet, batch: SampleSet) -> None:
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    tree.treecut_label_set(cut.members)
-
-
 def node_centric_loss(
     tree: TaxonomyTree,
     params: PromptParams,
@@ -180,9 +174,7 @@ def treecut_loss(
     The fringe covers every leaf, so every sample contributes. A
     one-label fringe forces the answer and carries no loss.
     """
-    _check_cut(tree, cut, batch)
-    sc = _score(params, table, cut.members, batch.features)
-    return _treecut(tree, sc, cut, batch, params.tau)
+    return total_loss(tree, params, table, cut, batch, 0.0)[1]
 
 
 def total_loss(
@@ -192,8 +184,6 @@ def total_loss(
     cut: LabelSet,
     batch: SampleSet,
     lam: float,
-    *,
-    check_cut: bool = True,
 ) -> tuple[LossValue, LossValue, LossValue]:
     """Treecut loss plus ``lam`` times the node-centric loss.
 
@@ -205,14 +195,14 @@ def total_loss(
     columns, so the total is exactly the treecut part plus ``lam`` times
     the node part.
 
-    The cut and batch are checked as ``treecut_loss`` checks them unless
-    ``check_cut`` is False, which is for a non-empty batch and a cut that
-    ``treecut.cut_from_flags`` already checked, as the trainer's are.
+    The batch must be non-empty and the cut a valid treecut. This is
+    where a hand-built cut enters, and the one check of a sampled one.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be non-negative and finite, got {lam}")
-    if check_cut:
-        _check_cut(tree, cut, batch)
+    if len(batch) == 0:
+        raise ValueError("batch is empty")
+    tree.treecut_label_set(cut.members)
     if lam == 0.0:
         sc = _score(params, table, cut.members, batch.features)
         dtl = _treecut(tree, sc, cut, batch, params.tau)

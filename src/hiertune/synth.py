@@ -90,12 +90,7 @@ INTERNAL_TILT = 0.8
 _TILT_STREAM = 0x5EED
 
 
-def _embedding_table(
-    tree: TaxonomyTree,
-    dim: int,
-    tilt: float = INTERNAL_TILT,
-    level_scale: float = LEVEL_SCALE,
-) -> EmbeddingTable:
+def _embedding_table(tree: TaxonomyTree, dim: int) -> EmbeddingTable:
     if dim < tree.n_nodes - 1:
         raise ValueError(
             f"dim must be at least {tree.n_nodes - 1} (one axis per non-root node)"
@@ -106,7 +101,7 @@ def _embedding_table(
         if node == tree.root:
             continue
         raw[node] = raw[tree.parents[node]]
-        raw[node, axis] = level_scale ** (tree.depths[node] - 1)
+        raw[node, axis] = LEVEL_SCALE ** (tree.depths[node] - 1)
         axis += 1
     vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
     for leaf in tree.leaf_nodes:
@@ -117,7 +112,7 @@ def _embedding_table(
             continue
         mean = vectors[_leaf_descendants(tree, node)].mean(axis=0)
         away = gen.standard_normal(dim)
-        mixed = mean / np.linalg.norm(mean) + tilt * away / np.linalg.norm(away)
+        mixed = mean / np.linalg.norm(mean) + INTERNAL_TILT * away / np.linalg.norm(away)
         vectors[node] = mixed / np.linalg.norm(mixed)
     return EmbeddingTable(dim=dim, vectors=vectors)
 

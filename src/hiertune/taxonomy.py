@@ -34,8 +34,9 @@ class LabelSet:
 
     ``members`` holds node indices in ascending order (the canonical order
     used for matrix columns, softmax rows, and tie-breaking). Build
-    instances through ``TaxonomyTree.treecut_label_set``, which validates;
-    the raw constructor does not.
+    instances through ``TaxonomyTree.treecut_label_set``, which validates,
+    or ``treecut.cut_from_flags``, whose fringes are treecuts by
+    construction; the raw constructor does not validate.
     """
 
     members: tuple[int, ...]

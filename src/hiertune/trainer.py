@@ -154,9 +154,7 @@ def train(
                     lr = cosine_lr(iteration, total_steps, config.base_lr)
                     cut = sample_treecut(tree, bundle, config.beta, cut_rng)
                     params = PromptParams(weight=weight, bias=bias, tau=config.tau)
-                    total, dtl, ncl = total_loss(
-                        tree, params, emb, cut, batch, config.lam, check_cut=False
-                    )
+                    total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
                     weight = weight - lr * total.grad_weight
                     bias = bias - lr * total.grad_bias
                     records.append(

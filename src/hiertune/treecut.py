@@ -101,9 +101,13 @@ def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
 
 
 def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, kept: np.ndarray) -> LabelSet:
-    """The fringe label set selected by the repaired ``kept`` flags, validated as a treecut."""
+    """The fringe label set selected by the repaired ``kept`` flags.
+
+    Repaired flags keep a node only with its whole ancestor chain, so the
+    fringe is a treecut by construction and is not validated again.
+    """
     blocked = blocked_mask(kept, bundle)
-    return tree.treecut_label_set(tuple(bundle.labels[j] for j in np.flatnonzero(blocked == 0)))
+    return LabelSet(tuple(bundle.labels[j] for j in np.flatnonzero(blocked == 0)))
 
 
 def sample_treecut(

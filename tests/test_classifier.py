@@ -127,6 +127,16 @@ def test_unit_rows_normalizes_and_rejects():
         unit_rows(np.zeros((2, 2)), "features")
     with pytest.raises(ValueError):
         unit_rows(np.array([[np.inf, 1.0]]), "features")
+    # Finite entries whose sum of squares overflows: refused, or raised as
+    # the overflow itself where training turns overflow into errors.
+    huge = np.array([[1e200, 1e200], [3.0, 4.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+        unit_rows(huge, "label weights")
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        unit_rows(huge, "label weights")
+    units, norms = unit_rows(huge / 1e60, "label weights")
+    np.testing.assert_allclose(norms, [2**0.5 * 1e140, 5e-60])
+    np.testing.assert_allclose(units, [[2**-0.5, 2**-0.5], [0.6, 0.8]])
 
 
 def test_node_weights_identity_and_affine():

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hiertune import PromptParams, cli
@@ -289,6 +290,24 @@ def test_eval_rejects_empty_betas(synth_dir, tmp_path):
     )
     assert rc == 1
     assert err.startswith("E:invalid:")
+
+
+def test_eval_with_overflowing_map_is_invalid(synth_dir, tmp_path):
+    # A = 1e200 I is finite, but every mapped weight's norm overflows; eval
+    # must refuse it rather than score every cosine as 0.
+    huge = PromptParams(weight=1e200 * np.eye(8), bias=np.zeros(8), tau=0.07)
+    params_path = tmp_path / "params.txt"
+    params_path.write_text(write_params(huge), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(
+            "eval", *data_args(synth_dir), "--params", str(params_path),
+            "--out", str(tmp_path / "eval"),
+        )
+    assert rc == 1 and out == ""
+    assert err == "E:invalid:label weights contains a row whose norm overflows\n"
+    assert caught == []
+    assert not (tmp_path / "eval").exists()
 
 
 def test_train_rejects_bad_lambda(synth_dir, tmp_path):

@@ -37,6 +37,7 @@ from hiertune import (
     blocked_mask,
     correct_flags,
     cut_from_flags,
+    evaluate,
     hca,
     leaf_accuracy,
     load_tree,
@@ -134,13 +135,15 @@ def test_metrics_match_reference(problem, block):
             np.testing.assert_array_equal(
                 pred, oracle.predict(params, table, labels, data.features)
             )
-        assert leaf_accuracy(tree, params, table, data) == oracle.leaf_accuracy(
-            tree, params, table, data
-        )
-        assert hca(tree, params, table, data) == oracle.hca(tree, params, table, data)
-        assert mta(tree, params, table, data, betas, 2, seed=5) == oracle.mta(
-            tree, params, table, data, betas, 2, seed=5
-        )
+        old_leaf = oracle.leaf_accuracy(tree, params, table, data)
+        old_hca = oracle.hca(tree, params, table, data)
+        old_mta = oracle.mta(tree, params, table, data, betas, 2, seed=5)
+        assert leaf_accuracy(tree, params, table, data) == old_leaf
+        assert hca(tree, params, table, data) == old_hca
+        assert mta(tree, params, table, data, betas, 2, seed=5) == old_mta
+        report = evaluate(tree, params, table, data, betas, 2, seed=5)
+        assert (report.leaf_acc, report.hca, report.mta) == (old_leaf, old_hca, old_mta[0])
+        assert report.cuts == tuple(r for group in old_mta[1] for r in group)
 
 
 def outcome(check, tree, members):

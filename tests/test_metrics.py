@@ -1,6 +1,8 @@
 """Leaf accuracy, path-consistent accuracy, treecut-averaged accuracy."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from hiertune import (
     load_tree,
     mta,
 )
+from hiertune import metrics
 
 from helpers import (
     basis_table,
@@ -164,6 +167,32 @@ def test_evaluate_report_is_deterministic_and_coherent():
         assert tuple(r.size for r in chunk) == sizes
         assert per_beta == np.mean([r.accuracy for r in chunk])
         start += len(sizes)
+
+
+def test_evaluate_makes_one_pass_over_the_score_blocks():
+    # One score_blocks iteration serves all three metrics: per block, one
+    # leaf prediction plus one per cut drawn.
+    tree = demo_tree()
+    table = random_table(tree, 6, seed=60)
+    params = random_params(6, tau=0.4, seed=61)
+    data = noisy_samples(tree, table, per_leaf=4, sigma=0.6, seed=62)
+    passes, predictions = [], []
+    blocks, predict = metrics.score_blocks, metrics.predict
+
+    def counted_blocks(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    def counted_predict(*args):
+        predictions.append(args)
+        return predict(*args)
+
+    with mock.patch.object(metrics, "EVAL_BLOCK", 5), \
+            mock.patch.object(metrics, "score_blocks", counted_blocks), \
+            mock.patch.object(metrics, "predict", counted_predict):
+        report = evaluate(tree, params, table, data, (0.2, 0.8), cuts_per_beta=3, seed=4)
+    assert len(passes) == 1
+    assert len(predictions) == (len(report.cuts) + 1) * 4  # 16 samples, blocks of 5
 
 
 def test_metrics_input_validation():

@@ -46,6 +46,7 @@ UNCALLED_ALLOWED = {
     "PromptParams.identity": "tests/test_acceptance.py imports it",
     "gradient_check": "tests/test_acceptance.py imports it",
     "enumerate_treecuts": "tests/test_acceptance.py imports it",
+    "leaf_accuracy": "tests/test_acceptance.py imports it",
     "TaxonomyTree.target_in": "perfbench/traced.py resolves it for its trace table",
     "node_centric_loss": "perfbench/traced.py resolves it for its trace table",
     "treecut_loss": "perfbench/traced.py resolves it for its trace table",

@@ -219,8 +219,8 @@ def test_overflowing_step_aborts(monkeypatch, base_lr, iteration):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_each_step_checks_its_cut_once(monkeypatch, lam):
-    # The sampler checks every cut it builds; the loss does not check the
-    # trainer's cuts again.
+    # The sampler builds its cuts unchecked; total_loss checks each one,
+    # the trainer's included, once.
     from hiertune.taxonomy import TaxonomyTree
 
     checks = []
