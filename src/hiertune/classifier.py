@@ -124,4 +124,4 @@ def predict(tree: TaxonomyTree, scores: np.ndarray, members: np.ndarray) -> np.n
     as ascending node indices, so a tie goes to the smallest one. A
     one-member vocabulary is allowed; the answer is forced.
     """
-    return members[np.argmax(scores[:, tree.layout.column[members]], axis=1)]
+    return members[np.argmax(np.take(scores, tree.layout.column[members], axis=1), axis=1)]

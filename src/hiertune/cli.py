@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO, TypeVar
 
 from .fileio import (
     FormatError,
@@ -27,17 +29,40 @@ from .fileio import (
 from .metrics import evaluate
 from .rng import Rng64
 from .synth import gen_synth
-from .taxonomy import TreeFormatError, load_tree
+from .taxonomy import TaxonomyTree, TreeFormatError, load_tree
 from .trainer import TrainConfig, train
 from .treecut import build_matrices, sample_distinct
 
+_T = TypeVar("_T")
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[ValueError]) -> ValueError:
+    return error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
 
 def _read(path: str, error: type[ValueError] = FormatError) -> str:
-    """The file's text; bytes that are not UTF-8 raise ``error``."""
+    """The file's text; bytes that are not UTF-8 raise ``error``.
+
+    Only tree and params files, both small, are read whole; sample files and
+    embedding tables are streamed by ``_load``.
+    """
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise _not_utf8(path, exc, error) from None
+
+
+def _load(loader: Callable[[BinaryIO, TaxonomyTree], _T], path: str, tree: TaxonomyTree) -> _T:
+    """``loader``'s result on the file at ``path``, read a line at a time.
+
+    A byte that is not UTF-8 raises FormatError naming its offset in the
+    file, unless a fault on an earlier line was reported first.
+    """
+    with open(path, "rb") as file:
+        try:
+            return loader(file, tree)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, FormatError) from None
 
 
 def _write_outputs(path: str, texts: dict[str, str]) -> Path:
@@ -96,8 +121,8 @@ def cmd_sample_cuts(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     tree = load_tree(_read(args.tree, TreeFormatError))
-    table = load_embeddings(_read(args.emb), tree)
-    samples = load_samples(_read(args.samples), tree)
+    table = _load(load_embeddings, args.emb, tree)
+    samples = _load(load_samples, args.samples, tree)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -125,8 +150,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     tree = load_tree(_read(args.tree, TreeFormatError))
-    table = load_embeddings(_read(args.emb), tree)
-    samples = load_samples(_read(args.samples), tree)
+    table = _load(load_embeddings, args.emb, tree)
+    samples = _load(load_samples, args.samples, tree)
     params = load_params(_read(args.params))
     report = evaluate(
         tree, params, table, samples, _parse_betas(args.betas), args.T, args.seed

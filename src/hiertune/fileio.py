@@ -6,9 +6,20 @@ binary64 value, so write-load-write is a fixpoint and equal values always
 produce equal bytes. Loaders validate eagerly and raise FormatError with
 the offending line number.
 
+``load_samples`` and ``load_embeddings`` take the document's text or a
+binary file open for reading. A file is read, decoded and checked one line
+at a time, straight into a matrix that grows only as validated rows
+arrive, so a load holds about the matrix plus one line, peaking near twice
+the matrix while its blocks are joined. The exception is a file broken
+only by bare ``\r``: it is one ``\n``-terminated chunk, so it is held
+whole while it is split. A byte that is not UTF-8 raises
+UnicodeDecodeError with its offset from the start of the file, once every
+line before it has been checked: a fault on an earlier line is the one
+reported.
+
 Rows of numbers are parsed one row at a time by orjson: the row's values,
 TABs turned to commas, are read as one JSON array and written straight
-into a preallocated matrix. Any row that orjson refuses or reads as
+into the matrix's next row. Any row that orjson refuses or reads as
 anything but ``dim`` floats (``-0``, which JSON reads as the integer 0,
 ``1e400``, ``.5``, ``+1``, ``nan``, a token holding a space, ...) goes
 through the per-token parser, which refuses digit separators, non-ASCII
@@ -22,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterator
+from typing import BinaryIO
 
 import numpy as np
 import orjson
@@ -125,21 +137,44 @@ def _parse_tokens(out: np.ndarray, tokens: list[str], lineno: int, what: str) ->
     out[:] = [_parse_float(t, lineno, what) for t in tokens]
 
 
-def _matrix_for(text: str, n_rows: int, dim: int) -> np.ndarray:
-    """An uninitialised float64 matrix for up to ``n_rows`` rows of ``text``.
+# Bytes per block of a matrix being loaded. The last block's unused rows
+# are the load's only memory beyond the matrix and, while the blocks are
+# joined, its copy; at 256 KiB they stay small and the blocks few.
+_LOAD_BLOCK_BYTES = 1 << 18
 
-    The declared ``dim`` is not trusted with the allocation. Every row a
-    loader accepts spans at least ``2 * dim`` characters (``dim`` tabs and
-    ``dim`` digits), so a loader writes at most ``len(text) // (2 * dim) +
-    1`` rows before it refuses a document whose ``dim`` overstates its
-    rows, and no row can hold ``dim + 1`` fields when ``dim >= len(text)``.
-    A valid document always gets all of its rows; a corrupt ``dim`` gets an
-    error naming its line, not a request for more memory than the text
-    could fill.
+
+class _RowBlocks:
+    """A float64 matrix of ``dim`` columns, filled one validated row at a time.
+
+    Rows go into blocks of about ``_LOAD_BLOCK_BYTES`` (at least one row),
+    allocated when their first row is asked for, and ``matrix`` joins them
+    into one. The declared ``dim`` is not trusted with the allocation: a
+    loader asks for a row only after its line has held ``dim`` values' worth
+    of fields, so a corrupt ``dim`` gets an error naming its line, not a
+    request for more memory than the lines read could fill.
     """
-    if dim >= len(text):
-        return np.empty((0, dim), dtype=np.float64)
-    return np.empty((min(n_rows, len(text) // (2 * dim) + 1), dim), dtype=np.float64)
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.per_block = max(1, _LOAD_BLOCK_BYTES // (8 * dim))
+        self.blocks: list[np.ndarray] = []
+        self.n = 0
+
+    def new_row(self) -> np.ndarray:
+        """The next row, uninitialised, as a writable view."""
+        r = self.n % self.per_block
+        if r == 0:
+            self.blocks.append(np.empty((self.per_block, self.dim), dtype=np.float64))
+        self.n += 1
+        return self.blocks[-1][r]
+
+    def matrix(self) -> np.ndarray:
+        """The rows so far as one ``(n, dim)`` matrix; the blocks are let go."""
+        blocks, self.blocks = self.blocks, []
+        if not blocks:
+            return np.empty((0, self.dim), dtype=np.float64)
+        blocks[-1] = blocks[-1][: self.n - self.per_block * (len(blocks) - 1)]
+        return np.concatenate(blocks)
 
 
 def _is_count(token: str) -> bool:
@@ -147,21 +182,59 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
-    """Parse the mandatory `#dim <d>` first line; return dim and data lines."""
-    lines = _split_lines(text)
-    if not lines or not lines[0].startswith("#dim"):
+def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
+    """Each line of ``source`` with its number, split where ``_split_lines`` splits.
+
+    ``source`` is a document's text or a binary file open for reading. A
+    file is read one ``\\n``-terminated chunk at a time and decoded as
+    UTF-8; a chunk holds bare ``\\r`` breaks only in a file that uses them.
+    A byte that is not UTF-8 raises UnicodeDecodeError, with ``start`` and
+    ``end`` counted from the start of the file, after every line that ends
+    before it has been yielded.
+    """
+    if isinstance(source, str):
+        yield from enumerate(_split_lines(source), start=1)
+        return
+    lineno = offset = 0
+    for chunk in source:
+        try:
+            text, bad = chunk.decode(), None
+        except UnicodeDecodeError as exc:
+            text, bad = chunk[: exc.start].decode(), exc
+        # The last piece follows the chunk's last break: empty, the end of a
+        # file without a final break, or cut short by a bad byte.
+        *lines, last = _split_lines(text)
+        if last and bad is None:
+            lines.append(last)
+        for line in lines:
+            lineno += 1
+            yield lineno, line
+        if bad is not None:
+            raise UnicodeDecodeError(
+                bad.encoding, chunk, offset + bad.start, offset + bad.end, bad.reason
+            )
+        offset += len(chunk)
+
+
+def _split_dim_doc(
+    source: str | BinaryIO, what: str
+) -> tuple[int, Iterator[tuple[int, str]]]:
+    """Parse the mandatory `#dim <d>` first line; return dim and the data lines.
+
+    The data lines, blank and comment lines skipped, are read as they are
+    iterated.
+    """
+    lines = _lines(source)
+    _, first = next(lines, (1, ""))
+    if not first.startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
-    parts = lines[0].split()
+    parts = first.split()
     if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
-        raise FormatError(f"{what}: malformed dimension header {lines[0]!r}")
-    dim = int(parts[1])
-    rows = [
-        (i, ln)
-        for i, ln in enumerate(lines[1:], start=2)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    return dim, rows
+        raise FormatError(f"{what}: malformed dimension header {first!r}")
+    rows = (
+        (i, ln) for i, ln in lines if ln.strip() and not ln.lstrip().startswith("#")
+    )
+    return int(parts[1]), rows
 
 
 # ---------------------------------------------------------------- trees
@@ -176,11 +249,12 @@ def write_tree(tree: TaxonomyTree) -> str:
 
 # ----------------------------------------------------------- embeddings
 
-def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
-    dim, rows = _split_dim_doc(text, "embedding table")
-    values = _matrix_for(text, len(rows), dim)
+def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTable:
+    """The table in ``source``, a document's text or a binary file open for reading."""
+    dim, rows = _split_dim_doc(source, "embedding table")
+    values = _RowBlocks(dim)
     nodes: dict[str, int] = {}
-    for r, (lineno, line) in enumerate(rows):
+    for lineno, line in rows:
         if line.count("\t") != dim:
             raise FormatError(
                 f"embedding table line {lineno}: expected name plus {dim} values"
@@ -194,8 +268,9 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
             raise FormatError(
                 f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
             )
-        _parse_row(values[r], numbers, lineno, "embedding table")
-        if not values[r].any():
+        row = values.new_row()
+        _parse_row(row, numbers, lineno, "embedding table")
+        if not row.any():
             raise FormatError(
                 f"embedding table line {lineno}: embedding for {name!r} is all zeros"
             )
@@ -204,7 +279,7 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
         missing = sorted(set(tree.names) - set(nodes) - {tree.names[tree.root]})
         raise FormatError(f"embedding table: missing embeddings for: {', '.join(missing)}")
     vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
-    vectors[list(nodes.values())] = values[: len(nodes)]
+    vectors[list(nodes.values())] = values.matrix()
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
@@ -218,13 +293,14 @@ def write_embeddings(table: EmbeddingTable, tree: TaxonomyTree) -> str:
 
 # -------------------------------------------------------------- samples
 
-def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
-    dim, rows = _split_dim_doc(text, "sample file")
+def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
+    """The samples in ``source``, a document's text or a binary file open for reading."""
+    dim, rows = _split_dim_doc(source, "sample file")
     ids: list[str] = []
     labels: list[int] = []
-    features = _matrix_for(text, len(rows), dim)
+    features = _RowBlocks(dim)
     seen: set[str] = set()
-    for r, (lineno, line) in enumerate(rows):
+    for lineno, line in rows:
         if line.count("\t") != dim + 1:
             raise FormatError(
                 f"sample file line {lineno}: expected id, leaf, and {dim} values"
@@ -239,15 +315,16 @@ def load_samples(text: str, tree: TaxonomyTree) -> SampleSet:
         leaf = tree.name_index[leaf_name]
         if not tree.is_leaf(leaf):
             raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
-        _parse_row(features[r], numbers, lineno, "sample file")
-        if not features[r].any():
+        row = features.new_row()
+        _parse_row(row, numbers, lineno, "sample file")
+        if not row.any():
             raise FormatError(f"sample file line {lineno}: all-zero feature")
         ids.append(sid)
         labels.append(leaf)
     return SampleSet(
         ids=tuple(ids),
         leaf_labels=np.asarray(labels, dtype=np.int64),
-        features=features,
+        features=features.matrix(),
     )
 
 
@@ -292,12 +369,12 @@ def load_params(text: str) -> PromptParams:
         raise FormatError(f"params file line {lineno}: bad tau record")
     tau = np.empty(1)
     _parse_row(tau, rest, lineno, "params file")
-    weight = _matrix_for(text, dim, dim)
-    for r in range(dim):
+    weight = _RowBlocks(dim)
+    for _ in range(dim):
         lineno, rest, n = take("A")
         if n != dim:
             raise FormatError(f"params file line {lineno}: expected {dim} values")
-        _parse_row(weight[r], rest, lineno, "params file")
+        _parse_row(weight.new_row(), rest, lineno, "params file")
     lineno, rest, n = take("c")
     if n != dim:
         raise FormatError(f"params file line {lineno}: expected {dim} values")
@@ -306,7 +383,7 @@ def load_params(text: str) -> PromptParams:
     if rows:
         raise FormatError(f"params file line {rows[0][0]}: unexpected trailing record")
     try:
-        return PromptParams(weight=weight, bias=bias, tau=float(tau[0]))
+        return PromptParams(weight=weight.matrix(), bias=bias, tau=float(tau[0]))
     except ValueError as exc:
         raise FormatError(f"params file: {exc}") from None
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_weights
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .objectives import total_loss
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
@@ -120,14 +120,24 @@ def train(
     Per iteration: draw one treecut from the cut stream, take the total
     loss on the minibatch, step both parameter blocks by the scheduled
     rate. Epoch shuffles use their own derived streams so batch order
-    never perturbs the cut sequence. A step whose map or mapped embedding
-    norms overflow aborts the run with a RuntimeError naming the step.
+    never perturbs the cut sequence. Samples with a feature row whose norm
+    overflows are a ValueError before the first step; a step whose map or
+    mapped embedding norms overflow aborts the run with a RuntimeError
+    naming the step.
     """
     if len(data) == 0:
         raise ValueError("no training samples")
     work = data if config.shots is None else data.take(k_shot_indices(data, config.shots))
     if len(work) == 0:
         raise ValueError("no training samples after shot filtering")
+
+    # A feature row whose norm overflows is a fault in the samples, as eval
+    # reports it, not divergence: check the squared norms once (einsum makes
+    # no x*x copy), before overflow raises below, and let unit_rows name the
+    # fault only when there is one.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.einsum("ij,ij->i", work.features, work.features)).all():
+            unit_rows(work.features, "features")
 
     bundle = build_matrices(tree)
     n = len(work)

@@ -605,12 +605,12 @@ def load_params(text: str) -> PromptParams:
     if len(rest) != 1:
         raise FormatError(f"params file line {lineno}: bad tau record")
     tau = float(_floats(rest, lineno, "params file")[0])
-    weight = np.zeros((dim, dim))
-    for r in range(dim):
+    weight = []  # one row per record read, so a huge dim fails on its first row
+    for _ in range(dim):
         lineno, rest = take("A")
         if len(rest) != dim:
             raise FormatError(f"params file line {lineno}: expected {dim} values")
-        weight[r] = _floats(rest, lineno, "params file")
+        weight.append(_floats(rest, lineno, "params file"))
     lineno, rest = take("c")
     if len(rest) != dim:
         raise FormatError(f"params file line {lineno}: expected {dim} values")
@@ -618,7 +618,7 @@ def load_params(text: str) -> PromptParams:
     if rows:
         raise FormatError(f"params file line {rows[0][0]}: unexpected trailing record")
     try:
-        return PromptParams(weight=weight, bias=bias, tau=tau)
+        return PromptParams(weight=np.array(weight), bias=bias, tau=tau)
     except ValueError as exc:
         raise FormatError(f"params file: {exc}") from None
 

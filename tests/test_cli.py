@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiertune import PromptParams, cli
-from hiertune.fileio import load_params, write_params
+from hiertune import PromptParams, SampleSet, cli, load_tree
+from hiertune.fileio import load_params, load_samples, write_params, write_samples
 
 from helpers import DEMO_DOC
 
@@ -80,11 +80,34 @@ def test_non_utf8_input_is_a_tree_or_format_error(synth_dir, tmp_path):
     rc, _, err = run_cli("validate", "--tree", str(bad))
     assert rc == 1
     assert err.startswith("E:tree:") and "UTF-8" in err
+    # Sample files and embedding tables are read a line at a time, so a
+    # fault on a line before the bad byte is the one reported.
+    for flag, what in (("--samples", "sample file"), ("--emb", "embedding table")):
+        args = data_args(synth_dir)
+        args[args.index(flag) + 1] = str(bad)
+        for doc, message in (
+            (b"#dim 8\xff\n", f"{bad}: not UTF-8 text (invalid start byte at byte 6)"),
+            (b"n0\t-\nn1\tn0\xff\n", f"{what}: first line must be '#dim <d>'"),
+        ):
+            bad.write_bytes(doc)
+            rc, _, err = run_cli("train", *args, "--out", str(tmp_path / "run"))
+            assert (rc, err) == (1, f"E:format:{message}\n")
+
+
+def test_bad_byte_deep_in_a_samples_file_names_its_offset(synth_dir, tmp_path):
+    header, *rows = (synth_dir / "samples.tsv").read_bytes().splitlines(keepends=True)
+    body = b"".join(b"c%d-" % k + row for k in range(100) for row in rows if row[:1] != b"#")
+    at = body.index(b"\t", 70_000) + 1
+    assert len(header) + at > 64 * 1024
+    path = tmp_path / "samples.tsv"
+    path.write_bytes(header + body[:at] + b"\xff" + body[at:])
     args = data_args(synth_dir)
-    args[args.index("--samples") + 1] = str(bad)
+    args[args.index("--samples") + 1] = str(path)
     rc, _, err = run_cli("train", *args, "--out", str(tmp_path / "run"))
     assert rc == 1
-    assert err.startswith("E:format:") and "UTF-8" in err
+    assert err == (
+        f"E:format:{path}: not UTF-8 text (invalid start byte at byte {len(header) + at})\n"
+    )
 
 
 # str.isdigit() takes the superscript two and the Arabic-Indic three;
@@ -353,6 +376,32 @@ def test_diverging_train_is_a_train_error(synth_dir, tmp_path):
     assert re.fullmatch(r"E:train:training diverged at iteration \d+: overflow .*\n", err)
     assert caught == []
     assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_features_are_invalid_for_train_and_eval(synth_dir, tmp_path):
+    # Finite features whose row norms overflow are a fault in the samples:
+    # train says so as eval does, instead of blaming the run.
+    tree = load_tree((synth_dir / "tree.txt").read_text(encoding="utf-8"))
+    data = load_samples((synth_dir / "samples.tsv").read_text(encoding="utf-8"), tree)
+    huge = SampleSet(ids=data.ids, leaf_labels=data.leaf_labels, features=1e200 * data.features)
+    samples = tmp_path / "huge.tsv"
+    samples.write_text(write_samples(huge, tree, 8), encoding="utf-8")
+    args = data_args(synth_dir)
+    args[args.index("--samples") + 1] = str(samples)
+    params = tmp_path / "params.txt"
+    params.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in (
+            ("train", *args, "--out", str(tmp_path / "run"), "--epochs", "1"),
+            ("eval", *args, "--params", str(params), "--out", str(tmp_path / "eval")),
+        ):
+            rc, _, err = run_cli(*command)
+            assert (rc, err) == (
+                1, "E:invalid:features contains a row whose norm overflows\n"
+            )
+    assert caught == []
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
 
 def test_subcommand_is_required():

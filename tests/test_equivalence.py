@@ -17,7 +17,9 @@ block-at-a-time orjson one, on every kind of float.
 """
 from __future__ import annotations
 
+import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -51,6 +53,7 @@ from hiertune import (
     treecut_loss,
 )
 from hiertune import fileio, metrics
+from hiertune.taxonomy import _split_lines
 
 from helpers import ODD_BREAKS, noisy_samples, random_params, random_table, random_tree
 
@@ -223,9 +226,14 @@ BAD_TOKENS = ("", "nan", "inf", "1_0", "\u0661", "x", "+1", "1e3",
 
 
 def loaded(loader, *args):
-    """A loader's result as comparable bytes, or its error's type and message."""
+    """A loader's result as comparable bytes, or its error's type and message.
+
+    A decoding error is compared by its reason and byte offsets.
+    """
     try:
         result = loader(*args)
+    except UnicodeDecodeError as exc:
+        return type(exc), exc.reason, exc.start, exc.end
     except Exception as exc:  # the error itself is what is compared
         return type(exc), str(exc)
     if isinstance(result, EmbeddingTable):
@@ -284,10 +292,38 @@ def test_loaders_match_reference(seed, kind, data):
     lines = text.splitlines()
     for _ in range(data.draw(st.integers(0, 3))):
         mutate(data.draw, lines, kind, tree)
-    end = data.draw(st.sampled_from(("\n", "\r\n", "\r")))
-    text = end.join(lines) + end
+    breaks = st.sampled_from(("\n", "\r\n", "\r"))
+    text = "".join(line + data.draw(breaks) for line in lines[:-1])
+    text += lines[-1] + data.draw(st.sampled_from(("", "\n", "\r\n", "\r")))
     args = (text,) if kind == "params" else (text, tree)
-    assert loaded(new, *args) == loaded(old, *args)
+    expected = loaded(old, *args)
+    assert loaded(new, *args) == expected
+    if kind == "params":
+        return
+    # Read from a binary file a line at a time, the document loads the same.
+    doc = text.encode()
+    assert loaded(new, io.BytesIO(doc), tree) == expected
+    # A bad byte is reported at its offset in the file, as decoding the
+    # whole file reports it, unless a line before its own is at fault.
+    at = len(text[: data.draw(st.integers(0, len(text)))].encode())
+    bad = doc[:at] + data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xe2\x82"))) + doc[at:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bad.decode()
+    bad_line = len(_split_lines(bad[: whole.value.start].decode()))
+    if fault_line(expected) < bad_line:
+        assert loaded(new, io.BytesIO(bad), tree) == expected
+    else:
+        assert loaded(new, io.BytesIO(bad), tree) == loaded(bad.decode)
+
+
+def fault_line(result) -> float:
+    """The line a loader's error names: 1 for the header, inf for none."""
+    if result[0] is not fileio.FormatError:
+        return math.inf
+    named = re.search(r" line (\d+):", result[1])
+    if named:
+        return int(named.group(1))
+    return 1 if "first line" in result[1] or "dimension header" in result[1] else math.inf
 
 
 NUMBER_CHARS = "0123456789.eE+-"

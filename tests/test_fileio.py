@@ -1,7 +1,9 @@
 """Text artifact formats: round-trips are byte-exact, loaders validate."""
 from __future__ import annotations
 
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,19 +200,48 @@ def test_loaders_reject_whitespace_in_numbers(pad):
 
 
 def test_overstated_dimension_is_a_format_error():
-    # Loaders size their matrices from the text, not from the declared
-    # dimension alone, so a corrupt header fails on its first row instead
-    # of asking for rows x dim floats up front.
+    # Loaders grow their matrices a validated row at a time, not from the
+    # declared dimension, so a corrupt header fails on its first row instead
+    # of asking for rows x dim floats up front, from text or from a file.
     tree = demo_tree()
     samples = "".join(f"s{i}\tn4\t1.0\t0.0\n" for i in range(3000))
     embeddings = "".join(f"n{i}\t1.0\t0.0\n" for i in range(1, 7))
-    for dim in (20_000, 10**7, 10**12):
-        with pytest.raises(FormatError, match=f"line 2: expected id, leaf, and {dim} values"):
-            load_samples(f"#dim {dim}\n" + samples, tree)
-        with pytest.raises(FormatError, match=f"line 2: expected name plus {dim} values"):
-            load_embeddings(f"#dim {dim}\n" + embeddings, tree)
+    for dim in (20_000, 10**7, 10**12, 2**64):
+        for wrap in (str, lambda doc: io.BytesIO(doc.encode())):
+            with pytest.raises(
+                FormatError, match=f"line 2: expected id, leaf, and {dim} values"
+            ):
+                load_samples(wrap(f"#dim {dim}\n" + samples), tree)
+            with pytest.raises(FormatError, match=f"line 2: expected name plus {dim} values"):
+                load_embeddings(wrap(f"#dim {dim}\n" + embeddings), tree)
         with pytest.raises(FormatError, match=f"line 3: expected {dim} values"):
             load_params(f"dim\t{dim}\ntau\t0.5\n" + "A\t1.0\t0.0\n" * 3000)
+
+
+def test_loading_a_file_holds_about_the_matrix(tmp_path):
+    # A file is read a line at a time into blocks joined once at the end,
+    # so the load's peak is about twice the features, not the document's
+    # bytes, text and line list on top of them.
+    tree = demo_tree()
+    rng = np.random.default_rng(7)
+    n, dim = 2500, 128
+    data = SampleSet(
+        ids=tuple(f"s{i}" for i in range(n)),
+        leaf_labels=np.asarray([tree.index("n4"), tree.index("n6")] * (n // 2)),
+        features=rng.standard_normal((n, dim)),
+    )
+    path = tmp_path / "samples.tsv"
+    path.write_text(write_samples(data, tree, dim), encoding="utf-8")
+    assert path.stat().st_size > 5 * 2**20
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as file:
+            loaded = load_samples(file, tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.features, data.features)
+    assert peak <= 2.5 * loaded.features.nbytes + 2**20
 
 
 def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):
