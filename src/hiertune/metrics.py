@@ -12,8 +12,8 @@ subset of one score matrix, the cosines of the samples against every
 non-root node in the tree's column layout, which ``score_blocks`` builds
 in blocks of ``EVAL_BLOCK`` samples. Ties go to the smallest node index.
 A prediction is right exactly when it is the true leaf or one of its
-ancestors, since every vocabulary scored is an antichain that covers the
-leaf.
+ancestors (``ColumnLayout.on_path``), since every vocabulary scored is an
+antichain that covers the leaf.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .classifier import (
     unit_rows,
     unit_weights,
 )
-from .rng import MASK64, Rng64, derive_seed
+from .rng import Rng64, check_seed, derive_seed
 from .taxonomy import LabelSet, TaxonomyTree
 from .treecut import build_matrices, sample_distinct
 
@@ -71,9 +71,11 @@ class MetricsReport:
     cuts_per_beta: int
 
 
-def _require_data(data: SampleSet) -> None:
+def _require_data(table: EmbeddingTable, data: SampleSet) -> None:
     if len(data) == 0:
         raise ValueError("evaluation data is empty")
+    if data.features.shape[1] != table.dim:
+        raise ValueError(f"sample dim {data.features.shape[1]} is not embedding dim {table.dim}")
 
 
 def score_blocks(
@@ -86,7 +88,7 @@ def score_blocks(
     tree's layout order; the weights are built once for all blocks. A
     row norm that overflows is a ValueError, not a numpy warning.
     """
-    _require_data(data)
+    _require_data(table, data)
     with np.errstate(over="ignore"):
         _, what, _ = unit_weights(params, table, tree.layout.nodes)
     for lo in range(0, len(data), EVAL_BLOCK):
@@ -117,11 +119,11 @@ def _accuracies(
         top = np.maximum.reduceat(scores, lay.starts, axis=1)
         first = np.where(scores == top[:, lay.group], np.arange(len(lay.nodes)), len(lay.nodes))
         decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
-        scored = lay.ancestors[np.ix_(labels, internal)] & branching
-        wrong = scored & ~lay.ancestors[labels[:, None], decided]
+        scored = lay.on_path(labels[:, None], internal) & branching
+        wrong = scored & ~lay.on_path(labels[:, None], decided)
         hca_right += int((ok & ~wrong.any(axis=1)).sum())
         for k, cut in enumerate(members):
-            cut_right[k] += int(lay.ancestors[labels, predict(tree, scores, cut)].sum())
+            cut_right[k] += int(lay.on_path(labels, predict(tree, scores, cut)).sum())
     return leaf_right / len(data), hca_right / len(data), (cut_right / len(data)).tolist()
 
 
@@ -182,13 +184,12 @@ def evaluate(
     The treecuts are drawn first, as ``mta`` describes; the pass then
     predicts the leaves once per block and each cut once per block.
     """
-    _require_data(data)
+    _require_data(table, data)
     if not betas:
         raise ValueError("betas must be non-empty")
     if cuts_per_beta < 1:
         raise ValueError("cuts_per_beta must be at least 1")
-    if not 0 <= seed <= MASK64:  # derive_seed would fold it into range
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)  # derive_seed would fold it into range
     bundle = build_matrices(tree)
     drawn = [
         sample_distinct(tree, bundle, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))

@@ -3,9 +3,9 @@
 Every vocabulary drawn from the tree is a column subset of one score
 matrix: the cosines of a batch against the mapped weights of every
 non-root node, in the tree's column layout (``TaxonomyTree.layout``). A
-sample's target in a vocabulary is its leaf's row of the ancestor-or-self
-matrix restricted to that vocabulary's columns. The treecut loss is a
-softmax over one sampled fringe's columns, teaching global consistency;
+sample's target in a vocabulary is the member on its leaf's root path,
+found for a whole batch by ``ColumnLayout.on_path``. The treecut loss is
+a softmax over one sampled fringe's columns, teaching global consistency;
 the node-centric loss is one segmented softmax over the layout's parent
 groups, averaging every internal node's child-set cross-entropy to teach
 each local decision. Gradients with respect to the affine map are
@@ -72,11 +72,6 @@ def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
     return d_weights.T @ sc.emb, d_weights.sum(axis=0)
 
 
-def _target_hits(tree: TaxonomyTree, members, leaves: np.ndarray) -> np.ndarray:
-    """(samples, members) bool: the member is the leaf or one of its ancestors."""
-    return tree.layout.ancestors[np.ix_(leaves, members)]
-
-
 def _vocab_loss(sc: _Scores, targets: np.ndarray, tau: float) -> LossValue:
     """Mean softmax cross-entropy of every score row against its target column."""
     n = len(targets)
@@ -105,10 +100,8 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     """
     lay = tree.layout
     n_groups = len(lay.sizes)
-    rows, cols = np.nonzero(_target_hits(tree, lay.nodes, leaves))
+    rows, cols = np.nonzero(lay.on_path(leaves[:, None], lay.nodes) & (lay.sizes >= 2)[lay.group])
     groups = lay.group[cols]
-    branching = lay.sizes[groups] >= 2
-    rows, cols, groups = rows[branching], cols[branching], groups[branching]
     if rows.size == 0:
         return LossValue.zero(sc.emb.shape[1])
     counts = np.bincount(groups, minlength=n_groups)
@@ -139,7 +132,7 @@ def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, t
     """The treecut loss from scores over the cut's columns, in member order."""
     if len(cut) == 1:
         return LossValue.zero(sc.emb.shape[1], n_contributing=len(batch))
-    targets = np.argmax(_target_hits(tree, cut.members, batch.leaf_labels), axis=1)
+    targets = np.argmax(tree.layout.on_path(batch.leaf_labels[:, None], cut.members), axis=1)
     return _vocab_loss(sc, targets, tau)
 
 

@@ -30,9 +30,7 @@ class Rng64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self.state = seed
+        self.state = check_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
@@ -58,6 +56,13 @@ class Rng64:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it lies in [0, 2**64), the range of every seed; else ValueError."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def derive_seed(base: int, stream: int) -> int:

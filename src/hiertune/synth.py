@@ -25,6 +25,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, SampleSet
 from .fileio import write_embeddings, write_samples, write_tree
+from .rng import check_seed
 from .taxonomy import TaxonomyTree, load_tree
 
 
@@ -62,17 +63,6 @@ def _plan_tree(leaves: int, depth: int) -> str:
     return "".join(f"{n}\t{p}\n" for n, p in zip(names, parent_names))
 
 
-def _leaf_descendants(tree: TaxonomyTree, node: int) -> list[int]:
-    stack, found = [node], []
-    while stack:
-        v = stack.pop()
-        if tree.is_leaf(v):
-            found.append(v)
-        else:
-            stack.extend(tree.children[v])
-    return found
-
-
 # Per-level shrink of the private component a node adds on top of its
 # parent's direction. Smaller values make siblings more alike and their
 # distinction more fragile under noise.
@@ -107,10 +97,11 @@ def _embedding_table(tree: TaxonomyTree, dim: int) -> EmbeddingTable:
     for leaf in tree.leaf_nodes:
         vectors[leaf] = raw[leaf] / np.linalg.norm(raw[leaf])
     gen = np.random.Generator(np.random.PCG64(_TILT_STREAM))
-    for node in tree.internal_nodes:
-        if node == tree.root:
-            continue
-        mean = vectors[_leaf_descendants(tree, node)].mean(axis=0)
+    leaves = np.asarray(tree.leaf_nodes)
+    for node in tree.internal_nodes[1:]:  # all but the root, node 0
+        # Last leaf first, the order that fixes the sum's rounding and so
+        # every fixture's bytes (the planned tree's node order is preorder).
+        mean = vectors[leaves[tree.layout.on_path(leaves, node)][::-1]].mean(axis=0)
         away = gen.standard_normal(dim)
         mixed = mean / np.linalg.norm(mean) + INTERNAL_TILT * away / np.linalg.norm(away)
         vectors[node] = mixed / np.linalg.norm(mixed)
@@ -138,13 +129,13 @@ def gen_synth(
         raise ValueError("depth must be at least 1")
     if per_leaf < 1:
         raise ValueError("per_leaf must be at least 1")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
 
     tree = load_tree(_plan_tree(leaves, depth))
     table = _embedding_table(tree, dim)
 
-    gen = np.random.Generator(np.random.PCG64(seed))
+    gen = np.random.Generator(np.random.PCG64(check_seed(seed)))
     ids: list[str] = []
     labels: list[int] = []
     blocks: list[np.ndarray] = []

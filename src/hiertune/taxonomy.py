@@ -54,14 +54,14 @@ class ColumnLayout:
     children in ascending index order, so every internal node's child
     vocabulary is one contiguous slice.
 
-    nodes      (L,) node of each column
-    column     (n_nodes,) column of each node; -1 for the root
-    starts     (K,) first column of each internal node's group
-    sizes      (K,) child count of each internal node
-    group      (L,) position in ``internal_nodes`` of each column's parent
-    ancestors  (n_nodes, n_nodes) bool; [v, u] is true when u is v or an
-               ancestor of v, so a leaf's row restricted to a vocabulary
-               marks its target there
+    nodes   (L,) node of each column
+    column  (n_nodes,) column of each node; -1 for the root
+    starts  (K,) first column of each internal node's group
+    sizes   (K,) child count of each internal node
+    group   (L,) position in ``internal_nodes`` of each column's parent
+    tin     (n_nodes,) preorder position of each node, children in index order
+    tout    (n_nodes,) first position past its subtree: u is v or an ancestor
+            of v iff tin[u] <= tin[v] < tout[u] (Grust, SIGMOD 2002)
     """
 
     nodes: np.ndarray
@@ -69,7 +69,13 @@ class ColumnLayout:
     starts: np.ndarray
     sizes: np.ndarray
     group: np.ndarray
-    ancestors: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
+
+    def on_path(self, nodes, above) -> np.ndarray:
+        """Bool, broadcast over both: ``above`` is ``nodes`` or an ancestor of it."""
+        at = np.take(self.tin, nodes)
+        return (np.take(self.tin, above) <= at) & (at < np.take(self.tout, above))
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,15 @@ class TaxonomyTree:
     def layout(self) -> ColumnLayout:
         """The score-matrix layout, built on first use and kept."""
         n = self.n_nodes
-        anc = np.zeros((n, n), dtype=bool)
-        for v, p in enumerate(self.parents):
-            if p is not None:
-                anc[v] = anc[p]
-            anc[v, v] = True
+        span = [1] * n  # subtree sizes; children follow their parent
+        for v in range(n - 1, 0, -1):
+            span[self.parents[v]] += span[v]
+        tin = [0] * n
+        for p in self.internal_nodes:  # a parent's position is set first
+            at = tin[p] + 1
+            for c in self.children[p]:
+                tin[c] = at
+                at += span[c]
         sizes = np.asarray([len(self.children[p]) for p in self.internal_nodes], dtype=np.int64)
         nodes = np.asarray(
             [c for p in self.internal_nodes for c in self.children[p]], dtype=np.int64
@@ -116,7 +126,8 @@ class TaxonomyTree:
             starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
             group=np.repeat(np.arange(len(sizes)), sizes),
-            ancestors=anc,
+            tin=np.asarray(tin, dtype=np.int64),
+            tout=np.add(tin, span, dtype=np.int64),
         )
         for arr in vars(layout).values():
             arr.flags.writeable = False
@@ -177,25 +188,25 @@ class TaxonomyTree:
         below it; the antichain message names the first member that lies
         under another.
         """
-        given = np.asarray(members, dtype=np.int64).reshape(-1)
-        unique = np.unique(given)
-        if unique.size != given.size:
+        unique = np.sort(np.asarray(members, dtype=np.int64).reshape(-1))
+        if (unique[1:] == unique[:-1]).any():
             raise ValueError("treecut members must be distinct")
         if (unique == self.root).any():
             raise ValueError("treecut must not contain the root")
         outside = unique[(unique < 0) | (unique >= self.n_nodes)]
         if outside.size:
             raise ValueError(f"node index {outside[0]} out of range")
-        anc = self.layout.ancestors
-        # int32 sums run faster than the int64 default; a count cannot
-        # exceed the tree's node count.
-        cover = anc[list(self.leaf_nodes)][:, unique].sum(axis=1, dtype=np.int32)
-        if (cover > 1).any():
-            under = anc[np.ix_(unique, unique)].sum(axis=1) > 1
+        tin, tout, end = self.layout.tin, self.layout.tout, self.n_nodes + 1
+        # How many members' preorder intervals hold each position.
+        edges = np.bincount(tin[unique], minlength=end) - np.bincount(tout[unique], minlength=end)
+        held = np.cumsum(edges)
+        under = held[tin[unique]] > 1
+        if under.any():
             name = self.names[int(unique[np.argmax(under)])]
             raise ValueError(f"treecut is not an antichain at {name!r}")
-        if (cover == 0).any():
-            leaf = self.leaf_nodes[int(np.argmin(cover))]
+        bare = (held[tin] == 0) & (tout - tin == 1)  # leaves no member holds
+        if bare.any():
+            leaf = int(np.argmax(bare))
             raise ValueError(f"treecut does not cover leaf {self.names[leaf]!r} exactly once")
         return LabelSet(tuple(unique.tolist()))
 

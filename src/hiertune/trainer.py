@@ -90,14 +90,11 @@ def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    counts: dict[int, int] = {}
-    keep = []
-    for i, leaf in enumerate(samples.leaf_labels):
-        seen = counts.get(int(leaf), 0)
-        if seen < shots:
-            keep.append(i)
-            counts[int(leaf)] = seen + 1
-    return np.asarray(keep, dtype=np.int64)
+    order = np.argsort(samples.leaf_labels, kind="stable")
+    leaves = samples.leaf_labels[order]
+    # A sample's rank among its leaf's samples is its distance from the first.
+    rank = np.arange(len(order)) - np.searchsorted(leaves, leaves)
+    return np.sort(order[rank < shots])
 
 
 def params_digest(params: PromptParams) -> str:
@@ -127,6 +124,8 @@ def train(
     """
     if len(data) == 0:
         raise ValueError("no training samples")
+    if data.features.shape[1] != emb.dim:
+        raise ValueError(f"sample dim {data.features.shape[1]} is not embedding dim {emb.dim}")
     work = data if config.shots is None else data.take(k_shot_indices(data, config.shots))
     if len(work) == 0:
         raise ValueError("no training samples after shot filtering")

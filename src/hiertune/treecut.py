@@ -4,8 +4,8 @@ A treecut keeps some internal nodes expanded and collapses the rest; its
 label set is the fringe of the pruned tree. Sampling works on a vector of
 independent keep flags over the internal nodes, repaired so that a node
 only stays expanded when its whole ancestor chain is, then mapped to the
-fringe through two boolean masks sliced from the tree's ancestor matrix,
-so a cut costs a few dense array reductions and no tree walk.
+fringe. Both steps are prefix sums over the tree's preorder intervals, so
+a cut costs a few O(n) array passes and no tree walk.
 """
 from __future__ import annotations
 
@@ -29,43 +29,37 @@ DISTINCT_DRAW_FACTOR = 100
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """Boolean ancestry masks of one tree, fixed for its lifetime.
+    """The flag algebra's view of one tree, fixed for its lifetime.
 
-    ``internal_nodes`` (length K, ascending) index the rows; ``labels`` are
-    all non-root nodes (length L, ascending) and index the columns. Each
-    mask is a slice of the tree's ancestor-or-self matrix
-    (``tree.layout.ancestors``).
-
-    dependency       K x K; true where the column node is an ancestor-or-self
-                     of the row node.
-    ancestor_mask    K x L; true where the label is an ancestor-or-self of
-                     the internal node.
-    descendant_mask  K x L; true where the label is a strict descendant of
-                     the internal node.
+    ``internal_nodes`` (length K, ascending) own the flags, in order;
+    ``labels`` are all non-root nodes (length L, ascending). ``tin`` and
+    ``tout`` are the tree's preorder intervals (``tree.layout``), shared.
     """
 
     internal_nodes: tuple[int, ...]
     labels: tuple[int, ...]
-    dependency: np.ndarray
-    ancestor_mask: np.ndarray
-    descendant_mask: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
 
 
 def build_matrices(tree: TaxonomyTree) -> MatrixBundle:
-    """Slice the ancestry masks for ``tree`` out of its ancestor matrix."""
+    """Gather the node lists and preorder intervals of ``tree``."""
     if len(tree.leaf_nodes) < 2:
         raise ValueError("tree must have at least two leaves")
-    anc = tree.layout.ancestors
-    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
-    up = anc[internal, 1:]
     return MatrixBundle(
         internal_nodes=tree.internal_nodes,
         labels=tuple(range(1, tree.n_nodes)),
-        dependency=anc[np.ix_(internal, internal)],
-        ancestor_mask=up,
-        # A non-root internal node is also a label; it counts as its own
-        # ancestor-or-self, never as its own descendant.
-        descendant_mask=anc[1:, internal].T & ~up,
+        tin=tree.layout.tin,
+        tout=tree.layout.tout,
+    )
+
+
+def _strictly_under(nodes: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
+    """Per preorder position, how many of ``nodes`` it lies strictly below."""
+    end = len(bundle.tin) + 1
+    return np.cumsum(
+        np.bincount(bundle.tin[nodes] + 1, minlength=end)
+        - np.bincount(bundle.tout[nodes], minlength=end)
     )
 
 
@@ -84,7 +78,8 @@ def correct_flags(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
         raise ValueError("flags must be 0 or 1")
     if not keep[0]:
         raise ValueError("root flag must be 1")
-    return keep & ~bundle.dependency[:, ~keep].any(axis=1)
+    internal = np.asarray(bundle.internal_nodes)
+    return keep & (_strictly_under(internal[~keep], bundle)[bundle.tin[internal]] == 0)
 
 
 def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
@@ -97,7 +92,12 @@ def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
     the fringe.
     """
     keep = correct_flags(kept, bundle)
-    return bundle.ancestor_mask[keep].sum(axis=0) + bundle.descendant_mask[~keep].sum(axis=0)
+    internal = np.asarray(bundle.internal_nodes)
+    tin, tout = bundle.tin[1:], bundle.tout[1:]  # the labels: every node but the root, 0
+    # Kept internal nodes before each preorder position; a label's subtree
+    # holds those between its two ends.
+    before = np.cumsum(np.bincount(bundle.tin[internal[keep]] + 1, minlength=len(bundle.tin) + 1))
+    return before[tout] - before[tin] + _strictly_under(internal[~keep], bundle)[tin]
 
 
 def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, kept: np.ndarray) -> LabelSet:
@@ -181,17 +181,13 @@ def enumerate_treecuts(tree: TaxonomyTree) -> tuple[LabelSet, ...]:
             f"enumeration is capped at {ENUMERATE_LIMIT}"
         )
 
-    def subtree_choices(node: int) -> list[frozenset[int]]:
-        # Vocabulary fragments for the subtree at node: the node itself,
-        # or any expansion of its children.
-        opts = [frozenset((node,))]
-        if tree.children[node]:
-            opts.extend(expansions(node))
-        return opts
-
     def expansions(node: int) -> list[frozenset[int]]:
-        combos = itertools.product(*(subtree_choices(c) for c in tree.children[node]))
-        return [frozenset().union(*combo) for combo in combos]
+        # Each child contributes itself or, if internal, any expansion of it.
+        choices = (
+            [frozenset((c,))] + (expansions(c) if tree.children[c] else [])
+            for c in tree.children[node]
+        )
+        return [frozenset().union(*combo) for combo in itertools.product(*choices)]
 
     fringes = sorted({tuple(sorted(f)) for f in expansions(tree.root)})
     return tuple(tree.treecut_label_set(members) for members in fringes)

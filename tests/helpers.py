@@ -49,6 +49,15 @@ def random_tree(rng: Rng64, max_internal: int = 12, max_nodes: int = 40) -> Taxo
     return load_tree("\n".join(lines) + "\n")
 
 
+def under_single_child_root(tree: TaxonomyTree) -> TaxonomyTree:
+    """The same tree hung below a new root that has it as its only child."""
+    lines = ["top\t-"] + [
+        f"{name}\t{'top' if p is None else tree.names[p]}"
+        for name, p in zip(tree.names, tree.parents)
+    ]
+    return load_tree("\n".join(lines) + "\n")
+
+
 def basis_table(tree: TaxonomyTree, dim: int | None = None) -> EmbeddingTable:
     """One standard-basis axis per non-root node; root row stays zero."""
     d = dim if dim is not None else tree.n_nodes - 1

@@ -4,11 +4,12 @@ These are the per-vocabulary, per-node and per-sample versions of the
 losses, the metrics and the treecut check, kept as they were before the
 library moved to one score matrix per batch. They are slow and simple on
 purpose: each loops the way the definitions read. The treecut sampler is
-kept as it was before its masks became boolean slices: an integer bundle
-with a {-1, 0, 1} relation matrix, flags repaired by comparing kept
-ancestor counts, and a flag type that records whether the repair ran. The
-file loaders are kept as they were before rows of numbers were parsed in
-one call per row: every token goes through its own float() and
+kept as it was before it moved to boolean masks and then to preorder
+intervals: an integer bundle with a {-1, 0, 1} relation matrix, flags
+repaired by comparing kept ancestor counts, and a flag type that records
+whether the repair ran. The k-shot selection keeps its per-sample count.
+The file loaders are kept as they were before rows of numbers were parsed
+in one call per row: every token goes through its own float() and
 finiteness check. The row writer is kept as it was before orjson wrote
 rows a block at a time: one float.__repr__ per value. The per-vocabulary
 classifier (cosine scores, posterior and predict over one label set), the
@@ -387,6 +388,20 @@ def total_loss(
         dtl.n_contributing,
     )
     return total, dtl, ncl
+
+
+# ---------------------------------------------------------------- trainer
+
+def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
+    """The first ``shots`` samples of each leaf, counted one sample at a time."""
+    counts: dict[int, int] = {}
+    keep = []
+    for i, leaf in enumerate(samples.leaf_labels):
+        seen = counts.get(int(leaf), 0)
+        if seen < shots:
+            keep.append(i)
+            counts[int(leaf)] = seen + 1
+    return np.asarray(keep, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- metrics

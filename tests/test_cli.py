@@ -199,12 +199,14 @@ def test_seed_outside_64_bits_is_refused(synth_dir, demo_path, tmp_path, seed):
         ["train", *data_args(synth_dir), "--out", str(tmp_path / "run"), "--epochs", "1"],
         ["eval", *data_args(synth_dir), "--params", str(params_path),
          "--out", str(tmp_path / "eval")],
+        ["gen-synth", "--out", str(tmp_path / "gen")],
     ]
     for command in commands:
         rc, out, err = run_cli(*command, "--seed", seed)
         assert rc == 1
-        assert err.startswith("E:invalid:seed must be in [0, 2**64)")
-    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+        assert err == f"E:invalid:seed must be in [0, 2**64), got {seed}\n"
+    for name in ("run", "eval", "gen"):
+        assert not (tmp_path / name).exists()
 
 
 def test_sample_cuts_rate_zero_lists_leaf_fringe(demo_path):
@@ -401,6 +403,27 @@ def test_overflowing_features_are_invalid_for_train_and_eval(synth_dir, tmp_path
                 1, "E:invalid:features contains a row whose norm overflows\n"
             )
     assert caught == []
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
+def test_sample_dim_other_than_embedding_dim_is_invalid(synth_dir, tmp_path):
+    # The same tree's samples at dim 12 against its dim-8 embedding table.
+    wide = tmp_path / "wide"
+    rc, _, _ = run_cli(
+        "gen-synth", "--out", str(wide), "--leaves", "4", "--depth", "2", "--dim", "12",
+        "--per-leaf", "2",
+    )
+    assert rc == 0
+    args = data_args(synth_dir)
+    args[args.index("--samples") + 1] = str(wide / "samples.tsv")
+    params = tmp_path / "params.txt"
+    params.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    for command in (
+        ("train", *args, "--out", str(tmp_path / "run"), "--epochs", "1"),
+        ("eval", *args, "--params", str(params), "--out", str(tmp_path / "eval")),
+    ):
+        rc, _, err = run_cli(*command)
+        assert (rc, err) == (1, "E:invalid:sample dim 12 is not embedding dim 8\n")
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
 

@@ -5,7 +5,8 @@ library used before it moved to one score matrix per batch. On random
 trees, with one-child nodes, exact score ties and one-label cuts, losses
 and gradients must agree to 1e-12 relative and every prediction and
 accuracy must be exactly equal. It also keeps the integer-matrix treecut
-sampler; the boolean-mask one must give the same flags, masks and cuts.
+sampler; the preorder-interval one must give the same flags, masks and
+cuts, and the per-sample k-shot count the same selection.
 Its per-token file loaders must agree with the row-at-a-time ones on
 written documents with bad tokens, wrong field counts, bad records and
 comments holding odd line breaks spliced in, under each of the three line
@@ -42,7 +43,6 @@ from hiertune import (
     evaluate,
     hca,
     leaf_accuracy,
-    load_tree,
     mta,
     node_centric_loss,
     predict,
@@ -54,19 +54,18 @@ from hiertune import (
 )
 from hiertune import fileio, metrics
 from hiertune.taxonomy import _split_lines
+from hiertune.trainer import k_shot_indices
 
-from helpers import ODD_BREAKS, noisy_samples, random_params, random_table, random_tree
+from helpers import (
+    ODD_BREAKS,
+    noisy_samples,
+    random_params,
+    random_table,
+    random_tree,
+    under_single_child_root,
+)
 
 REL = 1e-12
-
-
-def under_single_child_root(tree: TaxonomyTree) -> TaxonomyTree:
-    """The same tree hung below a new root that has it as its only child."""
-    lines = ["top\t-"] + [
-        f"{name}\t{'top' if p is None else tree.names[p]}"
-        for name, p in zip(tree.names, tree.parents)
-    ]
-    return load_tree("\n".join(lines) + "\n")
 
 
 def with_duplicate_rows(tree: TaxonomyTree, table: EmbeddingTable, rng: Rng64) -> EmbeddingTable:
@@ -162,6 +161,18 @@ def test_treecut_check_matches_reference(seed, data):
     members = data.draw(st.lists(st.integers(0, tree.n_nodes - 1), max_size=tree.n_nodes))
     new = outcome(TaxonomyTree.treecut_label_set, tree, members)
     assert new == outcome(oracle.treecut_label_set, tree, members)
+
+
+@given(st.lists(st.integers(0, 5), max_size=40), st.integers(1, 4))
+def test_k_shot_selection_matches_reference(labels, shots):
+    data = SampleSet(
+        ids=tuple(map(str, range(len(labels)))),
+        leaf_labels=np.asarray(labels, dtype=np.int64),
+        features=np.ones((len(labels), 2)),
+    )
+    np.testing.assert_array_equal(
+        k_shot_indices(data, shots), oracle.k_shot_indices(data, shots)
+    )
 
 
 def test_treecut_check_accepts_sampled_cuts_and_rejects_out_of_range():

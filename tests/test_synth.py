@@ -1,6 +1,8 @@
 """Synthetic fixture generator: tree layout, geometry, seeded noise."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,15 @@ def test_gen_synth_validates_arguments():
         dict(good, depth=0),
         dict(good, per_leaf=0),
         dict(good, noise=-0.1),
+        dict(good, noise=float("nan")),
+        dict(good, noise=float("inf")),
         dict(good, dim=5),
     ):
         with pytest.raises(ValueError):
             gen_synth(**bad)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+            gen_synth(**dict(good, seed=seed))
 
 
 def test_gen_synth_repeat_is_byte_identical():

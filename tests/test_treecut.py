@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hiertune import (
 from hiertune import treecut
 from hiertune.treecut import DISTINCT_DRAW_FACTOR, ENUMERATE_LIMIT
 
-from helpers import demo_tree, names_of, random_tree
+from helpers import demo_tree, names_of, random_tree, under_single_child_root
 
 
 def demo_bundle():
@@ -34,50 +35,45 @@ def test_matrix_bundle_demo_values():
     tree, bundle = demo_bundle()
     assert names_of(tree, bundle.internal_nodes) == ("n0", "n1", "n2")
     assert names_of(tree, bundle.labels) == ("n1", "n2", "n3", "n4", "n5", "n6")
-    np.testing.assert_array_equal(
-        bundle.dependency, [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    )
-    # 1: label is an ancestor-or-self of the row node, 0: a strict
-    # descendant, -1: unrelated.
-    relation = np.array(
-        [
-            [0, 0, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, -1],
-            [1, 1, -1, 0, 0, -1],
-        ]
-    )
-    np.testing.assert_array_equal(bundle.ancestor_mask, relation == 1)
-    np.testing.assert_array_equal(bundle.descendant_mask, relation == 0)
-    for mask in (bundle.dependency, bundle.ancestor_mask, bundle.descendant_mask):
-        assert mask.dtype == bool
+    # Preorder n0 n1 n2 n4 n5 n3 n6: children in ascending index order.
+    np.testing.assert_array_equal(bundle.tin, [0, 1, 2, 5, 3, 4, 6])
+    np.testing.assert_array_equal(bundle.tout, [7, 6, 5, 6, 4, 5, 7])
+    assert bundle.tin is tree.layout.tin and bundle.tout is tree.layout.tout
 
 
-def test_relation_encodes_ancestry():
+def ancestry_trees():
+    """Random trees, and each again under a one-child root; in both the
+    internal nodes come first, so node order is not preorder."""
     rng = Rng64(31)
     for _ in range(20):
         tree = random_tree(rng)
-        bundle = build_matrices(tree)
-        for row, node in enumerate(bundle.internal_nodes):
-            above = set(tree.ancestors(node)) | {node}
-            for col, label in enumerate(bundle.labels):
-                if label in above:
-                    expected = 1
-                elif node in set(tree.ancestors(label)):
-                    expected = 0
-                else:
-                    expected = -1
-                assert bundle.ancestor_mask[row, col] == (expected == 1)
-                assert bundle.descendant_mask[row, col] == (expected == 0)
+        yield tree
+        yield under_single_child_root(tree)
 
 
-def test_dependency_lower_triangular_unit_diagonal():
-    rng = Rng64(32)
-    for _ in range(20):
-        tree = random_tree(rng)
-        bundle = build_matrices(tree)
-        dep = bundle.dependency
-        np.testing.assert_array_equal(np.diag(dep), np.ones(len(dep), dtype=dep.dtype))
-        assert np.all(np.triu(dep, 1) == 0)
+def test_on_path_encodes_ancestry():
+    for tree in ancestry_trees():
+        nodes = np.arange(tree.n_nodes)
+        expected = np.zeros((tree.n_nodes, tree.n_nodes), dtype=bool)
+        for v in nodes:
+            expected[v, [v, *tree.ancestors(v)]] = True
+        np.testing.assert_array_equal(tree.layout.on_path(nodes[:, None], nodes), expected)
+        leaf = tree.leaf_nodes[-1]
+        assert tree.layout.on_path(leaf, tree.root) and tree.layout.on_path(leaf, leaf)
+
+
+def test_intervals_nest_in_preorder():
+    for tree in ancestry_trees():
+        tin, tout = tree.layout.tin, tree.layout.tout
+        assert sorted(tin) == list(range(tree.n_nodes))
+        assert (tin[tree.root], tout[tree.root]) == (0, tree.n_nodes)
+        for p in tree.internal_nodes:
+            # The children tile the parent's interval after its own position.
+            ends = [tin[p] + 1] + [tout[c] for c in tree.children[p]]
+            assert [tin[c] for c in tree.children[p]] == ends[:-1]
+            assert ends[-1] == tout[p]
+        for leaf in tree.leaf_nodes:
+            assert tout[leaf] == tin[leaf] + 1
 
 
 def test_correct_flags_demo_cases():
@@ -308,3 +304,22 @@ def test_pipeline_image_matches_enumeration_small():
             image.add(cut_from_flags(tree, bundle, flags).members)
         oracle = {cut.members for cut in enumerate_treecuts(tree)}
         assert image == oracle
+
+
+def test_twenty_thousand_node_tree_fits_in_memory():
+    # Ancestry is O(n): a dense n x n relation alone would hold 400 MB here.
+    rng = Rng64(20_000)
+    lines = ["v0\t-"] + [f"v{v}\tv{v - 1 - rng.next_below(min(v, 50))}" for v in range(1, 20_000)]
+    document = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        tree = load_tree(document)
+        bundle = build_matrices(tree)
+        for beta in (0.1, 0.5, 0.9):
+            cut = sample_treecut(tree, bundle, beta, Rng64(rng.next_u64()))
+            assert tree.treecut_label_set(cut.members) == cut
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_nodes == 20_000
+    assert peak <= 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
