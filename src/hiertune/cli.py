@@ -134,6 +134,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         shots=args.shots,
     )
     params, log = train(config, tree, table, samples)
+    if log.warning:
+        print(f"W:train:{log.warning}", file=sys.stderr)
     out = _write_outputs(args.out, {
         "params.txt": write_params(params),
         "train_log.tsv": write_train_log(log),

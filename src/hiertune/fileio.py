@@ -426,6 +426,7 @@ def write_train_log(log: TrainLog) -> str:
     lines = [
         f"# seed {log.seed}",
         f"# params_digest {log.params_digest}",
+        *([f"# warning {log.warning}"] if log.warning else []),
         "# iteration\tlr\tcut_size\tdtl\tncl\ttotal",
     ]
     for rec in log.records:

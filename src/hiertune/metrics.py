@@ -7,13 +7,13 @@ accuracy scores the model on randomly coarsened vocabularies and averages,
 probing robustness to label granularity. All sampling is seeded, so a
 report is a pure function of its inputs.
 
-Every prediction is ``classifier.predict``: an argmax over a column
-subset of one score matrix, the cosines of the samples against every
-non-root node in the tree's column layout, which ``score_blocks`` builds
-in blocks of ``EVAL_BLOCK`` samples. Ties go to the smallest node index.
-A prediction is right exactly when it is the true leaf or one of its
-ancestors (``ColumnLayout.on_path``), since every vocabulary scored is an
-antichain that covers the leaf.
+Every decision is an argmax over a column subset of one score matrix,
+the cosines of the samples against every non-root node in the tree's
+column layout, which ``score_blocks`` builds a block of samples at a time.
+Ties go to the smallest node index. Leaf and cut predictions are
+``classifier.predict``, right exactly on the true leaf or an ancestor
+(``ColumnLayout.on_path``); hca's decisions are taken only at the
+branching nodes on each sample's root path, where hca judges it.
 """
 from __future__ import annotations
 
@@ -22,23 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (
-    EmbeddingTable,
-    PromptParams,
-    SampleSet,
-    predict,
-    unit_rows,
-    unit_weights,
-)
+from .classifier import EmbeddingTable, PromptParams, SampleSet, predict, unit_rows, unit_weights
 from .rng import Rng64, check_seed, derive_seed
-from .taxonomy import LabelSet, TaxonomyTree
+from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 from .treecut import build_matrices, sample_distinct
 
-# Samples per score block. Eval holds one block's scores (and a few
-# temporaries of the same shape) at a time, so its memory stays bounded
-# by EVAL_BLOCK x (n_nodes - 1) floats whatever the sample count. At 256
-# the eval peak on a 1,250-node tree stays below the training peak.
+# At most EVAL_BLOCK samples, and EVAL_BYTES of scores, per score block.
+# Eval holds one block's scores at a time and decides only on each sample's
+# root-path groups or a cut's columns, so its memory is bounded at any tree
+# width. Larger blocks on narrow trees raised resident memory, not speed.
 EVAL_BLOCK = 256
+EVAL_BYTES = 5 << 19  # 2.5 MiB
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ def _require_data(table: EmbeddingTable, data: SampleSet) -> None:
 def score_blocks(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (leaf labels, scores) per ``EVAL_BLOCK`` samples.
+    """Yield (leaf labels, scores) per block of samples.
 
     ``scores`` holds the cosines of the block's features against the
     mapped weights of every non-root node, one column per node in the
@@ -91,11 +85,12 @@ def score_blocks(
     _require_data(table, data)
     with np.errstate(over="ignore"):
         _, what, _ = unit_weights(params, table, tree.layout.nodes)
-    for lo in range(0, len(data), EVAL_BLOCK):
-        block = np.asarray(data.features[lo : lo + EVAL_BLOCK], dtype=np.float64)
+    rows = max(1, min(EVAL_BLOCK, EVAL_BYTES // (8 * len(what))))
+    for lo in range(0, len(data), rows):
+        block = np.asarray(data.features[lo : lo + rows], dtype=np.float64)
         with np.errstate(over="ignore"):
             fhat, _ = unit_rows(block, "features")
-        yield data.leaf_labels[lo : lo + EVAL_BLOCK], fhat @ what.T
+        yield data.leaf_labels[lo : lo + rows], fhat @ what.T
 
 
 def _accuracies(
@@ -104,26 +99,23 @@ def _accuracies(
 ) -> tuple[float, float, list[float]]:
     """Leaf accuracy, hca and each cut's accuracy, from one pass over the
     score blocks; per block, one leaf prediction serves both of the first two."""
-    lay = tree.layout
     leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
-    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
-    branching = lay.sizes >= 2
     members = [np.asarray(cut.members, dtype=np.int64) for cut in cuts]
     leaf_right = hca_right = 0
     cut_right = np.zeros(len(members), dtype=np.int64)
     for labels, scores in score_blocks(tree, params, table, data):
         ok = predict(tree, scores, leaves) == labels
         leaf_right += int(ok.sum())
-        # Each internal node's decision: the first column of its group
-        # that reaches the group maximum, i.e. its smallest best child.
-        top = np.maximum.reduceat(scores, lay.starts, axis=1)
-        first = np.where(scores == top[:, lay.group], np.arange(len(lay.nodes)), len(lay.nodes))
-        decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
-        scored = lay.on_path(labels[:, None], internal) & branching
-        wrong = scored & ~lay.on_path(labels[:, None], decided)
-        hca_right += int((ok & ~wrong.any(axis=1)).sum())
+        # Each branching node on a true path decides for the first column
+        # of its group that reaches the group maximum: its smallest best child.
+        rows, _, sizes, seg, target, flat_rows, cols = _path_groups(tree, labels)
+        v = scores[flat_rows, cols]
+        top = np.repeat(np.maximum.reduceat(v, seg), sizes)
+        first = np.minimum.reduceat(np.where(v == top, np.arange(len(v)), len(v)), seg)
+        ok[rows[first != target]] = False
+        hca_right += int(ok.sum())
         for k, cut in enumerate(members):
-            cut_right[k] += int(lay.on_path(labels, predict(tree, scores, cut)).sum())
+            cut_right[k] += int(tree.layout.on_path(labels, predict(tree, scores, cut)).sum())
     return leaf_right / len(data), hca_right / len(data), (cut_right / len(data)).tolist()
 
 

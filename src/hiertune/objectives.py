@@ -6,9 +6,9 @@ non-root node, in the tree's column layout (``TaxonomyTree.layout``). A
 sample's target in a vocabulary is the member on its leaf's root path,
 found for a whole batch by ``ColumnLayout.on_path``. The treecut loss is
 a softmax over one sampled fringe's columns, teaching global consistency;
-the node-centric loss is one segmented softmax over the layout's parent
-groups, averaging every internal node's child-set cross-entropy to teach
-each local decision. Gradients with respect to the affine map are
+the node-centric loss, teaching each local decision, averages every
+internal node's child-set cross-entropy, as softmaxes over only the groups
+on each sample's root path. Gradients with respect to the affine map are
 closed-form throughout and are checked against finite differences in the
 test suite.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
-from .taxonomy import LabelSet, TaxonomyTree
+from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,58 @@ def _score(
 
 def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
     """Map gradients from ``g``, the loss gradient at the cosines: through
-    the weight normalization, then through w = A e + b. Overwrites ``g``."""
+    the weight normalization, then through w = A e + b. Overwrites ``g``. The
+    radial part goes 64 rows at a time: one more (columns x dim) array at
+    once raised a training step's memory peak."""
     d_weights = g.T @ sc.vhat
     g *= sc.cos
-    d_weights -= g.sum(axis=0)[:, None] * sc.what
+    colsum = g.sum(axis=0)
+    for lo in range(0, len(colsum), 64):
+        d_weights[lo : lo + 64] -= colsum[lo : lo + 64, None] * sc.what[lo : lo + 64]
     d_weights /= sc.wnorm[:, None]
     return d_weights.T @ sc.emb, d_weights.sum(axis=0)
 
 
-def _vocab_loss(sc: _Scores, targets: np.ndarray, tau: float) -> LossValue:
-    """Mean softmax cross-entropy of every score row against its target column."""
-    n = len(targets)
+def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: float) -> LossValue:
+    """The node-centric loss from scores over every layout column.
+
+    A sample enters the term of each branching internal node on its root
+    path; its target there is the group column on that path. Each term is
+    the mean over the samples that enter it, and the sum of terms is
+    divided by the number of internal nodes, contributing or not. The pairs'
+    gradient is scattered into zeros over every column for the backward pass.
+    """
+    n_groups = len(tree.layout.sizes)
+    rows, group, sizes, seg, target, flat_rows, cols = _path_groups(tree, leaves)
+    if rows.size == 0:
+        # Only a one-leaf chain has no branching node; on any other tree
+        # every leaf's root path crosses one, so every sample contributes.
+        return LossValue.zero(sc.emb.shape[1])
+    counts = np.bincount(group, minlength=n_groups)
+    z = sc.cos[flat_rows, cols] / tau
+    z -= np.repeat(np.maximum.reduceat(z, seg), sizes)
+    picked = z[target]
+    np.exp(z, out=z)
+    sez = np.add.reduceat(z, seg)
+    sums = np.bincount(group, weights=np.log(sez) - picked, minlength=n_groups)
+    used = counts > 0
+    value = float(np.sum(sums[used] / counts[used])) / n_groups
+    # Per pair: softmax minus one-hot, scaled to the mean over its group's samples.
+    z /= np.repeat(sez, sizes)
+    z[target] -= 1.0
+    z /= np.repeat(tau * counts[group], sizes)
+    g = np.zeros_like(sc.cos)
+    g[flat_rows, cols] = z
+    grad_w, grad_b = _backward(g, sc)
+    return LossValue(value, grad_w / n_groups, grad_b / n_groups, len(leaves))
+
+
+def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, tau: float) -> LossValue:
+    """Mean softmax cross-entropy of the rows over the cut's columns, in member order."""
+    n = len(batch)
+    if len(cut) == 1:
+        return LossValue.zero(sc.emb.shape[1], n_contributing=n)
+    targets = np.argmax(tree.layout.on_path(batch.leaf_labels[:, None], cut.members), axis=1)
     rows = np.arange(n)
     z = sc.cos / tau
     z -= z.max(axis=1, keepdims=True)
@@ -88,52 +129,6 @@ def _vocab_loss(sc: _Scores, targets: np.ndarray, tau: float) -> LossValue:
     z /= tau * n
     grad_w, grad_b = _backward(z, sc)
     return LossValue(value, grad_w, grad_b, n)
-
-
-def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: float) -> LossValue:
-    """The node-centric loss from scores over every layout column.
-
-    A sample enters the term of each branching internal node on its root
-    path; its target there is the group column on that path. Each term is
-    the mean over the samples that enter it, and the sum of terms is
-    divided by the number of internal nodes, contributing or not.
-    """
-    lay = tree.layout
-    n_groups = len(lay.sizes)
-    rows, cols = np.nonzero(lay.on_path(leaves[:, None], lay.nodes) & (lay.sizes >= 2)[lay.group])
-    groups = lay.group[cols]
-    if rows.size == 0:
-        return LossValue.zero(sc.emb.shape[1])
-    counts = np.bincount(groups, minlength=n_groups)
-    enters = np.zeros((len(leaves), n_groups), dtype=bool)
-    enters[rows, groups] = True
-
-    z = sc.cos / tau
-    z -= np.maximum.reduceat(z, lay.starts, axis=1)[:, lay.group]
-    picked = z[rows, cols]
-    np.exp(z, out=z)
-    sez = np.add.reduceat(z, lay.starts, axis=1)
-    sums = np.bincount(groups, weights=np.log(sez[rows, groups]) - picked, minlength=n_groups)
-    used = counts > 0
-    value = float(np.sum(sums[used] / counts[used])) / n_groups
-    # Per group: softmax minus one-hot, scaled to the mean over the samples
-    # that enter it; zero for the rest.
-    z /= sez[:, lay.group]
-    z[rows, cols] -= 1.0
-    z /= tau * np.maximum(counts, 1)[lay.group]
-    z *= enters[:, lay.group]
-    grad_w, grad_b = _backward(z, sc)
-    return LossValue(
-        value, grad_w / n_groups, grad_b / n_groups, int(enters.any(axis=1).sum())
-    )
-
-
-def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, tau: float) -> LossValue:
-    """The treecut loss from scores over the cut's columns, in member order."""
-    if len(cut) == 1:
-        return LossValue.zero(sc.emb.shape[1], n_contributing=len(batch))
-    targets = np.argmax(tree.layout.on_path(batch.leaf_labels[:, None], cut.members), axis=1)
-    return _vocab_loss(sc, targets, tau)
 
 
 def node_centric_loss(
@@ -233,30 +228,21 @@ def gradient_check(
     """
     total, _, _ = total_loss(tree, params, table, cut, batch, lam)
     dim = params.dim
-    n_coords = dim * dim + dim
-    coords = list(range(n_coords))
-    if n_coords > max_coords:
+    coords = list(range(dim * dim + dim))
+    if len(coords) > max_coords:
         Rng64(seed).shuffle(coords)
         coords = coords[:max_coords]
+    flat = np.concatenate([params.weight.ravel(), params.bias])
+    analytic = np.concatenate([total.grad_weight.ravel(), total.grad_bias])
 
-    def value_at(weight: np.ndarray, bias: np.ndarray) -> float:
-        moved = PromptParams(weight=weight, bias=bias, tau=params.tau)
-        return total_loss(tree, moved, table, cut, batch, lam)[0].value
+    def value_at(k: int, delta: float) -> float:
+        moved = flat.copy()
+        moved[k] += delta
+        shifted = PromptParams(moved[:-dim].reshape(dim, dim), moved[-dim:], params.tau)
+        return total_loss(tree, shifted, table, cut, batch, lam)[0].value
 
     worst = 0.0
     for k in coords:
-        w_plus, w_minus = params.weight.copy(), params.weight.copy()
-        b_plus, b_minus = params.bias.copy(), params.bias.copy()
-        if k < dim * dim:
-            i, j = divmod(k, dim)
-            w_plus[i, j] += step
-            w_minus[i, j] -= step
-            analytic = total.grad_weight[i, j]
-        else:
-            i = k - dim * dim
-            b_plus[i] += step
-            b_minus[i] -= step
-            analytic = total.grad_bias[i]
-        numeric = (value_at(w_plus, b_plus) - value_at(w_minus, b_minus)) / (2 * step)
-        worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))
+        numeric = (value_at(k, step) - value_at(k, -step)) / (2 * step)
+        worst = max(worst, abs(analytic[k] - numeric) / max(1.0, abs(numeric)))
     return worst

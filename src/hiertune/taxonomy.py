@@ -58,7 +58,6 @@ class ColumnLayout:
     column  (n_nodes,) column of each node; -1 for the root
     starts  (K,) first column of each internal node's group
     sizes   (K,) child count of each internal node
-    group   (L,) position in ``internal_nodes`` of each column's parent
     tin     (n_nodes,) preorder position of each node, children in index order
     tout    (n_nodes,) first position past its subtree: u is v or an ancestor
             of v iff tin[u] <= tin[v] < tout[u] (Grust, SIGMOD 2002)
@@ -68,7 +67,6 @@ class ColumnLayout:
     column: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    group: np.ndarray
     tin: np.ndarray
     tout: np.ndarray
 
@@ -76,6 +74,26 @@ class ColumnLayout:
         """Bool, broadcast over both: ``above`` is ``nodes`` or an ancestor of it."""
         at = np.take(self.tin, nodes)
         return (np.take(self.tin, above) <= at) & (at < np.take(self.tout, above))
+
+
+def _path_groups(tree: TaxonomyTree, leaves: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (sample, group) pairs at the branching nodes on each leaf's root
+    path, where hca judges a sample and it enters the node-centric loss. Per
+    pair: sample (ascending, then group), group, size, and ``seg`` and
+    ``target``, the positions of its first and on-path columns in the pairs'
+    columns laid end to end (per position: sample and layout column)."""
+    lay = tree.layout
+    branching = np.flatnonzero(lay.sizes >= 2)
+    above = np.asarray(tree.internal_nodes, dtype=np.int64)[branching]
+    rows, k = np.nonzero(lay.on_path(leaves[:, None], above))
+    group = branching[k]
+    sizes = lay.sizes[group]
+    seg = np.cumsum(sizes) - sizes
+    flat_rows = np.repeat(rows, sizes)
+    cols = np.arange(sizes.sum()) + np.repeat(lay.starts[group] - seg, sizes)
+    # Exactly one child of each such node holds the leaf: one per pair.
+    target = np.flatnonzero(lay.on_path(leaves[flat_rows], lay.nodes[cols]))
+    return rows, group, sizes, seg, target, flat_rows, cols
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,6 @@ class TaxonomyTree:
             column=column,
             starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
-            group=np.repeat(np.arange(len(sizes)), sizes),
             tin=np.asarray(tin, dtype=np.int64),
             tout=np.add(tin, span, dtype=np.int64),
         )

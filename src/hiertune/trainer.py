@@ -69,9 +69,12 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TrainLog:
+    """The steps; ``warning`` is empty unless training may have diverged."""
+
     records: tuple[IterationRecord, ...]
     params_digest: str
     seed: int
+    warning: str = ""
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -120,15 +123,14 @@ def train(
     never perturbs the cut sequence. Samples with a feature row whose norm
     overflows are a ValueError before the first step; a step whose map or
     mapped embedding norms overflow aborts the run with a RuntimeError
-    naming the step.
+    naming the step. A final loss on step 0's batch and cut above step 0's
+    sets the log's warning.
     """
     if len(data) == 0:
         raise ValueError("no training samples")
     if data.features.shape[1] != emb.dim:
         raise ValueError(f"sample dim {data.features.shape[1]} is not embedding dim {emb.dim}")
     work = data if config.shots is None else data.take(k_shot_indices(data, config.shots))
-    if len(work) == 0:
-        raise ValueError("no training samples after shot filtering")
 
     # A feature row whose norm overflows is a fault in the samples, as eval
     # reports it, not divergence: check the squared norms once (einsum makes
@@ -148,9 +150,9 @@ def train(
     bias = np.zeros(emb.dim)
     records = []
     # Cosine logits are bounded by 1 / tau, so a diverging run never shows
-    # a non-finite loss; it shows as overflow in the updated map or in the
-    # norms of the node embeddings it maps, which raise here instead of
-    # warning. The final map is checked on every node, as eval maps them.
+    # a non-finite loss: it shows as a climbing loss, or as overflow in the
+    # map or in the norms of the node embeddings it maps, raised here. The
+    # final map is checked on every node, as eval maps them.
     try:
         with np.errstate(over="raise"):
             for epoch in range(config.epochs):
@@ -164,22 +166,22 @@ def train(
                     cut = sample_treecut(tree, bundle, config.beta, cut_rng)
                     params = PromptParams(weight=weight, bias=bias, tau=config.tau)
                     total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
+                    if iteration == 0:
+                        first_cut, first_batch = cut, batch
                     weight = weight - lr * total.grad_weight
                     bias = bias - lr * total.grad_bias
-                    records.append(
-                        IterationRecord(
-                            iteration=iteration,
-                            lr=lr,
-                            cut_size=len(cut),
-                            dtl=dtl.value,
-                            ncl=ncl.value,
-                            total=total.value,
-                        )
-                    )
+                    records.append(IterationRecord(
+                        iteration, lr, len(cut), dtl.value, ncl.value, total.value
+                    ))
             final = PromptParams(weight=weight, bias=bias, tau=config.tau)
             unit_weights(final, emb, tree.layout.nodes)
+            after = total_loss(tree, final, emb, first_cut, first_batch, config.lam)[0].value
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 
-    log = TrainLog(records=tuple(records), params_digest=params_digest(final), seed=config.seed)
+    warning = "" if after <= records[0].total else (
+        f"final params score loss {after!r} on step 0's batch and cut, above "
+        f"step 0's {records[0].total!r}: training may have diverged"
+    )
+    log = TrainLog(tuple(records), params_digest(final), config.seed, warning)
     return final, log

@@ -49,6 +49,14 @@ def random_tree(rng: Rng64, max_internal: int = 12, max_nodes: int = 40) -> Taxo
     return load_tree("\n".join(lines) + "\n")
 
 
+def wide_deep_document(rng: Rng64) -> str:
+    """A 20,000-node tree document: each node hangs under one of the 50
+    nodes before it, so the tree is both wide and deep (from Rng64(20_000),
+    7,320 leaves and depth 791)."""
+    lines = ["v0\t-"] + [f"v{v}\tv{v - 1 - rng.next_below(min(v, 50))}" for v in range(1, 20_000)]
+    return "\n".join(lines) + "\n"
+
+
 def under_single_child_root(tree: TaxonomyTree) -> TaxonomyTree:
     """The same tree hung below a new root that has it as its only child."""
     lines = ["top\t-"] + [

@@ -15,7 +15,11 @@ rows a block at a time: one float.__repr__ per value. The per-vocabulary
 classifier (cosine scores, posterior and predict over one label set), the
 name-keyed table assembly and the leaf and children-of-node label sets are
 kept as they were before the library scored every vocabulary as columns
-of one matrix. Nothing in the package imports this module.
+of one matrix. The node-centric loss and the hca decisions are also kept
+in their dense score-matrix form, as they were before both reduced over
+each sample's root-path groups alone: a softmax and an argmax over every
+group for every sample, masked afterwards. Nothing in the package imports
+this module.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
 from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
-from hiertune.objectives import LossValue
+from hiertune.objectives import LossValue, _backward
 from hiertune.rng import Rng64, derive_seed
 from hiertune.taxonomy import LabelSet, TaxonomyTree
 
@@ -390,6 +394,39 @@ def total_loss(
     return total, dtl, ncl
 
 
+def dense_node_centric(tree: TaxonomyTree, sc, leaves: np.ndarray, tau: float) -> LossValue:
+    """The node-centric loss over every layout column, from
+    ``objectives._score``'s scores: one segmented softmax over all groups,
+    masked to the (sample, group) pairs a sample enters."""
+    lay = tree.layout
+    n_groups = len(lay.sizes)
+    group = np.repeat(np.arange(n_groups), lay.sizes)  # of each column
+    rows, cols = np.nonzero(lay.on_path(leaves[:, None], lay.nodes) & (lay.sizes >= 2)[group])
+    groups = group[cols]
+    if rows.size == 0:
+        return LossValue.zero(sc.emb.shape[1])
+    counts = np.bincount(groups, minlength=n_groups)
+    enters = np.zeros((len(leaves), n_groups), dtype=bool)
+    enters[rows, groups] = True
+
+    z = sc.cos / tau
+    z -= np.maximum.reduceat(z, lay.starts, axis=1)[:, group]
+    picked = z[rows, cols]
+    np.exp(z, out=z)
+    sez = np.add.reduceat(z, lay.starts, axis=1)
+    sums = np.bincount(groups, weights=np.log(sez[rows, groups]) - picked, minlength=n_groups)
+    used = counts > 0
+    value = float(np.sum(sums[used] / counts[used])) / n_groups
+    z /= sez[:, group]
+    z[rows, cols] -= 1.0
+    z /= tau * np.maximum(counts, 1)[group]
+    z *= enters[:, group]
+    grad_w, grad_b = _backward(z, sc)
+    return LossValue(
+        value, grad_w / n_groups, grad_b / n_groups, int(enters.any(axis=1).sum())
+    )
+
+
 # ---------------------------------------------------------------- trainer
 
 def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
@@ -436,6 +473,21 @@ def hca(
                 break
             below = node
     return float(ok.mean())
+
+
+def dense_hca_right(tree: TaxonomyTree, labels: np.ndarray, scores: np.ndarray, ok: np.ndarray) -> int:
+    """How many rows of a layout-column score block are right at the leaf
+    (``ok``) and at every branching node on their root path, from every
+    internal node's decision over every row."""
+    lay = tree.layout
+    internal = np.asarray(tree.internal_nodes, dtype=np.int64)
+    group = np.repeat(np.arange(len(lay.sizes)), lay.sizes)  # of each column
+    top = np.maximum.reduceat(scores, lay.starts, axis=1)
+    first = np.where(scores == top[:, group], np.arange(len(lay.nodes)), len(lay.nodes))
+    decided = lay.nodes[np.minimum.reduceat(first, lay.starts, axis=1)]
+    scored = lay.on_path(labels[:, None], internal) & (lay.sizes >= 2)
+    wrong = scored & ~lay.on_path(labels[:, None], decided)
+    return int((ok & ~wrong.any(axis=1)).sum())
 
 
 def mta(

@@ -380,6 +380,27 @@ def test_diverging_train_is_a_train_error(synth_dir, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_whose_loss_climbs_warns(synth_dir, tmp_path):
+    # Too large a rate for overflow to stop it: the run finishes and writes
+    # its outputs, but its final map scores worse on step 0's batch and cut
+    # than the identity did, which one stderr line and the log say.
+    def train_at(lr: str, out: str) -> tuple[str, str]:
+        rc, _, err = run_cli(
+            "train", *data_args(synth_dir), "--out", str(tmp_path / out),
+            "--epochs", "20", "--batch-size", "8", "--lr", lr,
+        )
+        assert rc == 0
+        return err, (tmp_path / out / "train_log.tsv").read_text(encoding="utf-8")
+
+    err, log = train_at("1e8", "climbs")
+    assert re.fullmatch(r"W:train:final params score loss \S+ on step 0's batch and cut, "
+                        r"above step 0's \S+: training may have diverged\n", err)
+    assert log.splitlines()[2] == "# warning " + err[len("W:train:"):-1]
+    err, log = train_at("0.02", "settles")
+    assert err == ""
+    assert "# warning" not in log
+
+
 def test_overflowing_features_are_invalid_for_train_and_eval(synth_dir, tmp_path):
     # Finite features whose row norms overflow are a fault in the samples:
     # train says so as eval does, instead of blaming the run.

@@ -43,6 +43,7 @@ from hiertune import (
     evaluate,
     hca,
     leaf_accuracy,
+    load_tree,
     mta,
     node_centric_loss,
     predict,
@@ -52,7 +53,7 @@ from hiertune import (
     total_loss,
     treecut_loss,
 )
-from hiertune import fileio, metrics
+from hiertune import fileio, metrics, objectives
 from hiertune.taxonomy import _split_lines
 from hiertune.trainer import k_shot_indices
 
@@ -146,6 +147,54 @@ def test_metrics_match_reference(problem, block):
         report = evaluate(tree, params, table, data, betas, 2, seed=5)
         assert (report.leaf_acc, report.hca, report.mta) == (old_leaf, old_hca, old_mta[0])
         assert report.cuts == tuple(r for group in old_mta[1] for r in group)
+
+
+def star_problem(n_leaves: int, per_leaf: int):
+    """A root with ``n_leaves`` leaf children, and ``per_leaf`` samples each:
+    one group wider than numpy's 8-wide blocks of pairwise summation."""
+    tree = load_tree("r\t-\n" + "".join(f"c{i}\tr\n" for i in range(n_leaves)))
+    table = random_table(tree, 4, seed=n_leaves)
+    batch = noisy_samples(tree, table, per_leaf, sigma=0.6, seed=per_leaf)
+    return tree, table, random_params(4, tau=0.1, seed=n_leaves), batch
+
+
+@given(problems(), st.integers(1, 5), st.data())
+@example((*star_problem(20, 3), None), 7, None)
+def test_path_pairs_match_dense_forms_bit_for_bit(problem, block, data):
+    # The node-centric loss and hca, reduced over each sample's root-path
+    # groups only, against the dense forms that reduce over every group:
+    # the same floats, not close ones, and the same hca count.
+    tree, table, params, batch, _ = problem
+    if data is not None:  # samples in any order, not grouped by leaf
+        batch = batch.take(data.draw(st.permutations(range(len(batch)))))
+    nodes, leaves = tree.layout.nodes, batch.leaf_labels
+    new = objectives._node_centric(
+        tree, objectives._score(params, table, nodes, batch.features), leaves, params.tau
+    )
+    old = oracle.dense_node_centric(
+        tree, objectives._score(params, table, nodes, batch.features), leaves, params.tau
+    )
+    assert np.array_equal(new.value, old.value)
+    assert np.array_equal(new.grad_weight, old.grad_weight)
+    assert np.array_equal(new.grad_bias, old.grad_bias)
+    assert new.n_contributing == old.n_contributing == len(batch)
+    with mock.patch.object(metrics, "EVAL_BLOCK", block):
+        dense_right = 0
+        for labels, scores in score_blocks(tree, params, table, batch):
+            ok = predict(tree, scores, np.asarray(tree.leaf_nodes)) == labels
+            dense_right += oracle.dense_hca_right(tree, labels, scores, ok)
+        assert hca(tree, params, table, batch) == dense_right / len(batch)
+
+
+def test_one_leaf_chain_has_no_node_term():
+    tree = load_tree("r\t-\na\tr\nb\ta\n")
+    table = random_table(tree, 3, seed=1)
+    batch = noisy_samples(tree, table, 4, sigma=0.6, seed=1)
+    params = random_params(3, tau=0.5, seed=1)
+    ncl = node_centric_loss(tree, params, table, batch)
+    assert (ncl.value, ncl.n_contributing) == (0.0, 0)
+    assert not ncl.grad_weight.any() and not ncl.grad_bias.any()
+    assert hca(tree, params, table, batch) == leaf_accuracy(tree, params, table, batch) == 1.0
 
 
 def outcome(check, tree, members):

@@ -448,3 +448,8 @@ def test_write_train_log_layout():
         "0\t0.02\t4\t0.5\t0.25\t0.625\n"
         "1\t0.01\t2\t0.4\t0.2\t0.5\n"
     )
+    warned = write_train_log(TrainLog(log.records, log.params_digest, log.seed, "loss rose"))
+    assert warned.splitlines()[:4] == [
+        "# seed 7", "# params_digest abc123", "# warning loss rose",
+        "# iteration\tlr\tcut_size\tdtl\tncl\ttotal",
+    ]

@@ -1,6 +1,7 @@
 """Leaf accuracy, path-consistent accuracy, treecut-averaged accuracy."""
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from helpers import (
     random_table,
     random_tree,
     samples_at_leaves,
+    wide_deep_document,
 )
 
 THIRD = 0.3333333333333333
@@ -211,3 +213,28 @@ def test_metrics_input_validation():
         mta(tree, ident, table, data, betas=(), cuts_per_beta=1, seed=0)
     with pytest.raises(ValueError, match="cuts_per_beta"):
         mta(tree, ident, table, data, betas=(0.5,), cuts_per_beta=0, seed=0)
+
+
+def test_eval_on_a_twenty_thousand_node_tree_stays_small():
+    # hca decides only at each sample's root-path groups, and score blocks
+    # shrink to fit EVAL_BYTES on a tree this wide (16 rows, not 256), so
+    # eval holds no samples x columns temporaries beyond one block's scores.
+    tree = load_tree(wide_deep_document(Rng64(20_000)))
+    table = random_table(tree, 16, seed=3)
+    rng = Rng64(4)
+    leaves = np.asarray([tree.leaf_nodes[rng.next_below(len(tree.leaf_nodes))] for _ in range(384)])
+    noise = np.random.Generator(np.random.PCG64(5)).standard_normal((len(leaves), 16))
+    data = SampleSet(
+        ids=tuple(map(str, range(len(leaves)))),
+        leaf_labels=leaves,
+        features=table.vectors[leaves] + 0.5 * noise,
+    )
+    params = PromptParams.identity(16, 0.07)
+    tracemalloc.start()
+    try:
+        report = evaluate(tree, params, table, data, (0.5,), cuts_per_beta=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= report.hca <= report.leaf_acc <= 1.0
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -220,7 +220,8 @@ def test_overflowing_step_aborts(monkeypatch, base_lr, iteration):
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_each_step_checks_its_cut_once(monkeypatch, lam):
     # The sampler builds its cuts unchecked; total_loss checks each one,
-    # the trainer's included, once.
+    # the trainer's included, once. The final map's score on step 0's cut
+    # checks that cut once more.
     from hiertune.taxonomy import TaxonomyTree
 
     checks = []
@@ -234,4 +235,5 @@ def test_each_step_checks_its_cut_once(monkeypatch, lam):
     tree, table, data = demo_task(per_leaf=4)
     config = TrainConfig(epochs=2, batch_size=8, lam=lam, beta=0.5, seed=1)
     _, log = train(config, tree, table, data)
-    assert len(checks) == len(log.records)
+    assert len(checks) == len(log.records) + 1
+    assert checks[-1] == checks[0]

@@ -23,7 +23,7 @@ from hiertune import (
 from hiertune import treecut
 from hiertune.treecut import DISTINCT_DRAW_FACTOR, ENUMERATE_LIMIT
 
-from helpers import demo_tree, names_of, random_tree, under_single_child_root
+from helpers import demo_tree, names_of, random_tree, under_single_child_root, wide_deep_document
 
 
 def demo_bundle():
@@ -309,8 +309,7 @@ def test_pipeline_image_matches_enumeration_small():
 def test_twenty_thousand_node_tree_fits_in_memory():
     # Ancestry is O(n): a dense n x n relation alone would hold 400 MB here.
     rng = Rng64(20_000)
-    lines = ["v0\t-"] + [f"v{v}\tv{v - 1 - rng.next_below(min(v, 50))}" for v in range(1, 20_000)]
-    document = "\n".join(lines) + "\n"
+    document = wide_deep_document(rng)
     tracemalloc.start()
     try:
         tree = load_tree(document)
