@@ -5,6 +5,9 @@ Every failure surfaces as one machine-parsable stderr line
 invalid), ``format`` (embedding/sample/params file invalid), ``io`` (file
 system), ``train`` (run aborted), ``invalid`` (bad flag value or
 inconsistent inputs).
+
+Every input file is opened by ``_load``; a byte that is not UTF-8 is a
+``tree`` error in the tree and a ``format`` error in any other file.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import BinaryIO, TypeVar
+from typing import TypeVar
 
 from .fileio import (
     FormatError,
@@ -29,40 +32,24 @@ from .fileio import (
 from .metrics import evaluate
 from .rng import Rng64
 from .synth import gen_synth
-from .taxonomy import TaxonomyTree, TreeFormatError, load_tree
+from .taxonomy import TreeFormatError, load_tree
 from .trainer import TrainConfig, train
 from .treecut import build_matrices, sample_distinct
 
 _T = TypeVar("_T")
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[ValueError]) -> ValueError:
-    return error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-
-
-def _read(path: str, error: type[ValueError] = FormatError) -> str:
-    """The file's text; bytes that are not UTF-8 raise ``error``.
-
-    Only tree and params files, both small, are read whole; sample files and
-    embedding tables are streamed by ``_load``.
-    """
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, error) from None
-
-
-def _load(loader: Callable[[BinaryIO, TaxonomyTree], _T], path: str, tree: TaxonomyTree) -> _T:
-    """``loader``'s result on the file at ``path``, read a line at a time.
-
-    A byte that is not UTF-8 raises FormatError naming its offset in the
-    file, unless a fault on an earlier line was reported first.
-    """
+def _load(
+    path: str, loader: Callable[..., _T], *args, error: type[ValueError] = FormatError
+) -> _T:
+    """``loader``'s result on the file at ``path``, read and checked a line at
+    a time: a byte that is not UTF-8 raises ``error`` naming its offset in
+    the file, unless a fault on an earlier line was reported first."""
     with open(path, "rb") as file:
         try:
-            return loader(file, tree)
+            return loader(file, *args)
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc, FormatError) from None
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write_outputs(path: str, texts: dict[str, str]) -> Path:
@@ -99,7 +86,7 @@ def _parse_betas(text: str) -> tuple[float, ...]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree, TreeFormatError))
+    tree = _load(args.tree, load_tree, error=TreeFormatError)
     print(
         f"{tree.n_nodes} nodes, {len(tree.leaf_nodes)} leaves, "
         f"{len(tree.internal_nodes)} internal"
@@ -108,7 +95,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_cuts(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree, TreeFormatError))
+    tree = _load(args.tree, load_tree, error=TreeFormatError)
     bundle = build_matrices(tree)
     cuts = sample_distinct(tree, bundle, args.beta, args.count, Rng64(args.seed))
     print(f"# beta={format_float(args.beta)} seed={args.seed}")
@@ -120,9 +107,9 @@ def cmd_sample_cuts(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree, TreeFormatError))
-    table = _load(load_embeddings, args.emb, tree)
-    samples = _load(load_samples, args.samples, tree)
+    tree = _load(args.tree, load_tree, error=TreeFormatError)
+    table = _load(args.emb, load_embeddings, tree)
+    samples = _load(args.samples, load_samples, tree)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -151,10 +138,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    tree = load_tree(_read(args.tree, TreeFormatError))
-    table = _load(load_embeddings, args.emb, tree)
-    samples = _load(load_samples, args.samples, tree)
-    params = load_params(_read(args.params))
+    tree = _load(args.tree, load_tree, error=TreeFormatError)
+    table = _load(args.emb, load_embeddings, tree)
+    samples = _load(args.samples, load_samples, tree)
+    params = _load(args.params, load_params)
     report = evaluate(
         tree, params, table, samples, _parse_betas(args.betas), args.T, args.seed
     )

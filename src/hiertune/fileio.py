@@ -6,16 +6,15 @@ binary64 value, so write-load-write is a fixpoint and equal values always
 produce equal bytes. Loaders validate eagerly and raise FormatError with
 the offending line number.
 
-``load_samples`` and ``load_embeddings`` take the document's text or a
-binary file open for reading. A file is read, decoded and checked one line
-at a time, straight into a matrix that grows only as validated rows
-arrive, so a load holds about the matrix plus one line, peaking near twice
-the matrix while its blocks are joined. The exception is a file broken
-only by bare ``\r``: it is one ``\n``-terminated chunk, so it is held
-whole while it is split. A byte that is not UTF-8 raises
-UnicodeDecodeError with its offset from the start of the file, once every
-line before it has been checked: a fault on an earlier line is the one
-reported.
+Every loader takes the document's text or a binary file open for reading.
+A file is read in blocks and checked one line at a time by the line reader
+``taxonomy.load_tree`` also uses, whatever its line breaks; samples and
+embeddings go straight into a matrix that grows only as validated rows
+arrive, so a load holds about the matrix plus one block, peaking near
+twice the matrix while its blocks are joined. A byte that is not UTF-8
+raises UnicodeDecodeError with its offset from the start of the file, once
+every line before it has been checked: a fault on an earlier line is the
+one reported.
 
 Rows of numbers are parsed one row at a time by orjson: the row's values,
 TABs turned to commas, are read as one JSON array and written straight
@@ -40,7 +39,7 @@ import orjson
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet
 from .metrics import MetricsReport
-from .taxonomy import TaxonomyTree, _split_lines
+from .taxonomy import TaxonomyTree, _lines, _records
 from .trainer import TrainLog
 
 
@@ -182,43 +181,7 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
-    """Each line of ``source`` with its number, split where ``_split_lines`` splits.
-
-    ``source`` is a document's text or a binary file open for reading. A
-    file is read one ``\\n``-terminated chunk at a time and decoded as
-    UTF-8; a chunk holds bare ``\\r`` breaks only in a file that uses them.
-    A byte that is not UTF-8 raises UnicodeDecodeError, with ``start`` and
-    ``end`` counted from the start of the file, after every line that ends
-    before it has been yielded.
-    """
-    if isinstance(source, str):
-        yield from enumerate(_split_lines(source), start=1)
-        return
-    lineno = offset = 0
-    for chunk in source:
-        try:
-            text, bad = chunk.decode(), None
-        except UnicodeDecodeError as exc:
-            text, bad = chunk[: exc.start].decode(), exc
-        # The last piece follows the chunk's last break: empty, the end of a
-        # file without a final break, or cut short by a bad byte.
-        *lines, last = _split_lines(text)
-        if last and bad is None:
-            lines.append(last)
-        for line in lines:
-            lineno += 1
-            yield lineno, line
-        if bad is not None:
-            raise UnicodeDecodeError(
-                bad.encoding, chunk, offset + bad.start, offset + bad.end, bad.reason
-            )
-        offset += len(chunk)
-
-
-def _split_dim_doc(
-    source: str | BinaryIO, what: str
-) -> tuple[int, Iterator[tuple[int, str]]]:
+def _split_dim_doc(source: str | BinaryIO, what: str) -> tuple[int, Iterator[tuple[int, str]]]:
     """Parse the mandatory `#dim <d>` first line; return dim and the data lines.
 
     The data lines, blank and comment lines skipped, are read as they are
@@ -231,10 +194,7 @@ def _split_dim_doc(
     parts = first.split()
     if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
         raise FormatError(f"{what}: malformed dimension header {first!r}")
-    rows = (
-        (i, ln) for i, ln in lines if ln.strip() and not ln.lstrip().startswith("#")
-    )
-    return int(parts[1]), rows
+    return int(parts[1]), _records(lines)
 
 
 # ---------------------------------------------------------------- trees
@@ -341,47 +301,40 @@ def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
 
 # --------------------------------------------------------------- params
 
-def load_params(text: str) -> PromptParams:
-    rows = [
-        (i, ln)
-        for i, ln in enumerate(_split_lines(text), start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+def load_params(source: str | BinaryIO) -> PromptParams:
+    """The params in ``source``, a document's text or a binary file open for reading."""
+    rows = _records(_lines(source))
 
-    def take(expected: str) -> tuple[int, str, int]:
-        """The next record's line number, text after its tag, and field count."""
-        if not rows:
+    def take(expected: str, fields: int, fault: str) -> tuple[str, int]:
+        """The next record's text after its tag, and its line number. The
+        record must be an ``expected`` one with ``fields`` fields after the
+        tag; a wrong count raises ``fault``."""
+        lineno, line = next(rows, (0, None))
+        if line is None:
             raise FormatError(f"params file: missing {expected!r} record")
-        lineno, line = rows.pop(0)
         tag, _, rest = line.partition("\t")
         if tag != expected:
-            raise FormatError(
-                f"params file line {lineno}: expected {expected!r}, got {tag!r}"
-            )
-        return lineno, rest, line.count("\t")
+            raise FormatError(f"params file line {lineno}: expected {expected!r}, got {tag!r}")
+        if line.count("\t") != fields:
+            raise FormatError(f"params file line {lineno}: {fault}")
+        return rest, lineno
 
-    lineno, rest, n = take("dim")
-    if n != 1 or not _is_count(rest) or int(rest) < 1:
+    rest, lineno = take("dim", 1, "bad dimension")
+    if not _is_count(rest) or int(rest) < 1:
         raise FormatError(f"params file line {lineno}: bad dimension")
     dim = int(rest)
-    lineno, rest, n = take("tau")
-    if n != 1:
-        raise FormatError(f"params file line {lineno}: bad tau record")
     tau = np.empty(1)
-    _parse_row(tau, rest, lineno, "params file")
+    _parse_row(tau, *take("tau", 1, "bad tau record"), "params file")
     weight = _RowBlocks(dim)
     for _ in range(dim):
-        lineno, rest, n = take("A")
-        if n != dim:
-            raise FormatError(f"params file line {lineno}: expected {dim} values")
-        _parse_row(weight.new_row(), rest, lineno, "params file")
-    lineno, rest, n = take("c")
-    if n != dim:
-        raise FormatError(f"params file line {lineno}: expected {dim} values")
+        row = take("A", dim, f"expected {dim} values")  # checked before it is allocated
+        _parse_row(weight.new_row(), *row, "params file")
+    row = take("c", dim, f"expected {dim} values")
     bias = np.empty(dim)
-    _parse_row(bias, rest, lineno, "params file")
-    if rows:
-        raise FormatError(f"params file line {rows[0][0]}: unexpected trailing record")
+    _parse_row(bias, *row, "params file")
+    extra = next(rows, None)
+    if extra:
+        raise FormatError(f"params file line {extra[0]}: unexpected trailing record")
     try:
         return PromptParams(weight=weight.matrix(), bias=bias, tau=float(tau[0]))
     except ValueError as exc:

@@ -41,26 +41,22 @@ def _plan_tree(leaves: int, depth: int) -> str:
 
     Uses the smallest branching factor whose full tree holds all leaves,
     splitting the leaf range by subtree capacity; a range of one attaches
-    its leaf directly instead of growing a chain of single children.
+    its leaf directly instead of growing a chain of single children. Nodes
+    are numbered in preorder, from an explicit stack, so no shape is too
+    deep to plan.
     """
     b = _branching(leaves, depth)
-    names = ["n0"]
-    parent_names = ["-"]
-
-    def grow(parent: int, count: int, levels_left: int) -> None:
-        capacity = b ** (levels_left - 1)
-        offset = 0
-        while offset < count:
-            size = min(capacity, count - offset)
-            idx = len(names)
-            names.append(f"n{idx}")
-            parent_names.append(names[parent])
-            if size > 1:
-                grow(idx, size, levels_left - 1)
-            offset += size
-
-    grow(0, leaves, depth)
-    return "".join(f"{n}\t{p}\n" for n, p in zip(names, parent_names))
+    lines = ["n0\t-\n"]
+    stack = [(0, leaves, depth)]  # a parent, the leaves left to place under it, its levels
+    while stack:
+        parent, count, levels = stack.pop()
+        size = min(b ** (levels - 1), count)
+        if count > size:
+            stack.append((parent, count - size, levels))
+        lines.append(f"n{len(lines)}\tn{parent}\n")
+        if size > 1:  # its subtree is laid out before its next sibling
+            stack.append((len(lines) - 1, size, levels - 1))
+    return "".join(lines)
 
 
 # Per-level shrink of the private component a node adds on top of its

@@ -1,15 +1,21 @@
-"""Rooted class-hierarchy trees and the label sets drawn from them.
+"""Rooted class-hierarchy trees, the label sets drawn from them, and lines.
 
 A taxonomy tree organizes dataset classes (the leaves) under superclass
 nodes. A classification decision always happens against a *label set*: the
 full leaf set, the children of one node (one group of the column layout),
 or the leaf fringe of a pruned subtree (a treecut). Trees are immutable
 after load; every derived structure holds read-only references.
+
+Every input document, the tree here and each file ``fileio`` loads, is
+split into numbered lines by ``_lines`` and rid of blank and comment lines
+by ``_records``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import BinaryIO
 
 import numpy as np
 
@@ -26,6 +32,61 @@ def _split_lines(text: str) -> list[str]:
     ends in a break gives a last, empty line, which every reader skips.
     """
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+# Bytes per read of a binary source; a longer line is carried over in pieces.
+_READ_BYTES = 1 << 16
+
+
+def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
+    """Each line of ``source`` with its number, split where ``_split_lines`` splits.
+
+    ``source`` is a document's text or a binary file open for reading. A
+    file is read in blocks, each cut after its last break but a final
+    ``\\r``, which may be half of ``\\r\\n``; the rest waits, in pieces,
+    for a later break. Only whole lines are decoded, and breaks are ASCII,
+    so no UTF-8 sequence is cut. A byte that is not UTF-8 raises
+    UnicodeDecodeError, with ``start`` and ``end`` counted from the start of
+    the file, after every line that ends before it has been yielded.
+    """
+    if isinstance(source, str):
+        yield from enumerate(_split_lines(source), start=1)
+        return
+    lineno = offset = 0  # lines yielded; file offset of the unfinished line
+    pieces: list[bytes] = []
+    while True:
+        block = source.read(_READ_BYTES)
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if block and not cut:
+            pieces.append(block)
+            continue
+        pieces.append(block[:cut])
+        data = b"".join(pieces)
+        pieces = [block[cut:]]
+        try:
+            text, bad = data.decode(), None
+        except UnicodeDecodeError as exc:
+            text, bad = data[: exc.start].decode(), exc
+        # The last piece follows the data's last break: empty, the end of a
+        # file without a final break, or cut short by a bad byte.
+        *lines, last = _split_lines(text)
+        if last and bad is None:
+            lines.append(last)
+        for line in lines:
+            lineno += 1
+            yield lineno, line
+        if bad is not None:
+            raise UnicodeDecodeError(
+                bad.encoding, data, offset + bad.start, offset + bad.end, bad.reason
+            )
+        if not block:
+            return
+        offset += len(data)
+
+
+def _records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:
+    """The numbered lines that hold a record: neither blank nor a ``#`` comment."""
+    return ((i, ln) for i, ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
 
 
 @dataclass(frozen=True)
@@ -228,8 +289,8 @@ class TaxonomyTree:
         return LabelSet(tuple(unique.tolist()))
 
 
-def load_tree(document: str) -> TaxonomyTree:
-    """Parse and validate a tree document.
+def load_tree(source: str | BinaryIO) -> TaxonomyTree:
+    """Parse and validate a tree document: its text or a binary file open for reading.
 
     Format: one record per line, ``name<TAB>parent-name``; the root uses
     ``-`` as its parent; lines starting with ``#`` and blank lines are
@@ -241,9 +302,7 @@ def load_tree(document: str) -> TaxonomyTree:
     index: dict[str, int] = {}
     root_seen = False
 
-    for lineno, line in enumerate(_split_lines(document), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _records(_lines(source)):
         fields = line.split("\t")
         if len(fields) != 2:
             raise TreeFormatError(f"line {lineno}: expected 'name<TAB>parent', got {line!r}")

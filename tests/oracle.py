@@ -18,8 +18,10 @@ kept as they were before the library scored every vocabulary as columns
 of one matrix. The node-centric loss and the hca decisions are also kept
 in their dense score-matrix form, as they were before both reduced over
 each sample's root-path groups alone: a softmax and an argmax over every
-group for every sample, masked afterwards. Nothing in the package imports
-this module.
+group for every sample, masked afterwards. The synthetic tree planner is
+kept in its recursive form, one call per level, as it was before an
+explicit stack let it plan a tree of any depth. Nothing in the package
+imports this module.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue, _backward
 from hiertune.rng import Rng64, derive_seed
+from hiertune.synth import _branching
 from hiertune.taxonomy import LabelSet, TaxonomyTree
 
 
@@ -439,6 +442,30 @@ def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
             keep.append(i)
             counts[int(leaf)] = seen + 1
     return np.asarray(keep, dtype=np.int64)
+
+
+# ------------------------------------------------------------------ synth
+
+def plan_tree(leaves: int, depth: int) -> str:
+    """The balanced tree document, laid out by one recursive call per level."""
+    b = _branching(leaves, depth)
+    names = ["n0"]
+    parent_names = ["-"]
+
+    def grow(parent: int, count: int, levels_left: int) -> None:
+        capacity = b ** (levels_left - 1)
+        offset = 0
+        while offset < count:
+            size = min(capacity, count - offset)
+            idx = len(names)
+            names.append(f"n{idx}")
+            parent_names.append(names[parent])
+            if size > 1:
+                grow(idx, size, levels_left - 1)
+            offset += size
+
+    grow(0, leaves, depth)
+    return "".join(f"{n}\t{p}\n" for n, p in zip(names, parent_names))
 
 
 # ---------------------------------------------------------------- metrics

@@ -80,8 +80,20 @@ def test_non_utf8_input_is_a_tree_or_format_error(synth_dir, tmp_path):
     rc, _, err = run_cli("validate", "--tree", str(bad))
     assert rc == 1
     assert err.startswith("E:tree:") and "UTF-8" in err
-    # Sample files and embedding tables are read a line at a time, so a
-    # fault on a line before the bad byte is the one reported.
+    assert err == f"E:tree:{bad}: not UTF-8 text (invalid start byte at byte 10)\n"
+    # Every input is read a line at a time, so a fault on a line before the
+    # bad byte is the one reported.
+    bad.write_bytes(b"n0\t-\nn1\n\xff\n")
+    rc, _, err = run_cli("validate", "--tree", str(bad))
+    assert (rc, err) == (1, "E:tree:line 2: expected 'name<TAB>parent', got 'n1'\n")
+    params = [*data_args(synth_dir), "--params", str(bad), "--out", str(tmp_path / "eval")]
+    for doc, message in (
+        (b"dim\t8\xff\n", f"{bad}: not UTF-8 text (invalid start byte at byte 5)"),
+        (b"dim\t8\ntau\n\xff\n", "params file line 2: bad tau record"),
+    ):
+        bad.write_bytes(doc)
+        rc, _, err = run_cli("eval", *params)
+        assert (rc, err) == (1, f"E:format:{message}\n")
     for flag, what in (("--samples", "sample file"), ("--emb", "embedding table")):
         args = data_args(synth_dir)
         args[args.index(flag) + 1] = str(bad)
@@ -245,6 +257,17 @@ def test_gen_synth_writes_reproducible_fixture(tmp_path):
         first = (tmp_path / "one" / name).read_bytes()
         second = (tmp_path / "two" / name).read_bytes()
         assert first == second
+
+
+def test_deep_gen_synth_shape_is_an_invalid_dim(tmp_path):
+    # A 3,000-level chain is planned without recursion, so the too-small
+    # dim is what is reported, not a RecursionError read as a train fault.
+    rc, _, err = run_cli(
+        "gen-synth", "--out", str(tmp_path / "deep"),
+        "--leaves", "2", "--depth", "3000", "--dim", "8",
+    )
+    assert (rc, err) == (1, "E:invalid:dim must be at least 3001 (one axis per non-root node)\n")
+    assert not (tmp_path / "deep").exists()
 
 
 def test_train_writes_params_and_log(synth_dir, tmp_path):

@@ -10,8 +10,11 @@ cuts, and the per-sample k-shot count the same selection.
 Its per-token file loaders must agree with the row-at-a-time ones on
 written documents with bad tokens, wrong field counts, bad records and
 comments holding odd line breaks spliced in, under each of the three line
-endings: the same arrays, byte for byte, or the same error; and so must
-they on any one number token made of digits, ``.``, ``e``, ``E``, ``+``
+endings: the same arrays, byte for byte, or the same error. Every loader,
+the tree's too, must also give that from a binary file whose reads return
+at most a few bytes, or 64 KiB, and must report a bad byte at its offset
+in the file unless an earlier line is at fault. So must the loaders agree
+on any one number token made of digits, ``.``, ``e``, ``E``, ``+``
 and ``-``, whose value must be float()'s. Its
 one-float.__repr__-per-value row writer must give the same bytes as the
 block-at-a-time orjson one, on every kind of float.
@@ -54,7 +57,7 @@ from hiertune import (
     treecut_loss,
 )
 from hiertune import fileio, metrics, objectives
-from hiertune.taxonomy import _split_lines
+from hiertune.taxonomy import TreeFormatError, _split_lines
 from hiertune.trainer import k_shot_indices
 
 from helpers import (
@@ -296,6 +299,8 @@ def loaded(loader, *args):
         return type(exc), exc.reason, exc.start, exc.end
     except Exception as exc:  # the error itself is what is compared
         return type(exc), str(exc)
+    if isinstance(result, TaxonomyTree):
+        return result.names, result.parents
     if isinstance(result, EmbeddingTable):
         return result.dim, result.vectors.tobytes()
     if hasattr(result, "features"):
@@ -306,10 +311,11 @@ def loaded(loader, *args):
 
 def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
     """Splice one defect into a data line of a written document."""
-    first = 0 if kind == "params" else 1
+    first = 0 if kind in ("params", "tree") else 1
     i = draw(st.integers(first, len(lines) - 1))
     fields = lines[i].split("\t")
-    values = 2 if kind == "samples" else 1  # fields before the first number
+    # Fields before the first number; a tree's name and parent both take defects.
+    values = {"samples": 2, "tree": 0}.get(kind, 1)
     defect = draw(st.sampled_from(
         ("token", "token", "add", "remove", "duplicate", "zero", "unknown", "comment")
     ))
@@ -318,7 +324,7 @@ def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
         return
     if defect == "token" and len(fields) > values:
         for j in draw(st.lists(st.integers(values, len(fields) - 1), min_size=1, max_size=3)):
-            fields[j] = draw(st.sampled_from(BAD_TOKENS))
+            fields[j] = draw(st.sampled_from((*BAD_TOKENS, "-", "\u540d")))
     elif defect == "add":
         fields.append(draw(st.sampled_from(("0.5", *BAD_TOKENS))))
     elif defect == "remove" and len(fields) > 1:
@@ -328,19 +334,33 @@ def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
     elif defect == "zero":
         fields[values:] = ["0.0" if k % 2 else "-0.0" for k in range(len(fields) - values)]
     elif defect == "unknown":
-        column = 1 if kind == "samples" else 0
+        column = 1 if kind in ("samples", "tree") else 0
         fields[column] = draw(st.sampled_from(("ghost", tree.names[tree.root])))
     lines[i] = "\t".join(fields)
 
 
+class Trickle(io.BytesIO):
+    """A binary file whose every read returns at most ``k`` bytes."""
+
+    def __init__(self, data: bytes, k: int) -> None:
+        super().__init__(data)
+        self.k = k
+
+    def read(self, n: int | None = -1) -> bytes:
+        return super().read(self.k if n is None or n < 0 else min(n, self.k))
+
+
 @settings(max_examples=300)  # cheap examples; many defect combinations
-@given(st.integers(0, 2**32 - 1), st.sampled_from(("embeddings", "samples", "params")),
-       st.data())
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(("tree", "embeddings", "samples", "params")), st.data())
 def test_loaders_match_reference(seed, kind, data):
     tree = random_tree(Rng64(seed), max_internal=4, max_nodes=10)
     dim = data.draw(st.integers(1, 4))
     table = random_table(tree, dim, seed=seed)
-    if kind == "embeddings":
+    if kind == "tree":  # its reference is its own load of the whole text
+        text = fileio.write_tree(tree)
+        new = old = load_tree
+    elif kind == "embeddings":
         text = fileio.write_embeddings(table, tree)
         new, old = fileio.load_embeddings, oracle.load_embeddings
     elif kind == "samples":
@@ -355,14 +375,19 @@ def test_loaders_match_reference(seed, kind, data):
     breaks = st.sampled_from(("\n", "\r\n", "\r"))
     text = "".join(line + data.draw(breaks) for line in lines[:-1])
     text += lines[-1] + data.draw(st.sampled_from(("", "\n", "\r\n", "\r")))
-    args = (text,) if kind == "params" else (text, tree)
+    args = (text,) if kind in ("tree", "params") else (text, tree)
     expected = loaded(old, *args)
     assert loaded(new, *args) == expected
-    if kind == "params":
-        return
-    # Read from a binary file a line at a time, the document loads the same.
+    # Read from a binary file whose reads return at most k bytes, so block
+    # edges fall inside \r\n pairs, UTF-8 sequences and lines, the
+    # document loads the same.
+    k = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 65_536)))
+
+    def from_bytes(doc: bytes):
+        return loaded(new, Trickle(doc, k), *args[1:])
+
     doc = text.encode()
-    assert loaded(new, io.BytesIO(doc), tree) == expected
+    assert from_bytes(doc) == expected
     # A bad byte is reported at its offset in the file, as decoding the
     # whole file reports it, unless a line before its own is at fault.
     at = len(text[: data.draw(st.integers(0, len(text)))].encode())
@@ -371,16 +396,16 @@ def test_loaders_match_reference(seed, kind, data):
         bad.decode()
     bad_line = len(_split_lines(bad[: whole.value.start].decode()))
     if fault_line(expected) < bad_line:
-        assert loaded(new, io.BytesIO(bad), tree) == expected
+        assert from_bytes(bad) == expected
     else:
-        assert loaded(new, io.BytesIO(bad), tree) == loaded(bad.decode)
+        assert from_bytes(bad) == loaded(bad.decode)
 
 
 def fault_line(result) -> float:
     """The line a loader's error names: 1 for the header, inf for none."""
-    if result[0] is not fileio.FormatError:
+    if result[0] not in (fileio.FormatError, TreeFormatError):
         return math.inf
-    named = re.search(r" line (\d+):", result[1])
+    named = re.match(r"(?:[a-z ]+ )?line (\d+):", result[1])
     if named:
         return int(named.group(1))
     return 1 if "first line" in result[1] or "dimension header" in result[1] else math.inf

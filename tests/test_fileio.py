@@ -219,9 +219,10 @@ def test_overstated_dimension_is_a_format_error():
 
 
 def test_loading_a_file_holds_about_the_matrix(tmp_path):
-    # A file is read a line at a time into blocks joined once at the end,
+    # A file is read a block at a time into rows joined once at the end,
     # so the load's peak is about twice the features, not the document's
-    # bytes, text and line list on top of them.
+    # bytes, text and line list on top of them, whatever its line breaks:
+    # a file broken only by bare \r is read in blocks too.
     tree = demo_tree()
     rng = np.random.default_rng(7)
     n, dim = 2500, 128
@@ -231,17 +232,19 @@ def test_loading_a_file_holds_about_the_matrix(tmp_path):
         features=rng.standard_normal((n, dim)),
     )
     path = tmp_path / "samples.tsv"
-    path.write_text(write_samples(data, tree, dim), encoding="utf-8")
-    assert path.stat().st_size > 5 * 2**20
-    tracemalloc.start()
-    try:
-        with open(path, "rb") as file:
-            loaded = load_samples(file, tree)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(loaded.features, data.features)
-    assert peak <= 2.5 * loaded.features.nbytes + 2**20
+    text = write_samples(data, tree, dim)
+    for document in (text, text.replace("\n", "\r")):
+        path.write_text(document, encoding="utf-8", newline="")
+        assert path.stat().st_size > 5 * 2**20
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as file:
+                loaded = load_samples(file, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.features, data.features)
+        assert peak <= 2.5 * loaded.features.nbytes + 2**20
 
 
 def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):

@@ -93,3 +93,21 @@ def test_public_callables_are_called_in_the_package():
         if name not in used
     }
     assert uncalled == set(UNCALLED_ALLOWED)
+
+
+def called_names(tree: ast.Module) -> set[str]:
+    """The name or attribute each call in a module is made through."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_cli_opens_files_and_no_module_splits_lines_itself():
+    # Every input is opened by cli and split into lines by taxonomy's one
+    # reader, so all of them break lines and report bad bytes alike.
+    for path in sorted((ROOT / "src" / "hiertune").glob("*.py")):
+        called = called_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert "open" not in called or path.name == "cli.py", f"{path.name} calls open"
+        assert not called & {"read_text", "splitlines"}, f"{path.name} reads or splits text"

@@ -10,6 +10,8 @@ from hiertune import PromptParams, gen_synth, hca, leaf_accuracy, load_tree
 from hiertune.fileio import load_embeddings, load_samples
 from hiertune.synth import LEVEL_SCALE, _embedding_table, _plan_tree
 
+import oracle
+
 
 def load_all(tree_txt: str, emb_txt: str, samples_txt: str):
     tree = load_tree(tree_txt)
@@ -55,6 +57,15 @@ def test_plan_attaches_single_leaf_directly():
         break
     else:
         pytest.fail("expected a shallow directly-attached leaf")
+
+
+def test_plan_matches_the_recursive_planner():
+    # The explicit stack numbers nodes in the recursion's preorder, so every
+    # document keeps its bytes, chains of single children included: (4, 3)
+    # and (2, 40) grow one below the root.
+    for leaves in (2, 3, 4, 5, 7, 8, 9, 27, 28, 100):
+        for depth in (1, 2, 3, 4, 6, 40):
+            assert _plan_tree(leaves, depth) == oracle.plan_tree(leaves, depth), (leaves, depth)
 
 
 def test_embedding_geometry_orders_relatedness():
