@@ -8,29 +8,30 @@ the offending line number.
 
 Every loader takes the document's text or a binary file open for reading.
 A file is read in blocks and checked one line at a time by the line reader
-``taxonomy.load_tree`` also uses, whatever its line breaks; samples and
-embeddings go straight into a matrix that grows only as validated rows
-arrive, so a load holds about the matrix plus one block, peaking near
-twice the matrix while its blocks are joined. A byte that is not UTF-8
-raises UnicodeDecodeError with its offset from the start of the file, once
-every line before it has been checked: a fault on an earlier line is the
-one reported.
+``taxonomy.load_tree`` also uses, whatever its line breaks. Each matrix a
+loader returns is one growable ``array("d")`` that a row joins only once
+its line has passed every check, viewed as a matrix by ``np.frombuffer``
+with no copy, so a load holds about the matrix and one block of text, and
+a corrupt dimension allocates nothing before its first row fails. A
+byte that is not UTF-8 raises UnicodeDecodeError with its offset from the
+start of the file, once every line before it has been checked: a fault on
+an earlier line is the one reported.
 
 Rows of numbers are parsed one row at a time by orjson: the row's values,
-TABs turned to commas, are read as one JSON array and written straight
-into the matrix's next row. Any row that orjson refuses or reads as
-anything but ``dim`` floats (``-0``, which JSON reads as the integer 0,
-``1e400``, ``.5``, ``+1``, ``nan``, a token holding a space, ...) goes
-through the per-token parser, which refuses digit separators, non-ASCII
-and ASCII whitespace in a token, reads the rest with float(), and names
-the first bad token. They are written a block of rows at a time by orjson,
-whose digits are repr's; only the few values whose layout differs are
-rendered one by one.
+TABs turned to commas, are read as one JSON array. Any row that orjson
+refuses or reads as anything but ``dim`` floats (``-0``, which JSON reads
+as the integer 0, ``1e400``, ``.5``, ``+1``, ``nan``, a token holding a
+space, ...) goes through the per-token parser, which refuses digit
+separators, non-ASCII and ASCII whitespace in a token, reads the rest with
+float(), and names the first bad token. They are written a block of rows
+at a time by orjson, whose digits are repr's; only the few values whose
+layout differs are rendered one by one.
 """
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections.abc import Iterator
 from typing import BinaryIO
 
@@ -101,15 +102,16 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 _NOT_A_TOKEN = re.compile(r"[_\s]|[^\x00-\x7f]")
 
 
-def _parse_row(out: np.ndarray, text: str, lineno: int, what: str) -> None:
-    """Parse one row of TAB-separated numbers into ``out``, a float64 vector.
+def _parse_row(dim: int, text: str, lineno: int, what: str) -> list[float]:
+    """The ``dim`` floats of one row of TAB-separated numbers.
 
-    orjson reads the row as one JSON array. It is taken only when it holds
-    exactly ``len(out)`` floats and the row holds no space: then each
-    comma-separated element, and so each token, is one JSON number, whose
-    grammar float() also reads, and orjson rounds it as float() does. JSON
-    has no nan or inf, and orjson refuses a number that overflows. Any
-    other row goes to ``_parse_tokens``.
+    The caller has checked that ``text`` holds ``dim - 1`` TABs, so its
+    tokens are ``dim``. orjson reads the row as one JSON array. It is taken
+    only when it holds exactly ``dim`` floats and the row holds no space:
+    then each comma-separated element, and so each token, is one JSON
+    number, whose grammar float() also reads, and orjson rounds it as
+    float() does. JSON has no nan or inf, and orjson refuses a number that
+    overflows. Any other row goes to ``_parse_tokens``.
     """
     if " " not in text:
         try:
@@ -117,14 +119,13 @@ def _parse_row(out: np.ndarray, text: str, lineno: int, what: str) -> None:
         except orjson.JSONDecodeError:
             pass
         else:
-            if len(values) == len(out) and {*map(type, values)} == {float}:
-                out[:] = values
-                return
-    _parse_tokens(out, text.split("\t"), lineno, what)
+            if len(values) == dim and {*map(type, values)} == {float}:
+                return values
+    return _parse_tokens(text.split("\t"), lineno, what)
 
 
-def _parse_tokens(out: np.ndarray, tokens: list[str], lineno: int, what: str) -> None:
-    """Parse a row that orjson did not take, token by token, into ``out``.
+def _parse_tokens(tokens: list[str], lineno: int, what: str) -> list[float]:
+    """Parse a row that orjson did not take, token by token.
 
     The row is refused at its first token holding a digit separator,
     non-ASCII or whitespace, or else at its first token that float() does
@@ -133,47 +134,7 @@ def _parse_tokens(out: np.ndarray, tokens: list[str], lineno: int, what: str) ->
     bad = next((t for t in tokens if _NOT_A_TOKEN.search(t)), None)
     if bad is not None:
         raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
-    out[:] = [_parse_float(t, lineno, what) for t in tokens]
-
-
-# Bytes per block of a matrix being loaded. The last block's unused rows
-# are the load's only memory beyond the matrix and, while the blocks are
-# joined, its copy; at 256 KiB they stay small and the blocks few.
-_LOAD_BLOCK_BYTES = 1 << 18
-
-
-class _RowBlocks:
-    """A float64 matrix of ``dim`` columns, filled one validated row at a time.
-
-    Rows go into blocks of about ``_LOAD_BLOCK_BYTES`` (at least one row),
-    allocated when their first row is asked for, and ``matrix`` joins them
-    into one. The declared ``dim`` is not trusted with the allocation: a
-    loader asks for a row only after its line has held ``dim`` values' worth
-    of fields, so a corrupt ``dim`` gets an error naming its line, not a
-    request for more memory than the lines read could fill.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.per_block = max(1, _LOAD_BLOCK_BYTES // (8 * dim))
-        self.blocks: list[np.ndarray] = []
-        self.n = 0
-
-    def new_row(self) -> np.ndarray:
-        """The next row, uninitialised, as a writable view."""
-        r = self.n % self.per_block
-        if r == 0:
-            self.blocks.append(np.empty((self.per_block, self.dim), dtype=np.float64))
-        self.n += 1
-        return self.blocks[-1][r]
-
-    def matrix(self) -> np.ndarray:
-        """The rows so far as one ``(n, dim)`` matrix; the blocks are let go."""
-        blocks, self.blocks = self.blocks, []
-        if not blocks:
-            return np.empty((0, self.dim), dtype=np.float64)
-        blocks[-1] = blocks[-1][: self.n - self.per_block * (len(blocks) - 1)]
-        return np.concatenate(blocks)
+    return [_parse_float(t, lineno, what) for t in tokens]
 
 
 def _is_count(token: str) -> bool:
@@ -192,7 +153,7 @@ def _split_dim_doc(source: str | BinaryIO, what: str) -> tuple[int, Iterator[tup
     if not first.startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
     parts = first.split()
-    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
+    if len(parts) != 2 or parts[0] != "#dim" or not _is_count(parts[1]) or int(parts[1]) < 1:
         raise FormatError(f"{what}: malformed dimension header {first!r}")
     return int(parts[1]), _records(lines)
 
@@ -212,7 +173,7 @@ def write_tree(tree: TaxonomyTree) -> str:
 def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTable:
     """The table in ``source``, a document's text or a binary file open for reading."""
     dim, rows = _split_dim_doc(source, "embedding table")
-    values = _RowBlocks(dim)
+    values = array("d")
     nodes: dict[str, int] = {}
     for lineno, line in rows:
         if line.count("\t") != dim:
@@ -228,18 +189,18 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
             raise FormatError(
                 f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
             )
-        row = values.new_row()
-        _parse_row(row, numbers, lineno, "embedding table")
-        if not row.any():
+        row = _parse_row(dim, numbers, lineno, "embedding table")
+        if not any(row):
             raise FormatError(
                 f"embedding table line {lineno}: embedding for {name!r} is all zeros"
             )
+        values.extend(row)
         nodes[name] = node
     if len(nodes) < tree.n_nodes - 1:
         missing = sorted(set(tree.names) - set(nodes) - {tree.names[tree.root]})
         raise FormatError(f"embedding table: missing embeddings for: {', '.join(missing)}")
     vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
-    vectors[list(nodes.values())] = values.matrix()
+    vectors[list(nodes.values())] = np.frombuffer(values).reshape(-1, dim)
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
@@ -258,7 +219,7 @@ def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
     dim, rows = _split_dim_doc(source, "sample file")
     ids: list[str] = []
     labels: list[int] = []
-    features = _RowBlocks(dim)
+    features = array("d")
     seen: set[str] = set()
     for lineno, line in rows:
         if line.count("\t") != dim + 1:
@@ -275,20 +236,31 @@ def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
         leaf = tree.name_index[leaf_name]
         if not tree.is_leaf(leaf):
             raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
-        row = features.new_row()
-        _parse_row(row, numbers, lineno, "sample file")
-        if not row.any():
+        row = _parse_row(dim, numbers, lineno, "sample file")
+        if not any(row):
             raise FormatError(f"sample file line {lineno}: all-zero feature")
+        features.extend(row)
         ids.append(sid)
         labels.append(leaf)
     return SampleSet(
         ids=tuple(ids),
         leaf_labels=np.asarray(labels, dtype=np.int64),
-        features=features.matrix(),
+        features=np.frombuffer(features).reshape(-1, dim),
     )
 
 
 def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
+    """The sample document; ``load_samples`` reads it back as ``samples``.
+
+    An id that would load as another id or as no sample is refused before
+    anything is rendered: one that is empty, padded with whitespace, starts
+    with ``#`` (a comment), holds a TAB, CR or LF, or repeats an earlier id.
+    """
+    seen: set[str] = set()
+    for sid in samples.ids:
+        if sid in seen or sid != sid.strip() or sid[:1] in ("", "#") or re.search("[\t\r\n]", sid):
+            raise ValueError(f"sample id {sid!r} would not load back as written")
+        seen.add(sid)
     lines = [f"#dim {dim}"]
     lines.extend(
         f"{sid}\t{tree.names[leaf]}\t{row}"
@@ -323,20 +295,19 @@ def load_params(source: str | BinaryIO) -> PromptParams:
     if not _is_count(rest) or int(rest) < 1:
         raise FormatError(f"params file line {lineno}: bad dimension")
     dim = int(rest)
-    tau = np.empty(1)
-    _parse_row(tau, *take("tau", 1, "bad tau record"), "params file")
-    weight = _RowBlocks(dim)
+    (tau,) = _parse_row(1, *take("tau", 1, "bad tau record"), "params file")
+    weight = array("d")
     for _ in range(dim):
-        row = take("A", dim, f"expected {dim} values")  # checked before it is allocated
-        _parse_row(weight.new_row(), *row, "params file")
-    row = take("c", dim, f"expected {dim} values")
-    bias = np.empty(dim)
-    _parse_row(bias, *row, "params file")
+        row = take("A", dim, f"expected {dim} values")  # counted before it is parsed
+        weight.extend(_parse_row(dim, *row, "params file"))
+    bias = _parse_row(dim, *take("c", dim, f"expected {dim} values"), "params file")
     extra = next(rows, None)
     if extra:
         raise FormatError(f"params file line {extra[0]}: unexpected trailing record")
     try:
-        return PromptParams(weight=weight.matrix(), bias=bias, tau=float(tau[0]))
+        return PromptParams(
+            weight=np.frombuffer(weight).reshape(dim, dim), bias=np.array(bias), tau=tau
+        )
     except ValueError as exc:
         raise FormatError(f"params file: {exc}") from None
 

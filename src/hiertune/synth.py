@@ -30,10 +30,12 @@ from .taxonomy import TaxonomyTree, load_tree
 
 
 def _branching(leaves: int, depth: int) -> int:
-    b = 2
-    while b**depth < leaves:
-        b += 1
-    return b
+    """The smallest b >= 2 with b ** depth >= leaves: an integer root, by bisection."""
+    lo, hi = 2, 1 << -(-leaves.bit_length() // depth)  # hi ** depth > leaves
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**depth < leaves else (lo, mid)
+    return lo
 
 
 def _plan_tree(leaves: int, depth: int) -> str:
@@ -77,10 +79,6 @@ _TILT_STREAM = 0x5EED
 
 
 def _embedding_table(tree: TaxonomyTree, dim: int) -> EmbeddingTable:
-    if dim < tree.n_nodes - 1:
-        raise ValueError(
-            f"dim must be at least {tree.n_nodes - 1} (one axis per non-root node)"
-        )
     raw = np.zeros((tree.n_nodes, dim), dtype=np.float64)
     axis = 0
     for node in range(tree.n_nodes):
@@ -128,7 +126,11 @@ def gen_synth(
     if not 0 <= noise < math.inf:
         raise ValueError(f"noise must be non-negative and finite, got {noise}")
 
-    tree = load_tree(_plan_tree(leaves, depth))
+    document = _plan_tree(leaves, depth)
+    axes = document.count("\n") - 1  # one per non-root node, checked before the tree is built
+    if dim < axes:
+        raise ValueError(f"dim must be at least {axes} (one axis per non-root node)")
+    tree = load_tree(document)
     table = _embedding_table(tree, dim)
 
     gen = np.random.Generator(np.random.PCG64(check_seed(seed)))

@@ -10,8 +10,11 @@ repaired by comparing kept ancestor counts, and a flag type that records
 whether the repair ran. The k-shot selection keeps its per-sample count.
 The file loaders are kept as they were before rows of numbers were parsed
 in one call per row: every token goes through its own float() and
-finiteness check. The row writer is kept as it was before orjson wrote
-rows a block at a time: one float.__repr__ per value. The per-vocabulary
+finiteness check. One change to them was intended: like the library's,
+their dimension header's first field must be exactly ``#dim``, where any
+field starting ``#dim`` (``#dims 2``) used to pass. The row writer is kept
+as it was before orjson wrote rows a block at a time: one float.__repr__
+per value. The per-vocabulary
 classifier (cosine scores, posterior and predict over one label set), the
 name-keyed table assembly and the leaf and children-of-node label sets are
 kept as they were before the library scored every vocabulary as columns
@@ -20,7 +23,8 @@ in their dense score-matrix form, as they were before both reduced over
 each sample's root-path groups alone: a softmax and an argmax over every
 group for every sample, masked afterwards. The synthetic tree planner is
 kept in its recursive form, one call per level, as it was before an
-explicit stack let it plan a tree of any depth. Nothing in the package
+explicit stack let it plan a tree of any depth, and its branching factor
+is found by counting up, as it was before an integer bisection. Nothing in the package
 imports this module.
 """
 from __future__ import annotations
@@ -35,7 +39,6 @@ from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue, _backward
 from hiertune.rng import Rng64, derive_seed
-from hiertune.synth import _branching
 from hiertune.taxonomy import LabelSet, TaxonomyTree
 
 
@@ -446,9 +449,17 @@ def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
 
 # ------------------------------------------------------------------ synth
 
+def branching(leaves: int, depth: int) -> int:
+    """The smallest b >= 2 with b ** depth >= leaves, one candidate at a time."""
+    b = 2
+    while b**depth < leaves:
+        b += 1
+    return b
+
+
 def plan_tree(leaves: int, depth: int) -> str:
     """The balanced tree document, laid out by one recursive call per level."""
-    b = _branching(leaves, depth)
+    b = branching(leaves, depth)
     names = ["n0"]
     parent_names = ["-"]
 
@@ -594,7 +605,7 @@ def _split_dim_doc(text: str, what: str) -> tuple[int, list[tuple[int, str]]]:
     if not lines or not lines[0].startswith("#dim"):
         raise FormatError(f"{what}: first line must be '#dim <d>'")
     parts = lines[0].split()
-    if len(parts) != 2 or not _is_count(parts[1]) or int(parts[1]) < 1:
+    if len(parts) != 2 or parts[0] != "#dim" or not _is_count(parts[1]) or int(parts[1]) < 1:
         raise FormatError(f"{what}: malformed dimension header {lines[0]!r}")
     dim = int(parts[1])
     rows = [

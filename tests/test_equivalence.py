@@ -8,14 +8,14 @@ accuracy must be exactly equal. It also keeps the integer-matrix treecut
 sampler; the preorder-interval one must give the same flags, masks and
 cuts, and the per-sample k-shot count the same selection.
 Its per-token file loaders must agree with the row-at-a-time ones on
-written documents with bad tokens, wrong field counts, bad records and
-comments holding odd line breaks spliced in, under each of the three line
-endings: the same arrays, byte for byte, or the same error. Every loader,
-the tree's too, must also give that from a binary file whose reads return
-at most a few bytes, or 64 KiB, and must report a bad byte at its offset
-in the file unless an earlier line is at fault. So must the loaders agree
-on any one number token made of digits, ``.``, ``e``, ``E``, ``+``
-and ``-``, whose value must be float()'s. Its
+written documents with bad tokens, wrong field counts, bad records,
+comments holding odd line breaks and misspelt dimension headers spliced
+in, under each of the three line endings: the same arrays, byte for byte,
+or the same error. Every loader, the tree's too, must also give that from
+a binary file whose reads return at most a few bytes, or 64 KiB, and must
+report a bad byte at its offset in the file unless an earlier line is at
+fault. So must the loaders agree on any one number token made of digits,
+``.``, ``e``, ``E``, ``+`` and ``-``, whose value must be float()'s. Its
 one-float.__repr__-per-value row writer must give the same bytes as the
 block-at-a-time orjson one, on every kind of float.
 """
@@ -317,8 +317,12 @@ def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
     # Fields before the first number; a tree's name and parent both take defects.
     values = {"samples": 2, "tree": 0}.get(kind, 1)
     defect = draw(st.sampled_from(
-        ("token", "token", "add", "remove", "duplicate", "zero", "unknown", "comment")
+        ("token", "token", "add", "remove", "duplicate", "zero", "unknown", "comment",
+         "header")
     ))
+    if defect == "header" and first:  # "#dims 2" is malformed; "# dim 2" is no header
+        lines[0] = draw(st.sampled_from(("#dims", "#dimension", "#DIM", "# dim"))) + lines[0][4:]
+        return
     if defect == "comment":  # a record after a break that ends no line
         lines.insert(i, "# note" + draw(st.sampled_from(ODD_BREAKS)) + lines[i])
         return

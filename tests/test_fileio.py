@@ -14,6 +14,7 @@ from hiertune import (
     Rng64,
     SampleSet,
     TrainLog,
+    load_tree,
 )
 from hiertune import fileio
 from hiertune.fileio import (
@@ -132,6 +133,44 @@ def test_samples_loader_validation():
         load_samples("#dim 2\ns0\tn4\t0.0\t-0.0\n", tree)
 
 
+@pytest.mark.parametrize("header", ["#dims 2", "#dimension 2"])
+def test_dimension_header_must_be_exactly_dim(header):
+    # Only a first field of exactly `#dim` names the dimension.
+    tree = demo_tree()
+    embeddings = "".join(f"n{i}\t1.0\t0.0\n" for i in range(1, 7))
+    with pytest.raises(FormatError, match=f"malformed dimension header {header!r}"):
+        load_samples(f"{header}\ns0\tn4\t1.0\t0.0\n", tree)
+    with pytest.raises(FormatError, match=f"malformed dimension header {header!r}"):
+        load_embeddings(f"{header}\n{embeddings}", tree)
+    assert load_samples("#dim\t2\ns0\tn4\t1.0\t0.0\n", tree).features.shape == (1, 2)
+
+
+@pytest.mark.parametrize("sid", ["#x", " y", "y ", "", "a\tb", "a\rb", "a\nb", "z"])
+def test_write_samples_refuses_ids_that_load_back_differently(sid):
+    # "#x" reads back as a comment, " y" as "y", "a\tb" as a bad row; the
+    # second "z" repeats the first. Nothing is rendered.
+    tree = demo_tree()
+    ids = ("z", sid) if sid == "z" else ("ok", sid, "z")
+    samples = SampleSet(
+        ids=ids,
+        leaf_labels=np.full(len(ids), tree.index("n4")),
+        features=np.ones((len(ids), 2)),
+    )
+    with pytest.raises(ValueError, match=re.escape(f"sample id {sid!r} would not load back")):
+        write_samples(samples, tree, 2)
+
+
+def test_write_samples_keeps_ids_that_load_back():
+    tree = demo_tree()
+    ids = ("n3.0", "a b", "x#1", "\u540d", "a\x0cb")
+    samples = SampleSet(
+        ids=ids,
+        leaf_labels=np.full(len(ids), tree.index("n4")),
+        features=np.ones((len(ids), 2)),
+    )
+    assert load_samples(write_samples(samples, tree, 2), tree).ids == ids
+
+
 def test_samples_loader_rejects_duplicate_ids():
     tree = demo_tree()
     with pytest.raises(FormatError, match=r"line 3: duplicate sample id 'x'"):
@@ -218,11 +257,25 @@ def test_overstated_dimension_is_a_format_error():
             load_params(f"dim\t{dim}\ntau\t0.5\n" + "A\t1.0\t0.0\n" * 3000)
 
 
+def traced_peak(load, path):
+    """``load`` of the open file at ``path``, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as file:
+            loaded = load(file)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return loaded, peak
+
+
 def test_loading_a_file_holds_about_the_matrix(tmp_path):
-    # A file is read a block at a time into rows joined once at the end,
-    # so the load's peak is about twice the features, not the document's
-    # bytes, text and line list on top of them, whatever its line breaks:
-    # a file broken only by bare \r is read in blocks too.
+    # A file is read a block at a time, and its rows grow one buffer that
+    # becomes the matrix with no copy, so the load's peak is about the
+    # features plus the buffer's spare room and one block (1.29x measured),
+    # whatever its line breaks: a file broken only by bare \r is read in
+    # blocks too. A second copy of the rows, as joining row blocks makes
+    # (2.16x), or the document's bytes, text and line list exceed it.
     tree = demo_tree()
     rng = np.random.default_rng(7)
     n, dim = 2500, 128
@@ -236,15 +289,41 @@ def test_loading_a_file_holds_about_the_matrix(tmp_path):
     for document in (text, text.replace("\n", "\r")):
         path.write_text(document, encoding="utf-8", newline="")
         assert path.stat().st_size > 5 * 2**20
-        tracemalloc.start()
-        try:
-            with open(path, "rb") as file:
-                loaded = load_samples(file, tree)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(lambda file: load_samples(file, tree), path)
         np.testing.assert_array_equal(loaded.features, data.features)
-        assert peak <= 2.5 * loaded.features.nbytes + 2**20
+        assert peak <= 1.5 * loaded.features.nbytes + 2**20
+
+
+def test_loading_embeddings_holds_about_the_table(tmp_path):
+    # The rows' buffer is scattered into the node-ordered table, so the
+    # peak is the table twice over (2.08x measured). A third copy, as
+    # joining row blocks first makes (3.07x), exceeds the bound.
+    nodes, dim = 2000, 256
+    star = load_tree("r\t-\n" + "".join(f"c{i}\tr\n" for i in range(1, nodes)))
+    vectors = np.random.default_rng(7).standard_normal((nodes, dim))
+    vectors[star.root] = 0.0
+    path = tmp_path / "embeddings.tsv"
+    path.write_text(write_embeddings(EmbeddingTable(dim, vectors), star), encoding="utf-8")
+    loaded, peak = traced_peak(lambda file: load_embeddings(file, star), path)
+    np.testing.assert_array_equal(loaded.vectors, vectors)
+    assert peak <= 2.5 * loaded.vectors.nbytes + 2**20
+
+
+def test_loading_params_holds_about_the_map(tmp_path):
+    # The weight is its rows' buffer, so the peak is about the weight
+    # (1.14x measured). A second copy, as joining row blocks makes (2.04x),
+    # exceeds the bound.
+    dim = 768
+    rng = np.random.default_rng(7)
+    params = PromptParams(
+        weight=rng.standard_normal((dim, dim)), bias=rng.standard_normal(dim), tau=0.5
+    )
+    path = tmp_path / "params.txt"
+    path.write_text(write_params(params), encoding="utf-8")
+    loaded, peak = traced_peak(load_params, path)
+    np.testing.assert_array_equal(loaded.weight, params.weight)
+    np.testing.assert_array_equal(loaded.bias, params.bias)
+    assert peak <= 1.5 * loaded.weight.nbytes + 2**20
 
 
 def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from hiertune import PromptParams, gen_synth, hca, leaf_accuracy, load_tree
+from hiertune import PromptParams, gen_synth, hca, leaf_accuracy, load_tree, synth
 from hiertune.fileio import load_embeddings, load_samples
-from hiertune.synth import LEVEL_SCALE, _embedding_table, _plan_tree
+from hiertune.synth import LEVEL_SCALE, _branching, _embedding_table, _plan_tree
 
 import oracle
 
@@ -97,10 +97,32 @@ def test_embedding_geometry_orders_relatedness():
 
 
 def test_embedding_table_requires_room_for_every_node():
-    tree = load_tree(_plan_tree(27, 3))
-    with pytest.raises(ValueError, match="at least 39"):
-        _embedding_table(tree, 38)
-    assert _embedding_table(tree, 39).dim == 39
+    shape = dict(leaves=27, depth=3, per_leaf=1, noise=0.5, seed=0)
+    with pytest.raises(ValueError, match=re.escape("at least 39 (one axis per non-root node)")):
+        gen_synth(dim=38, **shape)
+    assert gen_synth(dim=39, **shape)[1].startswith("#dim 39\n")
+
+
+def test_too_small_dim_is_refused_before_the_tree_is_built(monkeypatch):
+    # The planned document's lines count the nodes, so a 300,000-leaf shape
+    # is refused without building its tree.
+    def no_tree(text):
+        raise AssertionError("load_tree called")
+
+    monkeypatch.setattr(synth, "load_tree", no_tree)
+    for leaves, depth, need in ((300_000, 1, 300_000), (27, 3, 39), (2, 3000, 3001)):
+        with pytest.raises(ValueError, match=f"dim must be at least {need} "):
+            gen_synth(leaves=leaves, depth=depth, dim=8, per_leaf=1, noise=0.5, seed=0)
+
+
+def test_branching_is_the_smallest_factor_that_holds_every_leaf():
+    # Perfect powers sit exactly on a bisection edge; depth 1 puts every
+    # leaf under the root.
+    powers = {b**d for b in range(2, 9) for d in range(1, 5)}
+    for leaves in sorted(set(range(1, 300)) | powers | {p + 1 for p in powers}):
+        for depth in (1, 2, 3, 4, 5, 8, 13, 40):
+            assert _branching(leaves, depth) == oracle.branching(leaves, depth), (leaves, depth)
+    assert _branching(300_000, 1) == 300_000
 
 
 def test_gen_synth_validates_arguments():
