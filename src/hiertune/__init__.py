@@ -23,7 +23,6 @@ from .synth import gen_synth
 from .taxonomy import LabelSet, TaxonomyTree, TreeFormatError, load_tree
 from .trainer import TrainConfig, TrainLog, cosine_lr, train
 from .treecut import (
-    MatrixBundle,
     blocked_mask,
     build_matrices,
     correct_flags,
@@ -63,7 +62,6 @@ __all__ = [
     "TrainLog",
     "cosine_lr",
     "train",
-    "MatrixBundle",
     "blocked_mask",
     "build_matrices",
     "correct_flags",

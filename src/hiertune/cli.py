@@ -34,7 +34,7 @@ from .rng import Rng64
 from .synth import gen_synth
 from .taxonomy import TreeFormatError, load_tree
 from .trainer import TrainConfig, train
-from .treecut import build_matrices, sample_distinct
+from .treecut import DISTINCT_DRAW_FACTOR, _reachable, build_matrices, sample_distinct
 
 _T = TypeVar("_T")
 
@@ -96,13 +96,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_sample_cuts(args: argparse.Namespace) -> int:
     tree = _load(args.tree, load_tree, error=TreeFormatError)
-    bundle = build_matrices(tree)
-    cuts = sample_distinct(tree, bundle, args.beta, args.count, Rng64(args.seed))
+    cuts = sample_distinct(tree, build_matrices(tree), args.beta, args.count, Rng64(args.seed))
     print(f"# beta={format_float(args.beta)} seed={args.seed}")
     for cut in cuts:
         print("\t".join(tree.names[m] for m in cut.members))
     if len(cuts) < args.count:
-        print(f"# shortfall: only {len(cuts)} of {args.count} distinct cuts exist at this rate")
+        found = f"{len(cuts)} of {args.count} distinct cuts"
+        if len(cuts) == _reachable(tree, args.beta):
+            print(f"# shortfall: only {found} exist at this rate")
+        else:
+            print(f"# gave up: found {found} in {DISTINCT_DRAW_FACTOR * args.count} draws")
     return 0
 
 

@@ -182,9 +182,9 @@ def evaluate(
     if cuts_per_beta < 1:
         raise ValueError("cuts_per_beta must be at least 1")
     check_seed(seed)  # derive_seed would fold it into range
-    bundle = build_matrices(tree)
+    layout = build_matrices(tree)
     drawn = [
-        sample_distinct(tree, bundle, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))
+        sample_distinct(tree, layout, beta, cuts_per_beta, Rng64(derive_seed(seed, bi + 1)))
         for bi, beta in enumerate(betas)
     ]
     flat = tuple(cut for cuts in drawn for cut in cuts)

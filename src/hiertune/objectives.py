@@ -26,16 +26,15 @@ from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 
 @dataclass(frozen=True)
 class LossValue:
-    """A loss with its gradients and the sample count that shaped it."""
+    """A loss with its gradients."""
 
     value: float
     grad_weight: np.ndarray
     grad_bias: np.ndarray
-    n_contributing: int
 
     @classmethod
-    def zero(cls, dim: int, n_contributing: int = 0) -> LossValue:
-        return cls(0.0, np.zeros((dim, dim)), np.zeros(dim), n_contributing)
+    def zero(cls, dim: int) -> LossValue:
+        return cls(0.0, np.zeros((dim, dim)), np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,14 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     g = np.zeros_like(sc.cos)
     g[flat_rows, cols] = z
     grad_w, grad_b = _backward(g, sc)
-    return LossValue(value, grad_w / n_groups, grad_b / n_groups, len(leaves))
+    return LossValue(value, grad_w / n_groups, grad_b / n_groups)
 
 
 def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, tau: float) -> LossValue:
     """Mean softmax cross-entropy of the rows over the cut's columns, in member order."""
     n = len(batch)
     if len(cut) == 1:
-        return LossValue.zero(sc.emb.shape[1], n_contributing=n)
+        return LossValue.zero(sc.emb.shape[1])
     targets = np.argmax(tree.layout.on_path(batch.leaf_labels[:, None], cut.members), axis=1)
     rows = np.arange(n)
     z = sc.cos / tau
@@ -128,7 +127,7 @@ def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, t
     z[rows, targets] -= 1.0
     z /= tau * n
     grad_w, grad_b = _backward(z, sc)
-    return LossValue(value, grad_w, grad_b, n)
+    return LossValue(value, grad_w, grad_b)
 
 
 def node_centric_loss(
@@ -141,8 +140,7 @@ def node_centric_loss(
 
     Every internal node counts in the denominator, including those that
     contribute nothing (a single child, or no batch sample passing
-    through); their terms are zero. ``n_contributing`` is the number of
-    distinct samples that entered at least one node term.
+    through); their terms are zero.
     """
     if len(batch) == 0:
         raise ValueError("batch is empty")
@@ -204,9 +202,15 @@ def total_loss(
         dtl.value + lam * ncl.value,
         dtl.grad_weight + lam * ncl.grad_weight,
         dtl.grad_bias + lam * ncl.grad_bias,
-        dtl.n_contributing,
     )
     return total, dtl, ncl
+
+
+# gradient_check's central-difference step, the most map coordinates it
+# checks, and the seed of the shuffle that picks them past that.
+_CHECK_STEP = 1e-5
+_CHECK_COORDS = 128
+_CHECK_SEED = 0
 
 
 def gradient_check(
@@ -216,22 +220,19 @@ def gradient_check(
     cut: LabelSet,
     batch: SampleSet,
     lam: float,
-    step: float = 1e-5,
-    max_coords: int = 128,
-    seed: int = 0,
 ) -> float:
     """Worst relative error of the analytic gradient vs central differences.
 
-    Checks every coordinate of the map up to ``max_coords``; past that, a
-    seeded shuffle picks the subset. The error at one coordinate is
-    |analytic - numeric| / max(1, |numeric|).
+    Checks every coordinate of the map up to ``_CHECK_COORDS``; past that,
+    a shuffle seeded with ``_CHECK_SEED`` picks the subset. The error at one
+    coordinate is |analytic - numeric| / max(1, |numeric|).
     """
     total, _, _ = total_loss(tree, params, table, cut, batch, lam)
     dim = params.dim
     coords = list(range(dim * dim + dim))
-    if len(coords) > max_coords:
-        Rng64(seed).shuffle(coords)
-        coords = coords[:max_coords]
+    if len(coords) > _CHECK_COORDS:
+        Rng64(_CHECK_SEED).shuffle(coords)
+        coords = coords[:_CHECK_COORDS]
     flat = np.concatenate([params.weight.ravel(), params.bias])
     analytic = np.concatenate([total.grad_weight.ravel(), total.grad_bias])
 
@@ -243,6 +244,6 @@ def gradient_check(
 
     worst = 0.0
     for k in coords:
-        numeric = (value_at(k, step) - value_at(k, -step)) / (2 * step)
+        numeric = (value_at(k, _CHECK_STEP) - value_at(k, -_CHECK_STEP)) / (2 * _CHECK_STEP)
         worst = max(worst, abs(analytic[k] - numeric) / max(1.0, abs(numeric)))
     return worst

@@ -117,6 +117,7 @@ class ColumnLayout:
 
     nodes   (L,) node of each column
     column  (n_nodes,) column of each node; -1 for the root
+    internal_nodes  (K,) node that owns each group; also the treecut flag order
     starts  (K,) first column of each internal node's group
     sizes   (K,) child count of each internal node
     tin     (n_nodes,) preorder position of each node, children in index order
@@ -126,6 +127,7 @@ class ColumnLayout:
 
     nodes: np.ndarray
     column: np.ndarray
+    internal_nodes: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     tin: np.ndarray
@@ -145,7 +147,7 @@ def _path_groups(tree: TaxonomyTree, leaves: np.ndarray) -> tuple[np.ndarray, ..
     columns laid end to end (per position: sample and layout column)."""
     lay = tree.layout
     branching = np.flatnonzero(lay.sizes >= 2)
-    above = np.asarray(tree.internal_nodes, dtype=np.int64)[branching]
+    above = lay.internal_nodes[branching]
     rows, k = np.nonzero(lay.on_path(leaves[:, None], above))
     group = branching[k]
     sizes = lay.sizes[group]
@@ -202,6 +204,7 @@ class TaxonomyTree:
         layout = ColumnLayout(
             nodes=nodes,
             column=column,
+            internal_nodes=np.asarray(self.internal_nodes, dtype=np.int64),
             starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
             tin=np.asarray(tin, dtype=np.int64),
@@ -214,12 +217,6 @@ class TaxonomyTree:
     def is_leaf(self, node: int) -> bool:
         self._check_index(node)
         return not self.children[node]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.name_index[name]
-        except KeyError:
-            raise ValueError(f"unknown node name {name!r}") from None
 
     def _check_index(self, node: int) -> None:
         if not 0 <= node < len(self.names):

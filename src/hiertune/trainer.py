@@ -140,7 +140,7 @@ def train(
         if not np.isfinite(np.einsum("ij,ij->i", work.features, work.features)).all():
             unit_rows(work.features, "features")
 
-    bundle = build_matrices(tree)
+    layout = build_matrices(tree)
     n = len(work)
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
@@ -163,7 +163,7 @@ def train(
                     chunk = order[b * config.batch_size : (b + 1) * config.batch_size]
                     batch = work.take(chunk)
                     lr = cosine_lr(iteration, total_steps, config.base_lr)
-                    cut = sample_treecut(tree, bundle, config.beta, cut_rng)
+                    cut = sample_treecut(tree, layout, config.beta, cut_rng)
                     params = PromptParams(weight=weight, bias=bias, tau=config.tau)
                     total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
                     if iteration == 0:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Rng64
-from .taxonomy import LabelSet, TaxonomyTree
+from .taxonomy import ColumnLayout, LabelSet, TaxonomyTree
 
 # Exhaustive enumeration doubles per internal node in the worst case; keep
 # it for tests and tiny trees only.
@@ -27,62 +26,45 @@ ENUMERATE_LIMIT = 20
 DISTINCT_DRAW_FACTOR = 100
 
 
-@dataclass(frozen=True)
-class MatrixBundle:
-    """The flag algebra's view of one tree, fixed for its lifetime.
+def build_matrices(tree: TaxonomyTree) -> ColumnLayout:
+    """The layout of ``tree``, which the flag algebra reads; two leaves needed.
 
-    ``internal_nodes`` (length K, ascending) own the flags, in order;
-    ``labels`` are all non-root nodes (length L, ascending). ``tin`` and
-    ``tout`` are the tree's preorder intervals (``tree.layout``), shared.
+    Its ``internal_nodes`` own the flags, in order; label j of a blocked
+    mask is node j + 1, every node but the root.
     """
-
-    internal_nodes: tuple[int, ...]
-    labels: tuple[int, ...]
-    tin: np.ndarray
-    tout: np.ndarray
-
-
-def build_matrices(tree: TaxonomyTree) -> MatrixBundle:
-    """Gather the node lists and preorder intervals of ``tree``."""
     if len(tree.leaf_nodes) < 2:
         raise ValueError("tree must have at least two leaves")
-    return MatrixBundle(
-        internal_nodes=tree.internal_nodes,
-        labels=tuple(range(1, tree.n_nodes)),
-        tin=tree.layout.tin,
-        tout=tree.layout.tout,
-    )
+    return tree.layout
 
 
-def _strictly_under(nodes: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
+def _strictly_under(nodes: np.ndarray, layout: ColumnLayout) -> np.ndarray:
     """Per preorder position, how many of ``nodes`` it lies strictly below."""
-    end = len(bundle.tin) + 1
+    end = len(layout.tin) + 1
     return np.cumsum(
-        np.bincount(bundle.tin[nodes] + 1, minlength=end)
-        - np.bincount(bundle.tout[nodes], minlength=end)
+        np.bincount(layout.tin[nodes] + 1, minlength=end)
+        - np.bincount(layout.tout[nodes], minlength=end)
     )
 
 
-def correct_flags(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
+def correct_flags(kept: np.ndarray, layout: ColumnLayout) -> np.ndarray:
     """Keep flags (0/1, in row order) with every broken chain dropped.
 
     A node stays expanded only when none of its internal ancestors-or-self
     is dropped. Returns a bool array; idempotent. The root flag must be 1.
     """
     kept = np.asarray(kept)
-    k = len(bundle.internal_nodes)
-    if kept.shape != (k,):
-        raise ValueError(f"expected {k} flags, got shape {kept.shape}")
+    internal = layout.internal_nodes
+    if kept.shape != internal.shape:
+        raise ValueError(f"expected {len(internal)} flags, got shape {kept.shape}")
     keep = kept == 1
     if not (keep | (kept == 0)).all():
         raise ValueError("flags must be 0 or 1")
     if not keep[0]:
         raise ValueError("root flag must be 1")
-    internal = np.asarray(bundle.internal_nodes)
-    return keep & (_strictly_under(internal[~keep], bundle)[bundle.tin[internal]] == 0)
+    return keep & (_strictly_under(internal[~keep], layout)[layout.tin[internal]] == 0)
 
 
-def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
+def blocked_mask(kept: np.ndarray, layout: ColumnLayout) -> np.ndarray:
     """Per-label count of reasons the label is off the cut fringe.
 
     The flags are repaired first (see ``correct_flags``). A label is then
@@ -91,27 +73,27 @@ def blocked_mask(kept: np.ndarray, bundle: MatrixBundle) -> np.ndarray:
     strictly below (the cut stops above it). Labels with a zero count form
     the fringe.
     """
-    keep = correct_flags(kept, bundle)
-    internal = np.asarray(bundle.internal_nodes)
-    tin, tout = bundle.tin[1:], bundle.tout[1:]  # the labels: every node but the root, 0
+    keep = correct_flags(kept, layout)
+    internal = layout.internal_nodes
+    tin, tout = layout.tin[1:], layout.tout[1:]  # the labels: every node but the root, 0
     # Kept internal nodes before each preorder position; a label's subtree
     # holds those between its two ends.
-    before = np.cumsum(np.bincount(bundle.tin[internal[keep]] + 1, minlength=len(bundle.tin) + 1))
-    return before[tout] - before[tin] + _strictly_under(internal[~keep], bundle)[tin]
+    before = np.cumsum(np.bincount(layout.tin[internal[keep]] + 1, minlength=len(layout.tin) + 1))
+    return before[tout] - before[tin] + _strictly_under(internal[~keep], layout)[tin]
 
 
-def cut_from_flags(tree: TaxonomyTree, bundle: MatrixBundle, kept: np.ndarray) -> LabelSet:
+def cut_from_flags(tree: TaxonomyTree, layout: ColumnLayout, kept: np.ndarray) -> LabelSet:
     """The fringe label set selected by the repaired ``kept`` flags.
 
     Repaired flags keep a node only with its whole ancestor chain, so the
     fringe is a treecut by construction and is not validated again.
     """
-    blocked = blocked_mask(kept, bundle)
-    return LabelSet(tuple(bundle.labels[j] for j in np.flatnonzero(blocked == 0)))
+    blocked = blocked_mask(kept, layout)
+    return LabelSet(tuple((np.flatnonzero(blocked == 0) + 1).tolist()))
 
 
 def sample_treecut(
-    tree: TaxonomyTree, bundle: MatrixBundle, beta: float, rng: Rng64
+    tree: TaxonomyTree, layout: ColumnLayout, beta: float, rng: Rng64
 ) -> LabelSet:
     """Draw one treecut at drop rate ``beta``.
 
@@ -121,8 +103,8 @@ def sample_treecut(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    kept = [True] + [rng.next_unit() >= beta for _ in bundle.internal_nodes[1:]]
-    return cut_from_flags(tree, bundle, np.array(kept))
+    kept = [True] + [rng.next_unit() >= beta for _ in range(len(layout.internal_nodes) - 1)]
+    return cut_from_flags(tree, layout, np.array(kept))
 
 
 def _treecut_count(tree: TaxonomyTree) -> int:
@@ -140,9 +122,16 @@ def _treecut_count(tree: TaxonomyTree) -> int:
     return math.prod(ways[c] for c in tree.children[tree.root])
 
 
+def _reachable(tree: TaxonomyTree, beta: float) -> int:
+    """How many distinct treecuts rate ``beta`` can draw. Uniform draws lie
+    in [0, 1), so rates 0 and 1 each reach exactly one cut, and any other
+    rate can reach every treecut."""
+    return 1 if beta in (0.0, 1.0) else _treecut_count(tree)
+
+
 def sample_distinct(
     tree: TaxonomyTree,
-    bundle: MatrixBundle,
+    layout: ColumnLayout,
     beta: float,
     count: int,
     rng: Rng64,
@@ -150,18 +139,16 @@ def sample_distinct(
     """Up to ``count`` distinct treecuts at rate ``beta``, by rejection.
 
     Cuts appear in first-draw order. Draws stop once every reachable cut
-    has appeared: uniform draws lie in [0, 1), so rates 0 and 1 each reach
-    exactly one cut, and any other rate can reach every treecut. Otherwise
-    gives up after ``100 * count`` draws, returning however many distinct
-    cuts surfaced.
+    has appeared (see ``_reachable``). Otherwise gives up after
+    ``DISTINCT_DRAW_FACTOR * count`` draws, returning however many
+    distinct cuts surfaced.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    reachable = 1 if beta in (0.0, 1.0) else _treecut_count(tree)
-    target = min(count, reachable)
+    target = min(count, _reachable(tree, beta))
     seen: dict[tuple[int, ...], LabelSet] = {}
     for _ in range(DISTINCT_DRAW_FACTOR * count):
-        cut = sample_treecut(tree, bundle, beta, rng)
+        cut = sample_treecut(tree, layout, beta, rng)
         if cut.members not in seen:
             seen[cut.members] = cut
             if len(seen) == target:

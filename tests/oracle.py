@@ -222,7 +222,7 @@ def from_names(tree: TaxonomyTree, dim: int, mapping: dict[str, np.ndarray]) -> 
             raise ValueError(f"embedding for {name!r} is not finite")
         if not row.any():
             raise ValueError(f"embedding for {name!r} is all zeros")
-        vectors[tree.index(name)] = row
+        vectors[tree.name_index[name]] = row
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
@@ -268,12 +268,11 @@ def _ce_core(
     table: EmbeddingTable,
     labels: LabelSet,
     batch: SampleSet,
-) -> tuple[LossValue, np.ndarray]:
+) -> LossValue:
     """Mean cross-entropy of ``batch`` against ``labels``, with gradients.
 
-    Samples whose leaf has no label on its root path are skipped; the
-    returned mask marks the contributors. The mean runs over contributors
-    only.
+    Samples whose leaf has no label on its root path are skipped; the mean
+    runs over contributors only.
     """
     if len(labels) < 2:
         raise ValueError("cross-entropy needs at least two labels")
@@ -286,7 +285,7 @@ def _ce_core(
     mask = targets >= 0
     n_contrib = int(mask.sum())
     if n_contrib == 0:
-        return LossValue.zero(params.dim), mask
+        return LossValue.zero(params.dim)
 
     emb = table.rows(labels.members)
     weights = emb @ params.weight.T + params.bias
@@ -308,10 +307,7 @@ def _ce_core(
     c /= params.tau * n_contrib
     colsum = (c * cos).sum(axis=0)
     d_weights = (c.T @ vhat - colsum[:, None] * what) / wnorm[:, None]
-    return (
-        LossValue(value, d_weights.T @ emb, d_weights.sum(axis=0), n_contrib),
-        mask,
-    )
+    return LossValue(value, d_weights.T @ emb, d_weights.sum(axis=0))
 
 
 def cross_entropy_loss(
@@ -324,8 +320,7 @@ def cross_entropy_loss(
     """Mean cross-entropy of a batch against one label set."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    loss, _ = _ce_core(tree, params, table, labels, batch)
-    return loss
+    return _ce_core(tree, params, table, labels, batch)
 
 
 def node_centric_loss(
@@ -342,21 +337,14 @@ def node_centric_loss(
     value = 0.0
     grad_w = np.zeros((dim, dim))
     grad_b = np.zeros(dim)
-    union = np.zeros(len(batch), dtype=bool)
     for node in tree.internal_nodes:
         if len(tree.children[node]) < 2:
             continue
-        part, mask = _ce_core(tree, params, table, node_label_set(tree, node), batch)
+        part = _ce_core(tree, params, table, node_label_set(tree, node), batch)
         value += part.value
         grad_w += part.grad_weight
         grad_b += part.grad_bias
-        union |= mask
-    return LossValue(
-        value / n_internal,
-        grad_w / n_internal,
-        grad_b / n_internal,
-        int(union.sum()),
-    )
+    return LossValue(value / n_internal, grad_w / n_internal, grad_b / n_internal)
 
 
 def treecut_loss(
@@ -371,9 +359,8 @@ def treecut_loss(
         raise ValueError("batch is empty")
     treecut_label_set(tree, cut.members)
     if len(cut) == 1:
-        return LossValue.zero(params.dim, n_contributing=len(batch))
-    loss, _ = _ce_core(tree, params, table, cut, batch)
-    return loss
+        return LossValue.zero(params.dim)
+    return _ce_core(tree, params, table, cut, batch)
 
 
 def total_loss(
@@ -395,7 +382,6 @@ def total_loss(
         dtl.value + lam * ncl.value,
         dtl.grad_weight + lam * ncl.grad_weight,
         dtl.grad_bias + lam * ncl.grad_bias,
-        dtl.n_contributing,
     )
     return total, dtl, ncl
 
@@ -428,9 +414,7 @@ def dense_node_centric(tree: TaxonomyTree, sc, leaves: np.ndarray, tau: float) -
     z /= tau * np.maximum(counts, 1)[group]
     z *= enters[:, group]
     grad_w, grad_b = _backward(z, sc)
-    return LossValue(
-        value, grad_w / n_groups, grad_b / n_groups, int(enters.any(axis=1).sum())
-    )
+    return LossValue(value, grad_w / n_groups, grad_b / n_groups)
 
 
 # ---------------------------------------------------------------- trainer
@@ -628,7 +612,7 @@ def load_embeddings(text: str, tree: TaxonomyTree) -> EmbeddingTable:
         name = fields[0].strip()
         if name in mapping:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
-        if name not in tree.name_index or tree.index(name) == tree.root:
+        if name not in tree.name_index or tree.name_index[name] == tree.root:
             raise FormatError(
                 f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
             )

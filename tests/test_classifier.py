@@ -26,8 +26,8 @@ STAR_DOC = "r\t-\na\tr\nb\tr\n"
 def star_fixture(vec_a, vec_b, dim=3):
     tree = load_tree(STAR_DOC)
     vectors = np.zeros((tree.n_nodes, dim))
-    vectors[tree.index("a")] = vec_a
-    vectors[tree.index("b")] = vec_b
+    vectors[tree.name_index["a"]] = vec_a
+    vectors[tree.name_index["b"]] = vec_b
     return tree, EmbeddingTable(dim=dim, vectors=vectors), np.asarray(tree.leaf_nodes)
 
 
@@ -62,10 +62,10 @@ def test_from_names_assembles_aligned_rows():
         embedding_doc({"b": np.array([0, 2, 0]), "a": np.array([1, 0, 0])}), tree
     )
     np.testing.assert_array_equal(table.vectors[tree.root], [0, 0, 0])
-    np.testing.assert_array_equal(table.vectors[tree.index("a")], [1, 0, 0])
-    np.testing.assert_array_equal(table.vectors[tree.index("b")], [0, 2, 0])
+    np.testing.assert_array_equal(table.vectors[tree.name_index["a"]], [1, 0, 0])
+    np.testing.assert_array_equal(table.vectors[tree.name_index["b"]], [0, 2, 0])
     np.testing.assert_array_equal(
-        table.rows((tree.index("b"), tree.index("a"))), [[0, 2, 0], [1, 0, 0]]
+        table.rows((tree.name_index["b"], tree.name_index["a"])), [[0, 2, 0], [1, 0, 0]]
     )
 
 
@@ -240,7 +240,7 @@ def test_predict_single_label_forced():
     table = EmbeddingTable(dim=2, vectors=np.array([[0.0, 0.0], [1.0, 0.0]]))
     scores = scores_of(chain, PromptParams.identity(2, 1.0), table, [[0.0, 5.0]])
     out = predict(chain, scores, np.asarray(chain.leaf_nodes))
-    np.testing.assert_array_equal(out, [chain.index("a")])
+    np.testing.assert_array_equal(out, [chain.name_index["a"]])
 
 
 def test_predict_restriction_consistency():
@@ -250,7 +250,7 @@ def test_predict_restriction_consistency():
     feats = np.random.Generator(np.random.PCG64(99)).standard_normal((12, 6))
     scores = scores_of(tree, params, table, feats)
     fine = predict(tree, scores, np.asarray(tree.leaf_nodes))
-    pair = np.asarray(tree.children[tree.index("n2")])  # children of n2: {n4, n5}
+    pair = np.asarray(tree.children[tree.name_index["n2"]])  # children of n2: {n4, n5}
     coarse = predict(tree, scores, pair)
     assert set(coarse) <= set(pair)
     for k, winner in enumerate(fine):

@@ -240,6 +240,20 @@ def test_sample_cuts_reports_shortfall(demo_path):
     assert lines[2] == "# shortfall: only 1 of 2 distinct cuts exist at this rate"
 
 
+def test_sample_cuts_tells_a_give_up_from_a_shortfall(demo_path):
+    # Every rate in (0, 1) reaches all 3 demo cuts; at 0.999 the sampler
+    # gives up first, which is not a shortfall of cuts.
+    rc, out, _ = run_cli(
+        "sample-cuts", "--tree", str(demo_path), "--beta", "0.999", "--count", "3"
+    )
+    assert rc == 0
+    assert out.splitlines() == [
+        "# beta=0.999 seed=0",
+        "n1\tn6",
+        "# gave up: found 1 of 3 distinct cuts in 300 draws",
+    ]
+
+
 def test_sample_cuts_rejects_bad_rate(demo_path):
     rc, _, err = run_cli("sample-cuts", "--tree", str(demo_path), "--beta", "1.5")
     assert rc == 1

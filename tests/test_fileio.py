@@ -107,7 +107,7 @@ def test_samples_round_trip_and_comment_tolerance():
     tree = demo_tree()
     data = SampleSet(
         ids=("s0", "s1"),
-        leaf_labels=np.array([tree.index("n4"), tree.index("n6")]),
+        leaf_labels=np.array([tree.name_index["n4"], tree.name_index["n6"]]),
         features=np.array([[0.1, -0.0], [1e-17, 2.0]]),
     )
     text = write_samples(data, tree, dim=2)
@@ -153,7 +153,7 @@ def test_write_samples_refuses_ids_that_load_back_differently(sid):
     ids = ("z", sid) if sid == "z" else ("ok", sid, "z")
     samples = SampleSet(
         ids=ids,
-        leaf_labels=np.full(len(ids), tree.index("n4")),
+        leaf_labels=np.full(len(ids), tree.name_index["n4"]),
         features=np.ones((len(ids), 2)),
     )
     with pytest.raises(ValueError, match=re.escape(f"sample id {sid!r} would not load back")):
@@ -165,7 +165,7 @@ def test_write_samples_keeps_ids_that_load_back():
     ids = ("n3.0", "a b", "x#1", "\u540d", "a\x0cb")
     samples = SampleSet(
         ids=ids,
-        leaf_labels=np.full(len(ids), tree.index("n4")),
+        leaf_labels=np.full(len(ids), tree.name_index["n4"]),
         features=np.ones((len(ids), 2)),
     )
     assert load_samples(write_samples(samples, tree, 2), tree).ids == ids
@@ -281,7 +281,7 @@ def test_loading_a_file_holds_about_the_matrix(tmp_path):
     n, dim = 2500, 128
     data = SampleSet(
         ids=tuple(f"s{i}" for i in range(n)),
-        leaf_labels=np.asarray([tree.index("n4"), tree.index("n6")] * (n // 2)),
+        leaf_labels=np.asarray([tree.name_index["n4"], tree.name_index["n6"]] * (n // 2)),
         features=rng.standard_normal((n, dim)),
     )
     path = tmp_path / "samples.tsv"
@@ -334,7 +334,7 @@ def test_valid_rows_never_reach_the_per_token_parser(monkeypatch):
 
     monkeypatch.setattr(fileio, "_parse_float", per_token)
     tree = demo_tree()
-    leaves = np.asarray([tree.index("n4"), tree.index("n6")] * 250)
+    leaves = np.asarray([tree.name_index["n4"], tree.name_index["n6"]] * 250)
     data = SampleSet(
         ids=tuple(f"s{i}" for i in range(500)),
         leaf_labels=leaves,
@@ -367,7 +367,7 @@ def test_written_numbers_never_reach_the_fallback_tier(monkeypatch):
     tree = demo_tree()
     data = SampleSet(
         ids=tuple(f"s{i}" for i in range(12)),
-        leaf_labels=np.asarray([tree.index("n4")] * 12),
+        leaf_labels=np.asarray([tree.name_index["n4"]] * 12),
         features=values,
     )
     loaded = load_samples(write_samples(data, tree, dim=8), tree)
@@ -395,7 +395,7 @@ def test_in_range_rows_never_reach_the_scalar_formatter(monkeypatch):
     tree = demo_tree()
     data = SampleSet(
         ids=tuple(f"s{i}" for i in range(500)),
-        leaf_labels=np.asarray([tree.index("n4"), tree.index("n6")] * 250),
+        leaf_labels=np.asarray([tree.name_index["n4"], tree.name_index["n6"]] * 250),
         features=values,
     )
     params = PromptParams(weight=values[:8], bias=values[8], tau=0.07)

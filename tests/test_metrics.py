@@ -41,10 +41,10 @@ def crossed_sample(tree, table) -> SampleSet:
     basis table), but the root decision between n1 and n6 goes to n6, so
     the sample is leaf-accurate yet path-inconsistent.
     """
-    f = table.vectors[tree.index("n4")] + 0.9 * table.vectors[tree.index("n6")]
+    f = table.vectors[tree.name_index["n4"]] + 0.9 * table.vectors[tree.name_index["n6"]]
     return SampleSet(
         ids=("crossed",),
-        leaf_labels=np.array([tree.index("n4")]),
+        leaf_labels=np.array([tree.name_index["n4"]]),
         features=f[None, :],
     )
 
@@ -86,12 +86,12 @@ def test_hca_never_exceeds_leaf_accuracy():
 
 def test_hca_skips_single_child_ancestors():
     tree = load_tree("r\t-\nu\tr\nc\tr\nm\tu\na\tm\nb\tm\n")
-    leaf_axis = {tree.index(n): k for k, n in enumerate(("a", "b", "c"))}
+    leaf_axis = {tree.name_index[n]: k for k, n in enumerate(("a", "b", "c"))}
     vectors = np.zeros((tree.n_nodes, 3))
     for leaf, k in leaf_axis.items():
         vectors[leaf, k] = 1.0
     for name in ("m", "u"):
-        vectors[tree.index(name)] = vectors[tree.index("a")] + vectors[tree.index("b")]
+        vectors[tree.name_index[name]] = vectors[tree.name_index["a"]] + vectors[tree.name_index["b"]]
     table = EmbeddingTable(dim=3, vectors=vectors)
     ident = PromptParams.identity(3, 1.0)
     data = samples_at_leaves(tree, table)

@@ -85,18 +85,17 @@ def test_cross_entropy_equidistant_is_ln2():
     params = PromptParams.identity(3, 1.0)
     batch = SampleSet(
         ids=("s",),
-        leaf_labels=np.array([tree.index("a")]),
+        leaf_labels=np.array([tree.name_index["a"]]),
         features=np.array([[1.0, 1.0, 0.0]]),
     )
     loss = treecut_loss(tree, params, table, leaf_cut(tree), batch)
     assert loss.value == LN2
-    assert loss.n_contributing == 1
 
 
 def test_cross_entropy_zero_at_cold_separation():
     tree, table = star_fixture()
     cold = PromptParams.identity(3, 1e-3)
-    batch = one_sample(tree, table, tree.index("a"))
+    batch = one_sample(tree, table, tree.name_index["a"])
     loss = treecut_loss(tree, cold, table, leaf_cut(tree), batch)
     assert loss.value == 0.0
     np.testing.assert_array_equal(loss.grad_weight, np.zeros((3, 3)))
@@ -115,7 +114,6 @@ def test_cross_entropy_matches_posterior():
     cols = [member_pos[int(leaf)] for leaf in batch.leaf_labels]
     expected = -np.log(p[np.arange(len(batch)), cols]).mean()
     np.testing.assert_allclose(loss.value, expected, atol=1e-12)
-    assert loss.n_contributing == len(batch)
 
 
 def test_cross_entropy_projects_targets_to_ancestors():
@@ -123,11 +121,10 @@ def test_cross_entropy_projects_targets_to_ancestors():
     # node's children is the child on its root path: n1, then n2, then n4.
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 1.0)
-    batch = one_sample(tree, table, tree.index("n4"))
+    batch = one_sample(tree, table, tree.name_index["n4"])
     loss = node_centric_loss(tree, params, table, batch)
     terms = [nll(tree, params, table, tree.children[n], batch) for n in tree.internal_nodes]
     np.testing.assert_allclose(loss.value, sum(terms) / 3, rtol=1e-12)
-    assert loss.n_contributing == 1
 
 
 def test_cross_entropy_skips_samples_without_target():
@@ -135,8 +132,8 @@ def test_cross_entropy_skips_samples_without_target():
     # enters only the root's term, and the other two terms stay n4's.
     tree, table = nested_demo_table()
     params = random_params(table.dim, tau=0.5, seed=6)
-    n4 = one_sample(tree, table, tree.index("n4"))
-    n6 = one_sample(tree, table, tree.index("n6"))
+    n4 = one_sample(tree, table, tree.name_index["n4"])
+    n6 = one_sample(tree, table, tree.name_index["n6"])
     batch = SampleSet(
         ids=n4.ids + n6.ids,
         leaf_labels=np.append(n4.leaf_labels, n6.leaf_labels),
@@ -147,16 +144,14 @@ def test_cross_entropy_skips_samples_without_target():
     root_term = (nll(tree, params, table, root, n4) + nll(tree, params, table, root, n6)) / 2
     expected = (root_term + nll(tree, params, table, n1, n4) + nll(tree, params, table, n2, n4)) / 3
     np.testing.assert_allclose(loss.value, expected, rtol=1e-12)
-    assert loss.n_contributing == 2
 
 
 def test_cross_entropy_all_samples_outside_is_zero():
     # No node of a chain has two children, so no sample enters a term.
     chain, table = chain_fixture()
-    batch = one_sample(chain, table, chain.index("a"))
+    batch = one_sample(chain, table, chain.name_index["a"])
     loss = node_centric_loss(chain, PromptParams.identity(2, 1.0), table, batch)
     assert loss.value == 0.0
-    assert loss.n_contributing == 0
     np.testing.assert_array_equal(loss.grad_weight, np.zeros((2, 2)))
 
 
@@ -181,7 +176,6 @@ def test_node_centric_zero_at_cold_separation():
     loss = node_centric_loss(tree, cold, table, batch)
     assert loss.value == 0.0
     np.testing.assert_array_equal(loss.grad_bias, np.zeros(table.dim))
-    assert loss.n_contributing == len(batch)
 
 
 def test_node_centric_single_outside_sample():
@@ -189,14 +183,13 @@ def test_node_centric_single_outside_sample():
     # internal nodes contribute zero but still divide the average.
     tree, table = nested_demo_table()
     params = random_params(table.dim, tau=0.3, seed=12)
-    batch = one_sample(tree, table, tree.index("n6"))
+    batch = one_sample(tree, table, tree.name_index["n6"])
     ncl = node_centric_loss(tree, params, table, batch)
     root_cut = tree.treecut_label_set(tree.children[tree.root])  # {n1, n6}
     root_ce = treecut_loss(tree, params, table, root_cut, batch)
     assert ncl.value == root_ce.value / 3
     np.testing.assert_array_equal(ncl.grad_weight, root_ce.grad_weight / 3)
     np.testing.assert_array_equal(ncl.grad_bias, root_ce.grad_bias / 3)
-    assert ncl.n_contributing == 1
 
 
 def test_node_centric_depth_one_equals_leaf_ce():
@@ -221,14 +214,13 @@ def test_treecut_loss_on_leaf_cut_equals_plain_ce():
     np.testing.assert_allclose(dtl.value, ce.value, rtol=1e-12)
     np.testing.assert_allclose(dtl.grad_weight, ce.grad_weight, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(dtl.grad_bias, ce.grad_bias, rtol=1e-12, atol=1e-15)
-    assert dtl.n_contributing == len(batch)
 
 
 def test_treecut_loss_projects_to_coarse_cut():
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 1.0)
-    cut = tree.treecut_label_set((tree.index("n1"), tree.index("n6")))
-    batch = one_sample(tree, table, tree.index("n4"))
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
+    batch = one_sample(tree, table, tree.name_index["n4"])
     loss = treecut_loss(tree, params, table, cut, batch)
     p = oracle.posterior(params, table, cut, batch.features)
     np.testing.assert_allclose(loss.value, -math.log(p[0, 0]), atol=1e-12)
@@ -237,23 +229,22 @@ def test_treecut_loss_projects_to_coarse_cut():
 def test_treecut_loss_singleton_cut_is_free():
     chain, table = chain_fixture()
     params = PromptParams.identity(2, 1.0)
-    batch = one_sample(chain, table, chain.index("a"))
-    loss = treecut_loss(chain, params, table, chain.treecut_label_set((chain.index("a"),)), batch)
+    batch = one_sample(chain, table, chain.name_index["a"])
+    loss = treecut_loss(chain, params, table, chain.treecut_label_set((chain.name_index["a"],)), batch)
     assert loss.value == 0.0
-    assert loss.n_contributing == 1
 
 
 def test_treecut_loss_enforces_validity():
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 1.0)
-    batch = one_sample(tree, table, tree.index("n4"))
+    batch = one_sample(tree, table, tree.name_index["n4"])
     # An unvalidated label set is checked, not trusted: the leaves are the
     # rate-0 cut and pass, a lone n1 leaves n6 uncovered and fails.
     raw = treecut_loss(tree, params, table, LabelSet(members=tree.leaf_nodes), batch)
     checked = treecut_loss(tree, params, table, leaf_cut(tree), batch)
     assert raw.value == checked.value
     np.testing.assert_array_equal(raw.grad_weight, checked.grad_weight)
-    bogus = LabelSet(members=(tree.index("n1"),))
+    bogus = LabelSet(members=(tree.name_index["n1"],))
     with pytest.raises(ValueError, match="does not cover leaf 'n6'"):
         treecut_loss(tree, params, table, bogus, batch)
     with pytest.raises(ValueError, match="not an antichain"):
@@ -268,13 +259,12 @@ def test_total_loss_lambda_zero_is_pure_treecut():
     total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam=0.0)
     assert total is dtl
     assert ncl.value == 0.0
-    assert ncl.n_contributing == 0
 
 
 def test_total_loss_combines_linearly():
     tree, table = nested_demo_table()
     params = random_params(table.dim, tau=0.3, seed=2)
-    cut = tree.treecut_label_set((tree.index("n1"), tree.index("n6")))
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
     batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
     for lam in (0.5, 1.0, 2.0):
         total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam)
@@ -285,7 +275,6 @@ def test_total_loss_combines_linearly():
         np.testing.assert_array_equal(
             total.grad_bias, dtl.grad_bias + lam * ncl.grad_bias
         )
-        assert total.n_contributing == len(batch)
     with pytest.raises(ValueError, match="non-negative"):
         total_loss(tree, params, table, cut, batch, lam=-0.1)
 
@@ -322,7 +311,7 @@ def test_loss_values_are_non_negative():
 def test_gradient_check_tight_at_identity():
     tree, table = nested_demo_table()
     params = PromptParams.identity(table.dim, 0.5)
-    cut = tree.treecut_label_set((tree.index("n1"), tree.index("n6")))
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
     batch = noisy_samples(tree, table, per_leaf=2, sigma=0.3, seed=4)
     for lam in (0.0, 0.5, 1.0):
         assert gradient_check(tree, params, table, cut, batch, lam) <= 1e-6

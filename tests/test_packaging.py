@@ -47,6 +47,8 @@ UNCALLED_ALLOWED = {
     "gradient_check": "tests/test_acceptance.py imports it",
     "enumerate_treecuts": "tests/test_acceptance.py imports it",
     "leaf_accuracy": "tests/test_acceptance.py imports it",
+    "hca": "tests/test_acceptance.py imports it; perfbench/traced.py resolves it",
+    "mta": "tests/test_acceptance.py imports it; perfbench/traced.py resolves it",
     "TaxonomyTree.target_in": "perfbench/traced.py resolves it for its trace table",
     "node_centric_loss": "perfbench/traced.py resolves it for its trace table",
     "treecut_loss": "perfbench/traced.py resolves it for its trace table",
@@ -67,30 +69,34 @@ def public_callables(tree: ast.Module) -> dict[str, str]:
     return found
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every name read and every attribute looked up in a module."""
-    names = set()
+def loaded_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every name read in a module, and every attribute read in it."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def test_public_callables_are_called_in_the_package():
-    # Matched by name, so a same-named local or attribute elsewhere counts
-    # as a use; the re-exports in __init__ do not.
+    # A function counts as used where its name is read, a method where an
+    # attribute of its name is read; a same-named local read elsewhere
+    # still counts, a stored name or a field declaration does not, and the
+    # re-exports in __init__ do not.
     modules = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "hiertune").glob("*.py"))
     }
-    used = set().union(*(used_names(t) for name, t in modules.items() if name != "__init__.py"))
+    loaded = [loaded_names(t) for name, t in modules.items() if name != "__init__.py"]
+    names = set().union(*(n for n, _ in loaded))
+    attrs = set().union(*(a for _, a in loaded))
     uncalled = {
         qualified
         for tree in modules.values()
         for qualified, name in public_callables(tree).items()
-        if name not in used
+        if name not in (attrs if "." in qualified else names)
     }
     assert uncalled == set(UNCALLED_ALLOWED)
 

@@ -42,9 +42,8 @@ def test_two_node_chain():
 
 def test_index_lookup():
     tree = demo_tree()
-    assert tree.index("n4") == 4
-    with pytest.raises(ValueError):
-        tree.index("nope")
+    assert tree.name_index["n4"] == 4
+    assert "nope" not in tree.name_index
 
 
 def test_comments_and_blank_lines_skipped():

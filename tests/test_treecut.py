@@ -1,4 +1,4 @@
-"""Matrix bundle, flag correction, mask algebra, sampling, enumeration."""
+"""The sampler's view of the layout, flag correction, mask algebra, sampling, enumeration."""
 from __future__ import annotations
 
 import itertools
@@ -33,12 +33,22 @@ def demo_bundle():
 
 def test_matrix_bundle_demo_values():
     tree, bundle = demo_bundle()
-    assert names_of(tree, bundle.internal_nodes) == ("n0", "n1", "n2")
-    assert names_of(tree, bundle.labels) == ("n1", "n2", "n3", "n4", "n5", "n6")
+    assert bundle is tree.layout
+    internal = bundle.internal_nodes
+    assert internal.dtype == np.int64 and not internal.flags.writeable
+    assert names_of(tree, internal) == ("n0", "n1", "n2")
     # Preorder n0 n1 n2 n4 n5 n3 n6: children in ascending index order.
     np.testing.assert_array_equal(bundle.tin, [0, 1, 2, 5, 3, 4, 6])
     np.testing.assert_array_equal(bundle.tout, [7, 6, 5, 6, 4, 5, 7])
-    assert bundle.tin is tree.layout.tin and bundle.tout is tree.layout.tout
+    # Label j of a mask is node j + 1: every node but the root.
+    mask = blocked_mask(np.ones(3, dtype=np.int64), bundle)
+    assert len(mask) == tree.n_nodes - 1
+    assert names_of(tree, np.flatnonzero(mask == 0) + 1) == ("n3", "n4", "n5", "n6")
+
+
+def test_build_matrices_needs_two_leaves():
+    with pytest.raises(ValueError, match="two leaves"):
+        build_matrices(load_tree("r\t-\na\tr\n"))
 
 
 def ancestry_trees():
@@ -122,7 +132,7 @@ def test_blocked_mask_demo_patterns():
         cut = cut_from_flags(tree, bundle, flags)
         assert names_of(tree, cut.members) == cut_expected
         zero_labels = tuple(
-            label for label, blocked in zip(bundle.labels, mask) if blocked == 0
+            label for label, blocked in enumerate(mask, start=1) if blocked == 0
         )
         assert zero_labels == cut.members
 
@@ -142,13 +152,13 @@ def test_blocked_mask_extremes():
         k = len(bundle.internal_nodes)
         keep_all = correct_flags(np.ones(k, dtype=np.int64), bundle)
         mask = blocked_mask(keep_all, bundle)
-        zeros = {label for label, b in zip(bundle.labels, mask) if b == 0}
+        zeros = {label for label, b in enumerate(mask, start=1) if b == 0}
         assert zeros == set(tree.leaf_nodes)
         root_only = correct_flags(
             np.array([1] + [0] * (k - 1), dtype=np.int64), bundle
         )
         mask = blocked_mask(root_only, bundle)
-        zeros = {label for label, b in zip(bundle.labels, mask) if b == 0}
+        zeros = {label for label, b in enumerate(mask, start=1) if b == 0}
         assert zeros == set(tree.children[tree.root])
 
 
