@@ -8,14 +8,16 @@ the offending line number.
 
 Every loader takes the document's text or a binary file open for reading.
 A file is read in blocks and checked one line at a time by the line reader
-``taxonomy.load_tree`` also uses, whatever its line breaks. Each matrix a
-loader returns is one growable ``array("d")`` that a row joins only once
-its line has passed every check, viewed as a matrix by ``np.frombuffer``
-with no copy, so a load holds about the matrix and one block of text, and
-a corrupt dimension allocates nothing before its first row fails. A
-byte that is not UTF-8 raises UnicodeDecodeError with its offset from the
-start of the file, once every line before it has been checked: a fault on
-an earlier line is the one reported.
+``taxonomy.load_tree`` also uses, whatever its line breaks. A row joins
+the matrix a loader returns only once its line has passed every check.
+The embedding table, whose shape the tree fixes, is allocated whole at its
+first such row, and each row is written at its node's index; every other
+matrix is one growable ``array("d")``, viewed as a matrix by
+``np.frombuffer`` with no copy. So a load holds about the matrix and one
+block of text, and a corrupt dimension allocates nothing before its first
+row fails. A byte that is not UTF-8 raises UnicodeDecodeError with its
+offset from the start of the file, once every line before it has been
+checked: a fault on an earlier line is the one reported.
 
 Rows of numbers are parsed one row at a time by orjson: the row's values,
 TABs turned to commas, are read as one JSON array. Any row that orjson
@@ -173,8 +175,8 @@ def write_tree(tree: TaxonomyTree) -> str:
 def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTable:
     """The table in ``source``, a document's text or a binary file open for reading."""
     dim, rows = _split_dim_doc(source, "embedding table")
-    values = array("d")
-    nodes: dict[str, int] = {}
+    vectors = None
+    seen: set[str] = set()
     for lineno, line in rows:
         if line.count("\t") != dim:
             raise FormatError(
@@ -182,7 +184,7 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
             )
         name, numbers = line.split("\t", 1)
         name = name.strip()
-        if name in nodes:
+        if name in seen:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
         node = tree.name_index.get(name, tree.root)
         if node == tree.root:
@@ -194,13 +196,13 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
             raise FormatError(
                 f"embedding table line {lineno}: embedding for {name!r} is all zeros"
             )
-        values.extend(row)
-        nodes[name] = node
-    if len(nodes) < tree.n_nodes - 1:
-        missing = sorted(set(tree.names) - set(nodes) - {tree.names[tree.root]})
+        if vectors is None:  # once a row has borne out ``dim``
+            vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
+        vectors[node] = row
+        seen.add(name)
+    if len(seen) < tree.n_nodes - 1:
+        missing = sorted(set(tree.names) - seen - {tree.names[tree.root]})
         raise FormatError(f"embedding table: missing embeddings for: {', '.join(missing)}")
-    vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
-    vectors[list(nodes.values())] = np.frombuffer(values).reshape(-1, dim)
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 

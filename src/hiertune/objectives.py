@@ -8,9 +8,12 @@ found for a whole batch by ``ColumnLayout.on_path``. The treecut loss is
 a softmax over one sampled fringe's columns, teaching global consistency;
 the node-centric loss, teaching each local decision, averages every
 internal node's child-set cross-entropy, as softmaxes over only the groups
-on each sample's root path. Gradients with respect to the affine map are
-closed-form throughout and are checked against finite differences in the
-test suite.
+on each sample's root path. Each loss's gradient is first taken at the
+cosines; ``total_loss`` sums the two parts' there, in one matrix over
+every column, and maps that sum through the weight normalization and the
+affine map in one backward pass. Gradients with respect to the affine map
+are closed-form throughout and are checked against finite differences in
+the test suite.
 """
 from __future__ import annotations
 
@@ -32,10 +35,6 @@ class LossValue:
     grad_weight: np.ndarray
     grad_bias: np.ndarray
 
-    @classmethod
-    def zero(cls, dim: int) -> LossValue:
-        return cls(0.0, np.zeros((dim, dim)), np.zeros(dim))
-
 
 @dataclass(frozen=True)
 class _Scores:
@@ -48,9 +47,6 @@ class _Scores:
     wnorm: np.ndarray
     vhat: np.ndarray
     cos: np.ndarray
-
-    def take(self, cols: np.ndarray) -> _Scores:
-        return _Scores(self.emb[cols], self.what[cols], self.wnorm[cols], self.vhat, self.cos[:, cols])
 
 
 def _score(
@@ -75,23 +71,27 @@ def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
     return d_weights.T @ sc.emb, d_weights.sum(axis=0)
 
 
-def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: float) -> LossValue:
-    """The node-centric loss from scores over every layout column.
+def _node_centric(
+    tree: TaxonomyTree, cos: np.ndarray, leaves: np.ndarray, tau: float, g=None, scale=1.0
+) -> float:
+    """The node-centric loss from cosines over every layout column.
 
     A sample enters the term of each branching internal node on its root
     path; its target there is the group column on that path. Each term is
     the mean over the samples that enter it, and the sum of terms is
-    divided by the number of internal nodes, contributing or not. The pairs'
-    gradient is scattered into zeros over every column for the backward pass.
+    divided by the number of internal nodes, contributing or not. Given
+    ``g``, a zero matrix shaped like ``cos``, ``scale`` times the gradient
+    of that sum of terms at the cosines is scattered into it at the pairs'
+    columns.
     """
     n_groups = len(tree.layout.sizes)
     rows, group, sizes, seg, target, flat_rows, cols = _path_groups(tree, leaves)
     if rows.size == 0:
         # Only a one-leaf chain has no branching node; on any other tree
         # every leaf's root path crosses one, so every sample contributes.
-        return LossValue.zero(sc.emb.shape[1])
+        return 0.0
     counts = np.bincount(group, minlength=n_groups)
-    z = sc.cos[flat_rows, cols] / tau
+    z = cos[flat_rows, cols] / tau
     z -= np.repeat(np.maximum.reduceat(z, seg), sizes)
     picked = z[target]
     np.exp(z, out=z)
@@ -99,24 +99,26 @@ def _node_centric(tree: TaxonomyTree, sc: _Scores, leaves: np.ndarray, tau: floa
     sums = np.bincount(group, weights=np.log(sez) - picked, minlength=n_groups)
     used = counts > 0
     value = float(np.sum(sums[used] / counts[used])) / n_groups
-    # Per pair: softmax minus one-hot, scaled to the mean over its group's samples.
-    z /= np.repeat(sez, sizes)
-    z[target] -= 1.0
-    z /= np.repeat(tau * counts[group], sizes)
-    g = np.zeros_like(sc.cos)
-    g[flat_rows, cols] = z
-    grad_w, grad_b = _backward(g, sc)
-    return LossValue(value, grad_w / n_groups, grad_b / n_groups)
+    if g is not None:
+        # Per pair: softmax minus one-hot, scaled to the mean over its group's samples.
+        z /= np.repeat(sez, sizes)
+        z[target] -= 1.0
+        z /= np.repeat(tau * counts[group], sizes)
+        z *= scale
+        g[flat_rows, cols] = z
+    return value
 
 
-def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, tau: float) -> LossValue:
-    """Mean softmax cross-entropy of the rows over the cut's columns, in member order."""
-    n = len(batch)
-    if len(cut) == 1:
-        return LossValue.zero(sc.emb.shape[1])
-    targets = np.argmax(tree.layout.on_path(batch.leaf_labels[:, None], cut.members), axis=1)
+def _treecut(
+    tree: TaxonomyTree, cos: np.ndarray, cut: LabelSet, leaves: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the rows of ``cos``, the cut's columns
+    in member order, and its gradient at them. A one-member cut forces the
+    answer: its loss and gradient are zero."""
+    n = len(leaves)
+    targets = np.argmax(tree.layout.on_path(leaves[:, None], cut.members), axis=1)
     rows = np.arange(n)
-    z = sc.cos / tau
+    z = cos / tau
     z -= z.max(axis=1, keepdims=True)
     picked = z[rows, targets]
     np.exp(z, out=z)
@@ -126,8 +128,34 @@ def _treecut(tree: TaxonomyTree, sc: _Scores, cut: LabelSet, batch: SampleSet, t
     z /= sez
     z[rows, targets] -= 1.0
     z /= tau * n
-    grad_w, grad_b = _backward(z, sc)
-    return LossValue(value, grad_w, grad_b)
+    return value, z
+
+
+def _forward(
+    tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, cut: LabelSet,
+    batch: SampleSet, lam: float, grad: bool = True,
+) -> tuple[_Scores, float, float, np.ndarray | None]:
+    """The scores ``total_loss`` takes, its treecut and node-centric values,
+    and, if ``grad``, the total's gradient at the cosines."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
+    if len(batch) == 0:
+        raise ValueError("batch is empty")
+    tree.treecut_label_set(cut.members)
+    leaves, tau = batch.leaf_labels, params.tau
+    if lam == 0.0:
+        sc = _score(params, table, cut.members, batch.features)
+        dtl, g = _treecut(tree, sc.cos, cut, leaves, tau)
+        return sc, dtl, 0.0, g
+    lay = tree.layout
+    sc = _score(params, table, lay.nodes, batch.features)
+    g = np.zeros_like(sc.cos) if grad else None
+    ncl = _node_centric(tree, sc.cos, leaves, tau, g, lam / len(lay.sizes))
+    cut_cols = lay.column[np.asarray(cut.members, dtype=np.int64)]
+    dtl, g_cut = _treecut(tree, sc.cos[:, cut_cols], cut, leaves, tau)
+    if grad:
+        g[:, cut_cols] += g_cut
+    return sc, dtl, ncl, g
 
 
 def node_centric_loss(
@@ -145,7 +173,11 @@ def node_centric_loss(
     if len(batch) == 0:
         raise ValueError("batch is empty")
     sc = _score(params, table, tree.layout.nodes, batch.features)
-    return _node_centric(tree, sc, batch.leaf_labels, params.tau)
+    g = np.zeros_like(sc.cos)
+    value = _node_centric(tree, sc.cos, batch.leaf_labels, params.tau, g)
+    grad_w, grad_b = _backward(g, sc)
+    n_groups = len(tree.layout.sizes)
+    return LossValue(value, grad_w / n_groups, grad_b / n_groups)
 
 
 def treecut_loss(
@@ -160,7 +192,7 @@ def treecut_loss(
     The fringe covers every leaf, so every sample contributes. A
     one-label fringe forces the answer and carries no loss.
     """
-    return total_loss(tree, params, table, cut, batch, 0.0)[1]
+    return total_loss(tree, params, table, cut, batch, 0.0)[0]
 
 
 def total_loss(
@@ -170,40 +202,31 @@ def total_loss(
     cut: LabelSet,
     batch: SampleSet,
     lam: float,
-) -> tuple[LossValue, LossValue, LossValue]:
+) -> tuple[LossValue, float, float]:
     """Treecut loss plus ``lam`` times the node-centric loss.
 
-    Returns (total, treecut part, node part). At ``lam`` 0 the node part
-    is skipped entirely, only the cut's columns are scored, and the total
-    is the treecut object itself, so a zero weight is exact, not
-    approximate. Otherwise one score matrix over every column serves both
-    parts; each part's gradient goes through the backward pass on its own
-    columns, so the total is exactly the treecut part plus ``lam`` times
-    the node part.
+    Returns the total, with its gradients, and the treecut and node-centric
+    values. At ``lam`` 0 the node part is skipped and only the cut's columns
+    are scored. Otherwise one score matrix over every column serves both
+    parts; ``lam`` times the node part's gradient at the cosines plus the
+    treecut part's, at the cut's columns, goes through the backward pass
+    once, so the total gradient is the parts' up to rounding.
 
     The batch must be non-empty and the cut a valid treecut. This is
     where a hand-built cut enters, and the one check of a sampled one.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be non-negative and finite, got {lam}")
-    if len(batch) == 0:
-        raise ValueError("batch is empty")
-    tree.treecut_label_set(cut.members)
+    sc, dtl, ncl, g = _forward(tree, params, table, cut, batch, lam)
+    return LossValue(dtl + lam * ncl, *_backward(g, sc)), dtl, ncl
+
+
+def _loss_value(tree, params, table, cut, batch, lam: float) -> float:
+    """``total_loss``'s value alone, with no backward pass. Every layout
+    node is mapped, as at ``lam`` > 0 the scores map them, so an overflow
+    anywhere in the map raises at any ``lam``."""
     if lam == 0.0:
-        sc = _score(params, table, cut.members, batch.features)
-        dtl = _treecut(tree, sc, cut, batch, params.tau)
-        return dtl, dtl, LossValue.zero(params.dim)
-    lay = tree.layout
-    sc = _score(params, table, lay.nodes, batch.features)
-    ncl = _node_centric(tree, sc, batch.leaf_labels, params.tau)
-    cut_cols = lay.column[np.asarray(cut.members, dtype=np.int64)]
-    dtl = _treecut(tree, sc.take(cut_cols), cut, batch, params.tau)
-    total = LossValue(
-        dtl.value + lam * ncl.value,
-        dtl.grad_weight + lam * ncl.grad_weight,
-        dtl.grad_bias + lam * ncl.grad_bias,
-    )
-    return total, dtl, ncl
+        unit_weights(params, table, tree.layout.nodes)
+    _, dtl, ncl, _ = _forward(tree, params, table, cut, batch, lam, grad=False)
+    return dtl + lam * ncl
 
 
 # gradient_check's central-difference step, the most map coordinates it
@@ -227,7 +250,7 @@ def gradient_check(
     a shuffle seeded with ``_CHECK_SEED`` picks the subset. The error at one
     coordinate is |analytic - numeric| / max(1, |numeric|).
     """
-    total, _, _ = total_loss(tree, params, table, cut, batch, lam)
+    total = total_loss(tree, params, table, cut, batch, lam)[0]
     dim = params.dim
     coords = list(range(dim * dim + dim))
     if len(coords) > _CHECK_COORDS:
@@ -240,7 +263,8 @@ def gradient_check(
         moved = flat.copy()
         moved[k] += delta
         shifted = PromptParams(moved[:-dim].reshape(dim, dim), moved[-dim:], params.tau)
-        return total_loss(tree, shifted, table, cut, batch, lam)[0].value
+        _, dtl, ncl, _ = _forward(tree, shifted, table, cut, batch, lam, grad=False)
+        return dtl + lam * ncl
 
     worst = 0.0
     for k in coords:

@@ -61,6 +61,28 @@ def _plan_tree(leaves: int, depth: int) -> str:
     return "".join(lines)
 
 
+def _planned_axes(leaves: int, depth: int) -> int:
+    """The non-root node count of ``_plan_tree``'s layout, without it.
+
+    A node whose subtrees hold more leaves than it places has one child,
+    holding them all, and that child is split a level down. Below those
+    levels a node's leaves fill full subtrees of p = b ** (levels - 1)
+    leaves and n = (b ** levels - 1) / (b - 1) nodes, and the rest one more
+    child, split the same way a level down. Every number stays below
+    ``leaves * b``, so a deep chain costs no big-integer powers.
+    """
+    b = _branching(leaves, depth)
+    p, levels = 1, 1
+    while levels < depth and p * b <= leaves:
+        p, levels = p * b, levels + 1
+    axes, n = depth - levels, (b * p - 1) // (b - 1)
+    while leaves > 1:
+        full, leaves = divmod(leaves, p)
+        axes += full * n + (leaves > 0)
+        p, n = p // b, (n - 1) // b
+    return axes
+
+
 # Per-level shrink of the private component a node adds on top of its
 # parent's direction. Smaller values make siblings more alike and their
 # distinction more fragile under noise.
@@ -126,11 +148,10 @@ def gen_synth(
     if not 0 <= noise < math.inf:
         raise ValueError(f"noise must be non-negative and finite, got {noise}")
 
-    document = _plan_tree(leaves, depth)
-    axes = document.count("\n") - 1  # one per non-root node, checked before the tree is built
+    axes = _planned_axes(leaves, depth)  # one per non-root node, counted before the tree is planned
     if dim < axes:
         raise ValueError(f"dim must be at least {axes} (one axis per non-root node)")
-    tree = load_tree(document)
+    tree = load_tree(_plan_tree(leaves, depth))
     table = _embedding_table(tree, dim)
 
     gen = np.random.Generator(np.random.PCG64(check_seed(seed)))

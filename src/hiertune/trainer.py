@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
-from .objectives import total_loss
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
+from .objectives import _loss_value, total_loss
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_treecut
@@ -171,11 +171,10 @@ def train(
                     weight = weight - lr * total.grad_weight
                     bias = bias - lr * total.grad_bias
                     records.append(IterationRecord(
-                        iteration, lr, len(cut), dtl.value, ncl.value, total.value
+                        iteration, lr, len(cut), dtl, ncl, total.value
                     ))
             final = PromptParams(weight=weight, bias=bias, tau=config.tau)
-            unit_weights(final, emb, tree.layout.nodes)
-            after = total_loss(tree, final, emb, first_cut, first_batch, config.lam)[0].value
+            after = _loss_value(tree, final, emb, first_cut, first_batch, config.lam)
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 

@@ -37,7 +37,7 @@ import numpy as np
 from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
 from hiertune.fileio import FormatError
 from hiertune.metrics import CutResult
-from hiertune.objectives import LossValue, _backward
+from hiertune.objectives import LossValue
 from hiertune.rng import Rng64, derive_seed
 from hiertune.taxonomy import LabelSet, TaxonomyTree
 
@@ -262,6 +262,11 @@ def predict(
 
 # ------------------------------------------------------------- objectives
 
+def zero_loss(dim: int) -> LossValue:
+    """No loss and no gradient."""
+    return LossValue(0.0, np.zeros((dim, dim)), np.zeros(dim))
+
+
 def _ce_core(
     tree: TaxonomyTree,
     params: PromptParams,
@@ -285,7 +290,7 @@ def _ce_core(
     mask = targets >= 0
     n_contrib = int(mask.sum())
     if n_contrib == 0:
-        return LossValue.zero(params.dim)
+        return zero_loss(params.dim)
 
     emb = table.rows(labels.members)
     weights = emb @ params.weight.T + params.bias
@@ -359,7 +364,7 @@ def treecut_loss(
         raise ValueError("batch is empty")
     treecut_label_set(tree, cut.members)
     if len(cut) == 1:
-        return LossValue.zero(params.dim)
+        return zero_loss(params.dim)
     return _ce_core(tree, params, table, cut, batch)
 
 
@@ -376,7 +381,7 @@ def total_loss(
         raise ValueError(f"lam must be non-negative, got {lam}")
     dtl = treecut_loss(tree, params, table, cut, batch)
     if lam == 0.0:
-        return dtl, dtl, LossValue.zero(params.dim)
+        return dtl, dtl, zero_loss(params.dim)
     ncl = node_centric_loss(tree, params, table, batch)
     total = LossValue(
         dtl.value + lam * ncl.value,
@@ -386,9 +391,12 @@ def total_loss(
     return total, dtl, ncl
 
 
-def dense_node_centric(tree: TaxonomyTree, sc, leaves: np.ndarray, tau: float) -> LossValue:
-    """The node-centric loss over every layout column, from
-    ``objectives._score``'s scores: one segmented softmax over all groups,
+def dense_node_centric(
+    tree: TaxonomyTree, cos: np.ndarray, leaves: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """The node-centric loss over every layout column, and the gradient of
+    its terms' sum (the loss before its division by the internal-node
+    count) at the cosines ``cos``: one segmented softmax over all groups,
     masked to the (sample, group) pairs a sample enters."""
     lay = tree.layout
     n_groups = len(lay.sizes)
@@ -396,12 +404,12 @@ def dense_node_centric(tree: TaxonomyTree, sc, leaves: np.ndarray, tau: float) -
     rows, cols = np.nonzero(lay.on_path(leaves[:, None], lay.nodes) & (lay.sizes >= 2)[group])
     groups = group[cols]
     if rows.size == 0:
-        return LossValue.zero(sc.emb.shape[1])
+        return 0.0, np.zeros_like(cos)
     counts = np.bincount(groups, minlength=n_groups)
     enters = np.zeros((len(leaves), n_groups), dtype=bool)
     enters[rows, groups] = True
 
-    z = sc.cos / tau
+    z = cos / tau
     z -= np.maximum.reduceat(z, lay.starts, axis=1)[:, group]
     picked = z[rows, cols]
     np.exp(z, out=z)
@@ -413,8 +421,7 @@ def dense_node_centric(tree: TaxonomyTree, sc, leaves: np.ndarray, tau: float) -
     z[rows, cols] -= 1.0
     z /= tau * np.maximum(counts, 1)[group]
     z *= enters[:, group]
-    grad_w, grad_b = _backward(z, sc)
-    return LossValue(value, grad_w / n_groups, grad_b / n_groups)
+    return value, z
 
 
 # ---------------------------------------------------------------- trainer

@@ -3,12 +3,13 @@
 ``oracle`` keeps the per-vocabulary, per-node and per-sample versions the
 library used before it moved to one score matrix per batch. On random
 trees, with one-child nodes, exact score ties and one-label cuts, losses
-and gradients must agree to 1e-12 relative and every prediction and
-accuracy must be exactly equal. It also keeps the integer-matrix treecut
-sampler; the preorder-interval one must give the same flags, masks and
-cuts, and the per-sample k-shot count the same selection.
-Its per-token file loaders must agree with the row-at-a-time ones on
-written documents with bad tokens, wrong field counts, bad records,
+and gradients must agree to 1e-12 relative (the fused total's gradient
+with a 1e-14 absolute floor) and every prediction and accuracy must be
+exactly equal. It also keeps the integer-matrix treecut sampler; the
+preorder-interval one must give the same flags, masks and cuts, and the
+per-sample k-shot count the same selection. Its per-token file loaders
+must agree with the row-at-a-time ones on written documents, embedding
+rows in any order, with bad tokens, wrong field counts, bad records,
 comments holding odd line breaks and misspelt dimension headers spliced
 in, under each of the three line endings: the same arrays, byte for byte,
 or the same error. Every loader, the tree's too, must also give that from
@@ -109,11 +110,16 @@ def assert_close(new, old):
 @given(problems(), st.sampled_from((0.0, 0.5)))
 def test_losses_match_reference(problem, lam):
     tree, table, params, batch, cut = problem
-    for new, old in zip(
-        total_loss(tree, params, table, cut, batch, lam),
-        oracle.total_loss(tree, params, table, cut, batch, lam),
-    ):
-        assert_close(new, old)
+    total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam)
+    old, old_dtl, old_ncl = oracle.total_loss(tree, params, table, cut, batch, lam)
+    # The fused gradient is summed in another order than the oracle's sum of
+    # the parts, and with duplicate embedding rows the parts can cancel to
+    # about 1e-15, so the bound has an absolute floor.
+    for a, b in ((total.grad_weight, old.grad_weight), (total.grad_bias, old.grad_bias)):
+        np.testing.assert_allclose(a, b, rtol=REL, atol=1e-14)
+    np.testing.assert_allclose(
+        (total.value, dtl, ncl), (old.value, old_dtl.value, old_ncl.value), rtol=REL
+    )
     assert_close(
         node_centric_loss(tree, params, table, batch),
         oracle.node_centric_loss(tree, params, table, batch),
@@ -169,16 +175,13 @@ def test_path_pairs_match_dense_forms_bit_for_bit(problem, block, data):
     tree, table, params, batch, _ = problem
     if data is not None:  # samples in any order, not grouped by leaf
         batch = batch.take(data.draw(st.permutations(range(len(batch)))))
-    nodes, leaves = tree.layout.nodes, batch.leaf_labels
-    new = objectives._node_centric(
-        tree, objectives._score(params, table, nodes, batch.features), leaves, params.tau
-    )
-    old = oracle.dense_node_centric(
-        tree, objectives._score(params, table, nodes, batch.features), leaves, params.tau
-    )
-    assert np.array_equal(new.value, old.value)
-    assert np.array_equal(new.grad_weight, old.grad_weight)
-    assert np.array_equal(new.grad_bias, old.grad_bias)
+    leaves = batch.leaf_labels
+    cos = objectives._score(params, table, tree.layout.nodes, batch.features).cos
+    grad = np.zeros_like(cos)
+    value = objectives._node_centric(tree, cos, leaves, params.tau, grad)
+    old_value, old_grad = oracle.dense_node_centric(tree, cos, leaves, params.tau)
+    assert np.array_equal(value, old_value)
+    assert np.array_equal(grad, old_grad)
     with mock.patch.object(metrics, "EVAL_BLOCK", block):
         dense_right = 0
         for labels, scores in score_blocks(tree, params, table, batch):
@@ -364,6 +367,9 @@ def test_loaders_match_reference(seed, kind, data):
         new = old = load_tree
     elif kind == "embeddings":
         text = fileio.write_embeddings(table, tree)
+        if data.draw(st.booleans()):  # rows in another order than the nodes'
+            header, *rows = text.splitlines()
+            text = "\n".join([header, *data.draw(st.permutations(rows))]) + "\n"
         new, old = fileio.load_embeddings, oracle.load_embeddings
     elif kind == "samples":
         text = fileio.write_samples(noisy_samples(tree, table, 1, 0.5, seed), tree, dim)

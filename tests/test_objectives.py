@@ -257,26 +257,75 @@ def test_total_loss_lambda_zero_is_pure_treecut():
     cut = tree.treecut_label_set(tuple(tree.leaf_nodes))
     batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
     total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam=0.0)
-    assert total is dtl
-    assert ncl.value == 0.0
+    alone = treecut_loss(tree, params, table, cut, batch)
+    assert total.value == dtl == alone.value
+    assert ncl == 0.0
+    np.testing.assert_array_equal(total.grad_weight, alone.grad_weight)
+    np.testing.assert_array_equal(total.grad_bias, alone.grad_bias)
 
 
 def test_total_loss_combines_linearly():
+    # One backward pass takes the fused gradient at the cosines, so the
+    # total gradient is the parts' sum up to summation order.
     tree, table = nested_demo_table()
     params = random_params(table.dim, tau=0.3, seed=2)
     cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
     batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    dtl_alone = treecut_loss(tree, params, table, cut, batch)
+    ncl_alone = node_centric_loss(tree, params, table, batch)
     for lam in (0.5, 1.0, 2.0):
         total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam)
-        assert total.value == dtl.value + lam * ncl.value
-        np.testing.assert_array_equal(
-            total.grad_weight, dtl.grad_weight + lam * ncl.grad_weight
-        )
-        np.testing.assert_array_equal(
-            total.grad_bias, dtl.grad_bias + lam * ncl.grad_bias
-        )
+        assert total.value == dtl + lam * ncl
+        np.testing.assert_allclose((dtl, ncl), (dtl_alone.value, ncl_alone.value), rtol=1e-12)
+        for fused, part, node in (
+            (total.grad_weight, dtl_alone.grad_weight, ncl_alone.grad_weight),
+            (total.grad_bias, dtl_alone.grad_bias, ncl_alone.grad_bias),
+        ):
+            np.testing.assert_allclose(fused, part + lam * node, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError, match="non-negative"):
         total_loss(tree, params, table, cut, batch, lam=-0.1)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_total_loss_runs_one_backward_pass(monkeypatch, lam):
+    from hiertune import objectives
+
+    calls = []
+    backward = objectives._backward
+
+    def counted(g, sc):
+        calls.append(g.shape)
+        return backward(g, sc)
+
+    monkeypatch.setattr(objectives, "_backward", counted)
+    tree, table = nested_demo_table()
+    params = random_params(table.dim, tau=0.3, seed=2)
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
+    batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    total_loss(tree, params, table, cut, batch, lam)
+    # Every column at lam > 0; only the cut's at lam 0.
+    width = len(tree.layout.nodes) if lam else len(cut)
+    assert calls == [(len(batch), width)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_loss_value_maps_every_node(lam):
+    # The trainer's final overflow check is this re-score: an embedding
+    # outside the cut whose mapped norm overflows must raise at any lam.
+    from hiertune import objectives
+
+    tree, table = nested_demo_table()
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
+    outside = next(n for n in tree.layout.nodes if n not in cut.members)
+    vectors = table.vectors.copy()
+    vectors[outside] *= 1e300
+    blown = EmbeddingTable(table.dim, vectors)
+    params = random_params(table.dim, tau=0.3, seed=2)
+    batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    with np.errstate(over="raise"):
+        total_loss(tree, params, blown, cut, batch, 0.0)  # the cut alone maps finitely
+        with pytest.raises(FloatingPointError, match="overflow"):
+            objectives._loss_value(tree, params, blown, cut, batch, lam)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
@@ -303,8 +352,8 @@ def test_loss_values_are_non_negative():
         batch = noisy_samples(tree, table, per_leaf=2, sigma=0.5, seed=trial)
         cut = tree.treecut_label_set(tuple(tree.leaf_nodes))
         total, dtl, ncl = total_loss(tree, params, table, cut, batch, lam=0.7)
-        assert dtl.value >= 0.0
-        assert ncl.value >= 0.0
+        assert dtl >= 0.0
+        assert ncl >= 0.0
         assert total.value >= 0.0
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hiertune import PromptParams, gen_synth, hca, leaf_accuracy, load_tree, synth
 from hiertune.fileio import load_embeddings, load_samples
-from hiertune.synth import LEVEL_SCALE, _branching, _embedding_table, _plan_tree
+from hiertune.synth import LEVEL_SCALE, _branching, _embedding_table, _plan_tree, _planned_axes
 
 import oracle
 
@@ -104,15 +105,38 @@ def test_embedding_table_requires_room_for_every_node():
 
 
 def test_too_small_dim_is_refused_before_the_tree_is_built(monkeypatch):
-    # The planned document's lines count the nodes, so a 300,000-leaf shape
-    # is refused without building its tree.
-    def no_tree(text):
-        raise AssertionError("load_tree called")
+    # The nodes are counted from the shape, so a 300,000-leaf shape is
+    # refused without planning or building its tree.
+    def no_tree(*args):
+        raise AssertionError("tree planned or built")
 
+    monkeypatch.setattr(synth, "_plan_tree", no_tree)
     monkeypatch.setattr(synth, "load_tree", no_tree)
     for leaves, depth, need in ((300_000, 1, 300_000), (27, 3, 39), (2, 3000, 3001)):
         with pytest.raises(ValueError, match=f"dim must be at least {need} "):
             gen_synth(leaves=leaves, depth=depth, dim=8, per_leaf=1, noise=0.5, seed=0)
+
+
+@pytest.mark.parametrize("leaves, depth, need", [(300_000, 1, 300_000), (2, 10**5, 10**5 + 1)])
+def test_too_small_dim_refusal_holds_no_tree(leaves, depth, need):
+    # Rendering the 300,000-leaf tree document first peaked at 23.7 MB;
+    # counting its nodes takes about 1 kB. A 100,000-level chain is counted
+    # without a power of the branching factor as deep as the chain.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dim must be at least {need} "):
+            gen_synth(leaves=leaves, depth=depth, dim=8, per_leaf=1, noise=0.5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_planned_axes_count_the_planned_nodes():
+    for leaves in (*range(2, 66), 100, 216, 1000, 4097):
+        for depth in (1, 2, 3, 4, 5, 8, 13, 40):
+            document = _plan_tree(leaves, depth)
+            assert _planned_axes(leaves, depth) == document.count("\n") - 1, (leaves, depth)
 
 
 def test_branching_is_the_smallest_factor_that_holds_every_leaf():

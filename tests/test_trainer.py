@@ -211,7 +211,7 @@ def test_overflowing_step_aborts(monkeypatch, base_lr, iteration):
     tree, table, data = demo_task(per_leaf=3)
     huge = np.finfo(np.float64).max
     blown = LossValue(1.0, np.full((6, 6), huge), np.zeros(6))
-    monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: (blown, blown, blown))
+    monkeypatch.setattr(trainer_mod, "total_loss", lambda *a, **k: (blown, 1.0, 1.0))
     config = TrainConfig(epochs=1, batch_size=4, base_lr=base_lr)
     with pytest.raises(RuntimeError, match=f"diverged at iteration {iteration}: overflow"):
         train(config, tree, table, data)
