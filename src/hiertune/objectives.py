@@ -59,37 +59,29 @@ def _score(
 
 def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
     """Map gradients from ``g``, the loss gradient at the cosines: through
-    the weight normalization, then through w = A e + b. Overwrites ``g``. The
-    radial part goes 64 rows at a time: one more (columns x dim) array at
-    once raised a training step's memory peak."""
+    the weight normalization, then through w = A e + b. Overwrites ``g`` and
+    ``sc.what``, so the radial part makes no (columns x dim) temporary."""
     d_weights = g.T @ sc.vhat
     g *= sc.cos
-    colsum = g.sum(axis=0)
-    for lo in range(0, len(colsum), 64):
-        d_weights[lo : lo + 64] -= colsum[lo : lo + 64, None] * sc.what[lo : lo + 64]
+    d_weights -= np.multiply(sc.what, g.sum(axis=0)[:, None], out=sc.what)
     d_weights /= sc.wnorm[:, None]
     return d_weights.T @ sc.emb, d_weights.sum(axis=0)
 
 
 def _node_centric(
-    tree: TaxonomyTree, cos: np.ndarray, leaves: np.ndarray, tau: float, g=None, scale=1.0
+    tree: TaxonomyTree, cos: np.ndarray, leaves: np.ndarray, tau: float, g, scale=1.0
 ) -> float:
     """The node-centric loss from cosines over every layout column.
 
     A sample enters the term of each branching internal node on its root
     path; its target there is the group column on that path. Each term is
     the mean over the samples that enter it, and the sum of terms is
-    divided by the number of internal nodes, contributing or not. Given
+    divided by the number of internal nodes, contributing or not. Into
     ``g``, a zero matrix shaped like ``cos``, ``scale`` times the gradient
-    of that sum of terms at the cosines is scattered into it at the pairs'
-    columns.
+    of that sum of terms at the cosines is scattered at the pairs' columns.
     """
     n_groups = len(tree.layout.sizes)
     rows, group, sizes, seg, target, flat_rows, cols = _path_groups(tree, leaves)
-    if rows.size == 0:
-        # Only a one-leaf chain has no branching node; on any other tree
-        # every leaf's root path crosses one, so every sample contributes.
-        return 0.0
     counts = np.bincount(group, minlength=n_groups)
     z = cos[flat_rows, cols] / tau
     z -= np.repeat(np.maximum.reduceat(z, seg), sizes)
@@ -99,13 +91,12 @@ def _node_centric(
     sums = np.bincount(group, weights=np.log(sez) - picked, minlength=n_groups)
     used = counts > 0
     value = float(np.sum(sums[used] / counts[used])) / n_groups
-    if g is not None:
-        # Per pair: softmax minus one-hot, scaled to the mean over its group's samples.
-        z /= np.repeat(sez, sizes)
-        z[target] -= 1.0
-        z /= np.repeat(tau * counts[group], sizes)
-        z *= scale
-        g[flat_rows, cols] = z
+    # Per pair: softmax minus one-hot, scaled to the mean over its group's samples.
+    z /= np.repeat(sez, sizes)
+    z[target] -= 1.0
+    z /= np.repeat(tau * counts[group], sizes)
+    z *= scale
+    g[flat_rows, cols] = z
     return value
 
 
@@ -133,10 +124,10 @@ def _treecut(
 
 def _forward(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, cut: LabelSet,
-    batch: SampleSet, lam: float, grad: bool = True,
-) -> tuple[_Scores, float, float, np.ndarray | None]:
+    batch: SampleSet, lam: float,
+) -> tuple[_Scores, float, float, np.ndarray]:
     """The scores ``total_loss`` takes, its treecut and node-centric values,
-    and, if ``grad``, the total's gradient at the cosines."""
+    and the total's gradient at the cosines."""
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be non-negative and finite, got {lam}")
     if len(batch) == 0:
@@ -149,12 +140,11 @@ def _forward(
         return sc, dtl, 0.0, g
     lay = tree.layout
     sc = _score(params, table, lay.nodes, batch.features)
-    g = np.zeros_like(sc.cos) if grad else None
+    g = np.zeros_like(sc.cos)
     ncl = _node_centric(tree, sc.cos, leaves, tau, g, lam / len(lay.sizes))
     cut_cols = lay.column[np.asarray(cut.members, dtype=np.int64)]
     dtl, g_cut = _treecut(tree, sc.cos[:, cut_cols], cut, leaves, tau)
-    if grad:
-        g[:, cut_cols] += g_cut
+    g[:, cut_cols] += g_cut
     return sc, dtl, ncl, g
 
 
@@ -225,7 +215,7 @@ def _loss_value(tree, params, table, cut, batch, lam: float) -> float:
     anywhere in the map raises at any ``lam``."""
     if lam == 0.0:
         unit_weights(params, table, tree.layout.nodes)
-    _, dtl, ncl, _ = _forward(tree, params, table, cut, batch, lam, grad=False)
+    _, dtl, ncl, _ = _forward(tree, params, table, cut, batch, lam)
     return dtl + lam * ncl
 
 
@@ -263,7 +253,7 @@ def gradient_check(
         moved = flat.copy()
         moved[k] += delta
         shifted = PromptParams(moved[:-dim].reshape(dim, dim), moved[-dim:], params.tau)
-        _, dtl, ncl, _ = _forward(tree, shifted, table, cut, batch, lam, grad=False)
+        _, dtl, ncl, _ = _forward(tree, shifted, table, cut, batch, lam)
         return dtl + lam * ncl
 
     worst = 0.0

@@ -103,9 +103,7 @@ _TILT_STREAM = 0x5EED
 def _embedding_table(tree: TaxonomyTree, dim: int) -> EmbeddingTable:
     raw = np.zeros((tree.n_nodes, dim), dtype=np.float64)
     axis = 0
-    for node in range(tree.n_nodes):
-        if node == tree.root:
-            continue
+    for node in range(1, tree.n_nodes):  # all but the root, node 0
         raw[node] = raw[tree.parents[node]]
         raw[node, axis] = LEVEL_SCALE ** (tree.depths[node] - 1)
         axis += 1
@@ -155,19 +153,15 @@ def gen_synth(
     table = _embedding_table(tree, dim)
 
     gen = np.random.Generator(np.random.PCG64(check_seed(seed)))
-    ids: list[str] = []
-    labels: list[int] = []
-    blocks: list[np.ndarray] = []
-    scale = noise / math.sqrt(dim)
-    for leaf in tree.leaf_nodes:
-        draws = table.vectors[leaf] + scale * gen.standard_normal((per_leaf, dim))
-        blocks.append(draws)
-        ids.extend(f"{tree.names[leaf]}.{j}" for j in range(per_leaf))
-        labels.extend([leaf] * per_leaf)
+    leaf_nodes = np.asarray(tree.leaf_nodes, dtype=np.int64)
+    features = gen.standard_normal((len(leaf_nodes) * per_leaf, dim))
+    features *= noise / math.sqrt(dim)
+    by_leaf = features.reshape(len(leaf_nodes), per_leaf, dim)  # a view
+    by_leaf += table.vectors[leaf_nodes, None]
     samples = SampleSet(
-        ids=tuple(ids),
-        leaf_labels=np.asarray(labels, dtype=np.int64),
-        features=np.concatenate(blocks, axis=0),
+        ids=tuple(f"{tree.names[leaf]}.{j}" for leaf in tree.leaf_nodes for j in range(per_leaf)),
+        leaf_labels=np.repeat(leaf_nodes, per_leaf),
+        features=features,
     )
 
     header, body = write_samples(samples, tree, dim).split("\n", 1)

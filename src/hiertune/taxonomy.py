@@ -325,8 +325,6 @@ def load_tree(source: str | BinaryIO) -> TaxonomyTree:
 
     if not names:
         raise TreeFormatError("empty document")
-    if not root_seen:
-        raise TreeFormatError("no root record (parent '-')")
     if len(names) == 1:
         raise TreeFormatError("root-only tree: the root cannot also be a class")
 

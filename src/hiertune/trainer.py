@@ -48,7 +48,7 @@ class TrainConfig:
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
+            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.shots is not None and self.shots < 1:
@@ -146,8 +146,7 @@ def train(
     total_steps = config.epochs * batches_per_epoch
     cut_rng = Rng64(config.seed)
 
-    weight = np.eye(emb.dim)
-    bias = np.zeros(emb.dim)
+    params = PromptParams.identity(emb.dim, config.tau)
     records = []
     # Cosine logits are bounded by 1 / tau, so a diverging run never shows
     # a non-finite loss: it shows as a climbing loss, or as overflow in the
@@ -164,17 +163,15 @@ def train(
                     batch = work.take(chunk)
                     lr = cosine_lr(iteration, total_steps, config.base_lr)
                     cut = sample_treecut(tree, layout, config.beta, cut_rng)
-                    params = PromptParams(weight=weight, bias=bias, tau=config.tau)
                     total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
                     if iteration == 0:
                         first_cut, first_batch = cut, batch
-                    weight = weight - lr * total.grad_weight
-                    bias = bias - lr * total.grad_bias
+                    weight = params.weight - lr * total.grad_weight
+                    params = PromptParams(weight, params.bias - lr * total.grad_bias, config.tau)
                     records.append(IterationRecord(
                         iteration, lr, len(cut), dtl, ncl, total.value
                     ))
-            final = PromptParams(weight=weight, bias=bias, tau=config.tau)
-            after = _loss_value(tree, final, emb, first_cut, first_batch, config.lam)
+            after = _loss_value(tree, params, emb, first_cut, first_batch, config.lam)
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 
@@ -182,5 +179,5 @@ def train(
         f"final params score loss {after!r} on step 0's batch and cut, above "
         f"step 0's {records[0].total!r}: training may have diverged"
     )
-    log = TrainLog(tuple(records), params_digest(final), config.seed, warning)
-    return final, log
+    log = TrainLog(tuple(records), params_digest(params), config.seed, warning)
+    return params, log

@@ -24,22 +24,28 @@ each sample's root-path groups alone: a softmax and an argmax over every
 group for every sample, masked afterwards. The synthetic tree planner is
 kept in its recursive form, one call per level, as it was before an
 explicit stack let it plan a tree of any depth, and its branching factor
-is found by counting up, as it was before an integer bisection. Nothing in the package
+is found by counting up, as it was before an integer bisection. The
+fixture generator's sample draws are kept as they were before one draw
+served every leaf: one draw per leaf, the blocks joined at the end. The
+backward pass is kept as it was before it scaled the unit weights in
+place: its radial part goes 64 rows at a time. Nothing in the package
 imports this module.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
-from hiertune.fileio import FormatError
+from hiertune.fileio import FormatError, write_embeddings, write_samples, write_tree
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
 from hiertune.rng import Rng64, derive_seed
-from hiertune.taxonomy import LabelSet, TaxonomyTree
+from hiertune.synth import _embedding_table, _plan_tree
+from hiertune.taxonomy import LabelSet, TaxonomyTree, load_tree
 
 
 # -------------------------------------------------------------- label sets
@@ -424,6 +430,19 @@ def dense_node_centric(
     return value, z
 
 
+def backward(g: np.ndarray, sc) -> tuple[np.ndarray, np.ndarray]:
+    """``objectives._backward`` with the radial part 64 rows at a time, so
+    that it needs no (columns x dim) temporary and leaves ``sc`` alone.
+    Overwrites ``g``."""
+    d_weights = g.T @ sc.vhat
+    g *= sc.cos
+    colsum = g.sum(axis=0)
+    for lo in range(0, len(colsum), 64):
+        d_weights[lo : lo + 64] -= colsum[lo : lo + 64, None] * sc.what[lo : lo + 64]
+    d_weights /= sc.wnorm[:, None]
+    return d_weights.T @ sc.emb, d_weights.sum(axis=0)
+
+
 # ---------------------------------------------------------------- trainer
 
 def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
@@ -468,6 +487,36 @@ def plan_tree(leaves: int, depth: int) -> str:
 
     grow(0, leaves, depth)
     return "".join(f"{n}\t{p}\n" for n, p in zip(names, parent_names))
+
+
+def gen_synth(
+    leaves: int, depth: int, dim: int, per_leaf: int, noise: float, seed: int
+) -> tuple[str, str, str]:
+    """``synth.gen_synth``'s documents, with each leaf's samples drawn by
+    their own call and the blocks joined at the end. No argument checks."""
+    tree = load_tree(_plan_tree(leaves, depth))
+    table = _embedding_table(tree, dim)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    ids: list[str] = []
+    labels: list[int] = []
+    blocks: list[np.ndarray] = []
+    scale = noise / math.sqrt(dim)
+    for leaf in tree.leaf_nodes:
+        draws = table.vectors[leaf] + scale * gen.standard_normal((per_leaf, dim))
+        blocks.append(draws)
+        ids.extend(f"{tree.names[leaf]}.{j}" for j in range(per_leaf))
+        labels.extend([leaf] * per_leaf)
+    samples = SampleSet(
+        ids=tuple(ids),
+        leaf_labels=np.asarray(labels, dtype=np.int64),
+        features=np.concatenate(blocks, axis=0),
+    )
+    header, body = write_samples(samples, tree, dim).split("\n", 1)
+    return (
+        write_tree(tree),
+        write_embeddings(table, tree),
+        f"{header}\n# seed {seed}\n{body}",
+    )
 
 
 # ---------------------------------------------------------------- metrics

@@ -354,6 +354,17 @@ def test_eval_rejects_empty_betas(synth_dir, tmp_path):
     assert err.startswith("E:invalid:")
 
 
+def test_eval_rejects_a_bad_betas_token(synth_dir, tmp_path):
+    params_path = tmp_path / "params.txt"
+    params_path.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    rc, _, err = run_cli(
+        "eval", *data_args(synth_dir), "--params", str(params_path),
+        "--out", str(tmp_path / "eval"), "--betas", "0.1,abc",
+    )
+    assert (rc, err) == (1, "E:invalid:bad betas list '0.1,abc'\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_with_overflowing_map_is_invalid(synth_dir, tmp_path):
     # A = 1e200 I is finite, but every mapped weight's norm overflows; eval
     # must refuse it rather than score every cosine as 0.
@@ -398,6 +409,16 @@ def test_train_rejects_non_finite_flags(synth_dir, tmp_path, flag, value, field)
     assert rc == 1
     assert err.startswith(f"E:invalid:{field} must be ")
     assert err.rstrip().endswith(f"finite, got {value}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+def test_train_rejects_beta_outside_the_unit_interval(synth_dir, tmp_path, value):
+    rc, _, err = run_cli(
+        "train", *data_args(synth_dir), "--out", str(tmp_path / "run"),
+        "--epochs", "1", "--batch-size", "8", "--beta", value,
+    )
+    assert (rc, err) == (1, f"E:invalid:beta must be in [0, 1], got {float(value)}\n")
     assert not (tmp_path / "run").exists()
 
 

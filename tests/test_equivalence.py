@@ -5,7 +5,8 @@ library used before it moved to one score matrix per batch. On random
 trees, with one-child nodes, exact score ties and one-label cuts, losses
 and gradients must agree to 1e-12 relative (the fused total's gradient
 with a 1e-14 absolute floor) and every prediction and accuracy must be
-exactly equal. It also keeps the integer-matrix treecut sampler; the
+exactly equal, and the backward pass's gradients equal to its 64-row
+form's bit for bit. It also keeps the integer-matrix treecut sampler; the
 preorder-interval one must give the same flags, masks and cuts, and the
 per-sample k-shot count the same selection. Its per-token file loaders
 must agree with the row-at-a-time ones on written documents, embedding
@@ -99,6 +100,29 @@ def problems(draw):
     beta = draw(st.sampled_from((0.0, 0.1, 1.0)))
     cut = sample_treecut(tree, build_matrices(tree), beta, rng)
     return tree, table, params, batch, cut
+
+
+def assert_backward_is_the_reference(problem, lam):
+    tree, table, params, batch, cut = problem
+    sc, _, _, g = objectives._forward(tree, params, table, cut, batch, lam)
+    old = oracle.backward(g.copy(), sc)  # first: _backward overwrites sc.what
+    new = objectives._backward(g, sc)
+    assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+
+@given(problems(), st.sampled_from((0.0, 0.5)))
+def test_backward_matches_the_row_block_reference(problem, lam):
+    assert_backward_is_the_reference(problem, lam)
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.5))
+def test_backward_matches_the_row_block_reference_over_several_blocks(lam):
+    tree = random_tree(Rng64(5), max_internal=60, max_nodes=300)  # 167 leaves
+    table = random_table(tree, 6, seed=5)
+    batch = noisy_samples(tree, table, 2, sigma=0.6, seed=5)
+    cut = sample_treecut(tree, build_matrices(tree), 0.0, Rng64(5))  # every leaf
+    params = random_params(6, tau=0.1, seed=5)
+    assert_backward_is_the_reference((tree, table, params, batch, cut), lam)
 
 
 def assert_close(new, old):

@@ -43,7 +43,6 @@ def test_third_party_imports_are_declared_dependencies():
 # Public functions and methods that no module of the package calls, each
 # with the reason it stays.
 UNCALLED_ALLOWED = {
-    "PromptParams.identity": "tests/test_acceptance.py imports it",
     "gradient_check": "tests/test_acceptance.py imports it",
     "enumerate_treecuts": "tests/test_acceptance.py imports it",
     "leaf_accuracy": "tests/test_acceptance.py imports it",

@@ -105,6 +105,12 @@ def test_next_below_frozen_and_bounded():
     assert all(ones.next_below(1) == 0 for _ in range(50))
 
 
+def test_next_below_refuses_an_empty_range():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            Rng64(0).next_below(n)
+
+
 def test_next_below_covers_small_ranges():
     rng = Rng64(17)
     seen = {rng.next_below(4) for _ in range(200)}

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hiertune import PromptParams, gen_synth, hca, leaf_accuracy, load_tree, synth
 from hiertune.fileio import load_embeddings, load_samples
@@ -171,6 +173,16 @@ def test_gen_synth_repeat_is_byte_identical():
     first = gen_synth(leaves=5, depth=2, dim=8, per_leaf=3, noise=0.4, seed=11)
     second = gen_synth(leaves=5, depth=2, dim=8, per_leaf=3, noise=0.4, seed=11)
     assert first == second
+
+
+@given(
+    st.integers(2, 30), st.integers(1, 5), st.integers(0, 6), st.integers(1, 4),
+    st.sampled_from((0.0, 0.6, 2.5)), st.integers(0, 2**64 - 1),
+)
+def test_gen_synth_matches_the_per_leaf_draws(leaves, depth, extra_dim, per_leaf, noise, seed):
+    dim = _planned_axes(leaves, depth) + extra_dim
+    args = (leaves, depth, dim, per_leaf, noise, seed)
+    assert gen_synth(*args) == oracle.gen_synth(*args)
 
 
 def test_gen_synth_seed_moves_only_the_samples():

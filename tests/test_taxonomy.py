@@ -130,6 +130,14 @@ def test_ancestors_demo_paths():
     assert names_of(tree, tree.ancestors(6)) == ("n0",)
 
 
+def test_node_index_outside_the_tree_is_refused():
+    tree = demo_tree()
+    with pytest.raises(ValueError, match=f"node index {tree.n_nodes} out of range"):
+        tree.ancestors(tree.n_nodes)
+    with pytest.raises(ValueError, match="node index -1 out of range"):
+        tree.is_leaf(-1)
+
+
 def test_ancestors_walk_decreasing_depth():
     rng = Rng64(2024)
     for _ in range(25):
