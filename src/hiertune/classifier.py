@@ -27,8 +27,9 @@ class EmbeddingTable:
     dim: int
     vectors: np.ndarray
 
-    def rows(self, nodes: tuple[int, ...] | np.ndarray) -> np.ndarray:
-        return self.vectors[np.asarray(nodes, dtype=np.int64)]
+    def __post_init__(self) -> None:
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
+            raise ValueError(f"vectors must be an (n_nodes, {self.dim}) matrix")
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class SampleSet:
     def take(self, indices: list[int] | np.ndarray) -> SampleSet:
         idx = np.asarray(indices, dtype=np.int64)
         return SampleSet(
-            ids=tuple(self.ids[int(i)] for i in idx),
+            ids=tuple(map(self.ids.__getitem__, idx.tolist())),
             leaf_labels=self.leaf_labels[idx],
             features=self.features[idx],
         )
@@ -111,7 +112,7 @@ def unit_weights(
     """
     if table.dim != params.dim:
         raise ValueError("embedding and parameter dimensions differ")
-    emb = table.rows(nodes)
+    emb = table.vectors[np.asarray(nodes, dtype=np.int64)]
     what, wnorm = unit_rows(emb @ params.weight.T + params.bias, "label weights")
     return emb, what, wnorm
 

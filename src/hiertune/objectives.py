@@ -209,16 +209,6 @@ def total_loss(
     return LossValue(dtl + lam * ncl, *_backward(g, sc)), dtl, ncl
 
 
-def _loss_value(tree, params, table, cut, batch, lam: float) -> float:
-    """``total_loss``'s value alone, with no backward pass. Every layout
-    node is mapped, as at ``lam`` > 0 the scores map them, so an overflow
-    anywhere in the map raises at any ``lam``."""
-    if lam == 0.0:
-        unit_weights(params, table, tree.layout.nodes)
-    _, dtl, ncl, _ = _forward(tree, params, table, cut, batch, lam)
-    return dtl + lam * ncl
-
-
 # gradient_check's central-difference step, the most map coordinates it
 # checks, and the seed of the shuffle that picks them past that.
 _CHECK_STEP = 1e-5

@@ -102,11 +102,9 @@ _TILT_STREAM = 0x5EED
 
 def _embedding_table(tree: TaxonomyTree, dim: int) -> EmbeddingTable:
     raw = np.zeros((tree.n_nodes, dim), dtype=np.float64)
-    axis = 0
     for node in range(1, tree.n_nodes):  # all but the root, node 0
         raw[node] = raw[tree.parents[node]]
-        raw[node, axis] = LEVEL_SCALE ** (tree.depths[node] - 1)
-        axis += 1
+        raw[node, node - 1] = LEVEL_SCALE ** (tree.depths[node] - 1)
     vectors = np.zeros((tree.n_nodes, dim), dtype=np.float64)
     for leaf in tree.leaf_nodes:
         vectors[leaf] = raw[leaf] / np.linalg.norm(raw[leaf])
@@ -164,9 +162,5 @@ def gen_synth(
         features=features,
     )
 
-    header, body = write_samples(samples, tree, dim).split("\n", 1)
-    return (
-        write_tree(tree),
-        write_embeddings(table, tree),
-        f"{header}\n# seed {seed}\n{body}",
-    )
+    sample_doc = write_samples(samples, tree, dim).replace("\n", f"\n# seed {seed}\n", 1)
+    return write_tree(tree), write_embeddings(table, tree), sample_doc

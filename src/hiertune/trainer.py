@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
-from .objectives import _loss_value, total_loss
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
+from .objectives import total_loss
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_treecut
@@ -150,8 +150,8 @@ def train(
     records = []
     # Cosine logits are bounded by 1 / tau, so a diverging run never shows
     # a non-finite loss: it shows as a climbing loss, or as overflow in the
-    # map or in the norms of the node embeddings it maps, raised here. The
-    # final map is checked on every node, as eval maps them.
+    # map or in the norms of the node embeddings it maps, raised here. After
+    # the loop, unit_weights checks the final map on every node, as eval maps them.
     try:
         with np.errstate(over="raise"):
             for epoch in range(config.epochs):
@@ -171,7 +171,8 @@ def train(
                     records.append(IterationRecord(
                         iteration, lr, len(cut), dtl, ncl, total.value
                     ))
-            after = _loss_value(tree, params, emb, first_cut, first_batch, config.lam)
+            unit_weights(params, emb, layout.nodes)
+            after = total_loss(tree, params, emb, first_cut, first_batch, config.lam)[0].value
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 

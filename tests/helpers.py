@@ -21,6 +21,21 @@ def demo_tree() -> TaxonomyTree:
     return load_tree(DEMO_DOC)
 
 
+def nested_demo_table() -> tuple:
+    """Demo tree with subtree-sum embeddings: every local decision is clean."""
+    tree = demo_tree()
+    leaf_axis = {leaf: k for k, leaf in enumerate(tree.leaf_nodes)}
+    vectors = np.zeros((tree.n_nodes, len(leaf_axis)))
+    for leaf, k in leaf_axis.items():
+        vectors[leaf, k] = 1.0
+    for node in reversed(tree.internal_nodes):
+        if node == tree.root:
+            continue
+        for child in tree.children[node]:
+            vectors[node] += vectors[child]
+    return tree, EmbeddingTable(dim=len(leaf_axis), vectors=vectors)
+
+
 def random_tree(rng: Rng64, max_internal: int = 12, max_nodes: int = 40) -> TaxonomyTree:
     """Random rooted tree with at least two leaves, parents before children.
 

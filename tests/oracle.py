@@ -238,7 +238,8 @@ def cosine_scores(
     """Cosine similarity of each feature row against each label weight."""
     if table.dim != params.dim:
         raise ValueError("embedding and parameter dimensions differ")
-    weights = table.rows(labels.members) @ params.weight.T + params.bias
+    emb = table.vectors[np.asarray(labels.members, dtype=np.int64)]
+    weights = emb @ params.weight.T + params.bias
     fhat, _ = unit_rows(np.asarray(features, dtype=np.float64), "features")
     what, _ = unit_rows(weights, "label weights")
     return fhat @ what.T
@@ -298,7 +299,7 @@ def _ce_core(
     if n_contrib == 0:
         return zero_loss(params.dim)
 
-    emb = table.rows(labels.members)
+    emb = table.vectors[np.asarray(labels.members, dtype=np.int64)]
     weights = emb @ params.weight.T + params.bias
     what, wnorm = unit_rows(weights, "label weights")
     vhat, _ = unit_rows(np.asarray(batch.features[mask], dtype=np.float64), "features")

@@ -65,8 +65,15 @@ def test_from_names_assembles_aligned_rows():
     np.testing.assert_array_equal(table.vectors[tree.name_index["a"]], [1, 0, 0])
     np.testing.assert_array_equal(table.vectors[tree.name_index["b"]], [0, 2, 0])
     np.testing.assert_array_equal(
-        table.rows((tree.name_index["b"], tree.name_index["a"])), [[0, 2, 0], [1, 0, 0]]
+        table.vectors[[tree.name_index["b"], tree.name_index["a"]]], [[0, 2, 0], [1, 0, 0]]
     )
+
+
+@pytest.mark.parametrize("vectors", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 3, 2))])
+def test_embedding_table_rejects_vectors_off_its_dim(vectors):
+    # Unchecked, a (3, 3) table of dim 2 fails only inside evaluate's matmul.
+    with pytest.raises(ValueError, match=r"vectors must be an \(n_nodes, 2\) matrix"):
+        EmbeddingTable(dim=2, vectors=vectors)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +148,7 @@ def test_unit_rows_normalizes_and_rejects():
 
 def test_node_weights_identity_and_affine():
     tree, table, labels = star_fixture([1, 0, 0], [0, 2, 0])
-    rows = table.rows(labels)
+    rows = table.vectors[labels]
     for weight, bias, mapped in (
         (np.eye(3), np.zeros(3), rows),
         (2 * np.eye(3), np.zeros(3), 2 * rows),

@@ -1,4 +1,5 @@
-"""Packaging checks: declared dependencies, and no public code nothing calls."""
+"""Packaging checks: declared dependencies, no public code nothing calls,
+and no private name shared between modules unlisted."""
 from __future__ import annotations
 
 import ast
@@ -98,6 +99,36 @@ def test_public_callables_are_called_in_the_package():
         if name not in (attrs if "." in qualified else names)
     }
     assert uncalled == set(UNCALLED_ALLOWED)
+
+
+# Underscore names one module of the package imports from another, as
+# (importer, module.name), each with the reason it is shared.
+PRIVATE_IMPORTS_ALLOWED = {
+    ("fileio", "taxonomy._lines"): "every input file is split into lines by one reader",
+    ("fileio", "taxonomy._records"): "every input file skips blank and comment lines alike",
+    ("objectives", "taxonomy._path_groups"): "the node-centric loss reduces over hca's pairs",
+    ("metrics", "taxonomy._path_groups"): "hca reduces over the node-centric loss's pairs",
+    ("cli", "treecut._reachable"): "sample-cuts tells a rate out of cuts from a search that gave up",
+}
+
+
+def private_imports(path: Path) -> set[tuple[str, str]]:
+    """(importer, module.name) for each underscore name a module imports
+    from another module of the package."""
+    return {
+        (path.stem, f"{node.module}.{alias.name}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_cross_module_private_imports_are_listed():
+    found = set().union(
+        *(private_imports(path) for path in sorted((ROOT / "src" / "hiertune").glob("*.py")))
+    )
+    assert found == set(PRIVATE_IMPORTS_ALLOWED)
 
 
 def called_names(tree: ast.Module) -> set[str]:

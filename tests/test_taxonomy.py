@@ -160,6 +160,12 @@ def test_target_in_demo_cases():
     assert tree.target_in(6, children_of_n1) is None
 
 
+def test_target_in_rejects_a_non_leaf():
+    tree = demo_tree()
+    with pytest.raises(ValueError, match="node 'n2' is not a leaf"):
+        tree.target_in(tree.name_index["n2"], tree.treecut_label_set((1, 6)))
+
+
 def test_target_in_rejects_overlapping_members():
     tree = demo_tree()
     with pytest.raises(ValueError, match="not an antichain"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hiertune import (
+    EmbeddingTable,
     LossValue,
     PromptParams,
     Rng64,
@@ -20,7 +21,7 @@ from hiertune import (
 )
 from hiertune.trainer import k_shot_indices, params_digest
 
-from helpers import demo_tree, noisy_samples, random_table
+from helpers import demo_tree, nested_demo_table, noisy_samples, random_table
 
 FINAL_STEP_LR = 4.934798141786878e-08  # frozen: 0.02 * 0.5 * (1 + cos(0.999 pi))
 
@@ -215,6 +216,24 @@ def test_overflowing_step_aborts(monkeypatch, base_lr, iteration):
     config = TrainConfig(epochs=1, batch_size=4, base_lr=base_lr)
     with pytest.raises(RuntimeError, match=f"diverged at iteration {iteration}: overflow"):
         train(config, tree, table, data)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_final_map_is_checked_on_every_node(lam):
+    # An internal node whose mapped norm overflows, under cuts of leaves
+    # alone (beta 0): at lam 0 no step scores it, so only the final check,
+    # which maps every node as eval does, can stop the run, and it names
+    # the last step; at lam > 0 the first step's scores already map it.
+    tree, table = nested_demo_table()
+    data = noisy_samples(tree, table, per_leaf=3, sigma=0.4, seed=3)
+    vectors = table.vectors.copy()
+    vectors[tree.name_index["n2"]] *= 1e300
+    blown = EmbeddingTable(table.dim, vectors)
+    config = TrainConfig(epochs=2, batch_size=4, lam=lam, beta=0.0)
+    last = config.epochs * math.ceil(len(data) / config.batch_size) - 1
+    iteration = last if lam == 0.0 else 0
+    with pytest.raises(RuntimeError, match=f"training diverged at iteration {iteration}: overflow"):
+        train(config, tree, blown, data)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
