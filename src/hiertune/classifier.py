@@ -86,19 +86,25 @@ class PromptParams:
         return cls(weight=np.eye(dim), bias=np.zeros(dim), tau=tau)
 
 
+def _row_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """Row norms as np.linalg.norm's bits, at one temporary fewer; see unit_rows."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if not np.isfinite(norms).all():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} contains a row whose norm overflows")
+    if not norms.all():
+        raise ValueError(f"{what} contains a zero-norm row")
+    return norms
+
+
 def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a matrix, returning (unit rows, norms).
 
     Zero rows have no direction and are an input error, not a numeric
     condition to patch around; so are finite rows whose norm overflows.
     """
-    norms = np.linalg.norm(x, axis=1)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite")
-    if not np.isfinite(norms).all():
-        raise ValueError(f"{what} contains a row whose norm overflows")
-    if (norms == 0).any():
-        raise ValueError(f"{what} contains a zero-norm row")
+    norms = _row_norms(x, what)
     return x / norms[:, None], norms
 
 
@@ -113,7 +119,10 @@ def unit_weights(
     if table.dim != params.dim:
         raise ValueError("embedding and parameter dimensions differ")
     emb = table.vectors[np.asarray(nodes, dtype=np.int64)]
-    what, wnorm = unit_rows(emb @ params.weight.T + params.bias, "label weights")
+    what = emb @ params.weight.T
+    what += params.bias
+    wnorm = _row_norms(what, "label weights")
+    what /= wnorm[:, None]
     return emb, what, wnorm
 
 

@@ -26,8 +26,8 @@ as the integer 0, ``1e400``, ``.5``, ``+1``, ``nan``, a token holding a
 space, ...) goes through the per-token parser, which refuses digit
 separators, non-ASCII and ASCII whitespace in a token, reads the rest with
 float(), and names the first bad token. They are written a block of rows
-at a time by orjson, whose digits are repr's; only the few values whose
-layout differs are rendered one by one.
+at a time by orjson, whose digits are repr's; the values whose layout
+differs are respelt, in orjson's bytes where a block holds many of them.
 """
 from __future__ import annotations
 
@@ -69,23 +69,50 @@ def _row_texts(matrix: np.ndarray) -> Iterator[str]:
 
     orjson writes a float with Ryu's shortest round-trip digits, the digits
     repr gives, and lays them out as repr does for 0 and for 1e-4 <= |x| <
-    1e16. Every other value (exponent form, subnormals, and nan / inf,
-    which orjson writes as ``null``) is rendered again by ``format_float``,
-    so each token is byte for byte ``format_float``'s.
+    1e16. Where more than one value in 32 of a block is laid out otherwise,
+    as in a trained map, ``_respelt`` edits orjson's bytes. The rest (nan
+    and inf, which orjson writes as ``null``, subnormals and |x| >= 1e16, or
+    every such value of a block with fewer) are rendered by ``format_float``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     for start in range(0, len(matrix), WRITE_BLOCK):
         block = matrix[start : start + WRITE_BLOCK]
-        rows = orjson.dumps(block.tolist()).decode()[2:-2].replace(",", "\t").split("]\t[")
+        text = orjson.dumps(block.tolist())
         size = np.abs(block)
         with np.errstate(invalid="ignore"):
             other = ~((size >= 1e-4) & (size < 1e16)) & (block != 0)
+            if other.sum() * 32 > block.size:  # a format_float costs ~32 values' edits
+                text = _respelt(text, block)
+                other = ~((size >= np.finfo(np.float64).tiny) & (size < 1e16)) & (block != 0)
+        rows = text.decode()[2:-2].replace(",", "\t").split("]\t[")
         for r in np.flatnonzero(other.any(axis=1)).tolist():
             tokens = rows[r].split("\t")
             for c in np.flatnonzero(other[r]).tolist():
                 tokens[c] = format_float(block[r, c])
             rows[r] = "\t".join(tokens)
         yield from rows
+
+
+def _respelt(text: bytes, block: np.ndarray) -> bytes:
+    """orjson's ``text`` of ``block`` with 1e-5 <= |x| < 1e-4 and one-digit
+    negative exponents spelt as repr spells them: 0.0000ddd as d.dde-05,
+    1e-7 as 1e-07."""
+    raw = np.frombuffer(text, dtype=np.uint8).copy()
+    seps = np.flatnonzero(raw == ord(","))  # one after each number but a row's last
+    e = np.flatnonzero(raw == ord("e"))
+    pad = e[(raw[e + 1] == ord("-")) & (raw[e + 3] - ord("0") > 9)] + 2  # 1 digit; uint8 wraps
+    flat = block.ravel()
+    band = np.flatnonzero((np.abs(flat) >= 1e-5) & (np.abs(flat) < 1e-4))
+    col = band % block.shape[1]  # a row's first number follows "[", its last precedes "]"
+    lead = np.append(1, seps + 1)[band] + (col == 0) + np.signbit(flat[band])  # 0 of 0.0000
+    stop = np.append(seps, len(raw) - 1)[band] - (col == block.shape[1] - 1)
+    raw[lead] = raw[lead + 6]  # "0.0000ddd" to "d.ddd", less its bytes 2 to 6 ...
+    keep = np.ones(len(raw), dtype=bool)
+    keep[(lead[:, None] + np.arange(2, 7)).ravel()] = False
+    keep[lead[stop == lead + 7] + 1] = False  # ... and a lone digit's point
+    at = np.concatenate([np.repeat(stop, 4), pad])
+    put = np.frombuffer(b"e-05" * len(band) + b"0" * len(pad), dtype=np.uint8)
+    return np.insert(raw, at, put)[np.insert(keep, at, True)].tobytes()
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:

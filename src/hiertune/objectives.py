@@ -3,8 +3,9 @@
 Every vocabulary drawn from the tree is a column subset of one score
 matrix: the cosines of a batch against the mapped weights of every
 non-root node, in the tree's column layout (``TaxonomyTree.layout``). A
-sample's target in a vocabulary is the member on its leaf's root path,
-found for a whole batch by ``ColumnLayout.on_path``. The treecut loss is
+sample's target in a vocabulary is the member on its leaf's root path:
+a lookup in the members' preorder intervals for a treecut, and
+``ColumnLayout.on_path`` for the node-centric groups. The treecut loss is
 a softmax over one sampled fringe's columns, teaching global consistency;
 the node-centric loss, teaching each local decision, averages every
 internal node's child-set cross-entropy, as softmaxes over only the groups
@@ -24,7 +25,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
-from .taxonomy import LabelSet, TaxonomyTree, _path_groups
+from .taxonomy import ColumnLayout, LabelSet, TaxonomyTree, _path_groups
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,14 @@ def _node_centric(
     return value
 
 
+def _cut_targets(layout: ColumnLayout, members, leaves: np.ndarray) -> np.ndarray:
+    """Each leaf's position in ``members``, a treecut: the member whose preorder
+    interval starts last at or before the leaf's position."""
+    starts = layout.tin[np.asarray(members, dtype=np.int64)]
+    order = np.argsort(starts)
+    return order[np.searchsorted(starts[order], layout.tin[leaves], side="right") - 1]
+
+
 def _treecut(
     tree: TaxonomyTree, cos: np.ndarray, cut: LabelSet, leaves: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
@@ -107,7 +116,7 @@ def _treecut(
     in member order, and its gradient at them. A one-member cut forces the
     answer: its loss and gradient are zero."""
     n = len(leaves)
-    targets = np.argmax(tree.layout.on_path(leaves[:, None], cut.members), axis=1)
+    targets = _cut_targets(tree.layout, cut.members, leaves)
     rows = np.arange(n)
     z = cos / tau
     z -= z.max(axis=1, keepdims=True)

@@ -2,9 +2,12 @@
 
 All stochastic choices in this package (keep-flag draws, batch shuffles,
 cut deduplication) go through Rng64 so that a seed fully determines every
-output file, byte for byte, independent of platform.
+output file, byte for byte, independent of platform. Words are drawn in
+batches, one array pass for what k single steps would give.
 """
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -12,9 +15,9 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: xor-shift-multiply scramble of a 64-bit word."""
-    z &= MASK64
+def mix64(z):
+    """SplitMix64 finalizer of a 64-bit word, or of each word of a uint64 array."""
+    z = z & MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
     return z ^ (z >> 31)
@@ -32,29 +35,19 @@ class Rng64:
     def __init__(self, seed: int):
         self.state = check_seed(seed)
 
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        return mix64(self.state)
-
-    def next_unit(self) -> float:
-        """Uniform float in [0, 1).
-
-        Uses the top 53 bits of the raw word; scaling the full 64 bits by
-        2**-64 can round up to exactly 1.0, which would break thresholding
-        at rate 1.
-        """
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def next_below(self, n: int) -> int:
-        """Integer in [0, n) by modulo reduction (bias negligible for small n)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
+    def words(self, k: int) -> np.ndarray:
+        """The next ``k`` words as a uint64 array; the state moves as by ``k`` steps."""
+        if k < 0:
+            raise ValueError(f"count must be non-negative, got {k}")
+        states = np.arange(1, k + 1, dtype=np.uint64) * GOLDEN + self.state
+        self.state = (self.state + k * GOLDEN) & MASK64
+        return mix64(states)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates shuffle; position i swaps with a word mod i + 1."""
+        bounds = np.arange(len(items), 1, -1, dtype=np.uint64)
+        picks = (self.words(len(bounds)) % bounds).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
 

@@ -147,6 +147,7 @@ def train(
     cut_rng = Rng64(config.seed)
 
     params = PromptParams.identity(emb.dim, config.tau)
+    weight, bias = params.weight, params.bias  # stepped in place
     records = []
     # Cosine logits are bounded by 1 / tau, so a diverging run never shows
     # a non-finite loss: it shows as a climbing loss, or as overflow in the
@@ -166,8 +167,8 @@ def train(
                     total, dtl, ncl = total_loss(tree, params, emb, cut, batch, config.lam)
                     if iteration == 0:
                         first_cut, first_batch = cut, batch
-                    weight = params.weight - lr * total.grad_weight
-                    params = PromptParams(weight, params.bias - lr * total.grad_bias, config.tau)
+                    weight -= lr * total.grad_weight
+                    bias -= lr * total.grad_bias
                     records.append(IterationRecord(
                         iteration, lr, len(cut), dtl, ncl, total.value
                     ))

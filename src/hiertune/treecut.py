@@ -97,14 +97,16 @@ def sample_treecut(
 ) -> LabelSet:
     """Draw one treecut at drop rate ``beta``.
 
-    Each non-root internal node keeps its flag with probability 1 - beta
-    (one uniform draw per node, in row order); the root is always kept.
-    beta 0 yields the full leaf set, beta 1 the root's children.
+    Each non-root internal node keeps its flag with probability 1 - beta:
+    one word per node, in row order, whose top 53 bits give a uniform draw
+    in [0, 1). The root is always kept. beta 0 yields the full leaf set,
+    beta 1 the root's children.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    kept = [True] + [rng.next_unit() >= beta for _ in range(len(layout.internal_nodes) - 1)]
-    return cut_from_flags(tree, layout, np.array(kept))
+    kept = np.ones(len(layout.internal_nodes), dtype=bool)
+    kept[1:] = (rng.words(len(kept) - 1) >> 11) * 2.0**-53 >= beta
+    return cut_from_flags(tree, layout, kept)
 
 
 def _treecut_count(tree: TaxonomyTree) -> int:

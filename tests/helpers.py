@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import oracle
 from hiertune import EmbeddingTable, PromptParams, Rng64, SampleSet, TaxonomyTree, load_tree
 
 DEMO_DOC = "n0\t-\nn1\tn0\nn2\tn1\nn3\tn1\nn4\tn2\nn5\tn2\nn6\tn0\n"
@@ -42,20 +43,20 @@ def random_tree(rng: Rng64, max_internal: int = 12, max_nodes: int = 40) -> Taxo
     Grows an internal skeleton first, then guarantees every childless
     internal node a leaf and sprinkles extra leaves across the skeleton.
     """
-    n_internal = 1 + rng.next_below(max_internal)
+    n_internal = 1 + oracle.next_below(rng, max_internal)
     parents: list[int | None] = [None]
     for i in range(1, n_internal):
-        parents.append(rng.next_below(i))
+        parents.append(oracle.next_below(rng, i))
     children_count = [0] * n_internal
     for i in range(1, n_internal):
         children_count[parents[i]] += 1
     leaf_parents = [i for i in range(n_internal) if children_count[i] == 0]
     budget = max_nodes - n_internal - len(leaf_parents)
-    extra = 0 if budget <= 0 else rng.next_below(budget + 1)
+    extra = 0 if budget <= 0 else oracle.next_below(rng, budget + 1)
     for _ in range(extra):
-        leaf_parents.append(rng.next_below(n_internal))
+        leaf_parents.append(oracle.next_below(rng, n_internal))
     while n_internal + len(leaf_parents) < max(n_internal + 2, 3):
-        leaf_parents.append(rng.next_below(n_internal))
+        leaf_parents.append(oracle.next_below(rng, n_internal))
     lines = ["v0\t-"]
     for i in range(1, n_internal):
         lines.append(f"v{i}\tv{parents[i]}")
@@ -68,7 +69,9 @@ def wide_deep_document(rng: Rng64) -> str:
     """A 20,000-node tree document: each node hangs under one of the 50
     nodes before it, so the tree is both wide and deep (from Rng64(20_000),
     7,320 leaves and depth 791)."""
-    lines = ["v0\t-"] + [f"v{v}\tv{v - 1 - rng.next_below(min(v, 50))}" for v in range(1, 20_000)]
+    lines = ["v0\t-"] + [
+        f"v{v}\tv{v - 1 - oracle.next_below(rng, min(v, 50))}" for v in range(1, 20_000)
+    ]
     return "\n".join(lines) + "\n"
 
 

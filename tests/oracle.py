@@ -28,8 +28,10 @@ is found by counting up, as it was before an integer bisection. The
 fixture generator's sample draws are kept as they were before one draw
 served every leaf: one draw per leaf, the blocks joined at the end. The
 backward pass is kept as it was before it scaled the unit weights in
-place: its radial part goes 64 rows at a time. Nothing in the package
-imports this module.
+place: its radial part goes 64 rows at a time. The SplitMix64 stream is
+kept as it was before it drew words in batches: one state step, mix and
+Python call per word, and a shuffle that draws each swap in turn. Nothing
+in the package imports this module.
 """
 from __future__ import annotations
 
@@ -43,9 +45,38 @@ from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_ro
 from hiertune.fileio import FormatError, write_embeddings, write_samples, write_tree
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
-from hiertune.rng import Rng64, derive_seed
+from hiertune.rng import GOLDEN, MASK64, Rng64, derive_seed, mix64
 from hiertune.synth import _embedding_table, _plan_tree
 from hiertune.taxonomy import LabelSet, TaxonomyTree, load_tree
+
+
+# ------------------------------------------------------- scalar SplitMix64
+#
+# Each function steps an Rng64's state itself, so a stream can mix these
+# draws with the library's batches.
+
+def next_u64(rng: Rng64) -> int:
+    rng.state = (rng.state + GOLDEN) & MASK64
+    return mix64(rng.state)
+
+
+def next_unit(rng: Rng64) -> float:
+    """Uniform float in [0, 1) from the word's top 53 bits."""
+    return (next_u64(rng) >> 11) * (2.0 ** -53)
+
+
+def next_below(rng: Rng64, n: int) -> int:
+    """Integer in [0, n) by modulo reduction."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return next_u64(rng) % n
+
+
+def shuffle(rng: Rng64, items: list) -> None:
+    """In-place Fisher-Yates shuffle, one draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = next_below(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 # -------------------------------------------------------------- label sets
@@ -188,7 +219,7 @@ def sample_treecut(
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     kept = np.ones(bundle.n_internal, dtype=np.int64)
     for i in range(1, bundle.n_internal):
-        kept[i] = 1 if rng.next_unit() >= beta else 0
+        kept[i] = 1 if next_unit(rng) >= beta else 0
     return cut_from_flags(tree, bundle, correct_flags(kept, bundle))
 
 

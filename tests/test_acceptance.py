@@ -39,6 +39,7 @@ from hiertune import (
 )
 from hiertune.fileio import load_embeddings, load_samples
 
+import oracle
 from helpers import (
     demo_tree,
     names_of,
@@ -173,8 +174,8 @@ def test_gradient_correctness():
         start = time.perf_counter()
         rng = Rng64(4004)
         for instance in range(20):
-            dim = 4 + rng.next_below(29)  # 4..32
-            batch_n = 1 + rng.next_below(16)  # 1..16
+            dim = 4 + oracle.next_below(rng, 29)  # 4..32
+            batch_n = 1 + oracle.next_below(rng, 16)  # 1..16
             lam = (0.0, 0.5, 1.0)[instance % 3]
             tree = random_tree(rng, max_internal=5, max_nodes=16)
             table = random_table(tree, dim, seed=instance)

@@ -130,10 +130,11 @@ def test_unit_rows_normalizes_and_rejects():
     units, norms = unit_rows(x, "features")
     np.testing.assert_allclose(units, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
     np.testing.assert_allclose(norms, [5.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="features contains a zero-norm row"):
         unit_rows(np.zeros((2, 2)), "features")
-    with pytest.raises(ValueError):
-        unit_rows(np.array([[np.inf, 1.0]]), "features")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="features must be finite"):
+            unit_rows(np.array([[3.0, 4.0], [bad, 1.0]]), "features")
     # Finite entries whose sum of squares overflows: refused, or raised as
     # the overflow itself where training turns overflow into errors.
     huge = np.array([[1e200, 1e200], [3.0, 4.0]])

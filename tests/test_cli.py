@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import re
 import subprocess
@@ -258,6 +259,45 @@ def test_sample_cuts_rejects_bad_rate(demo_path):
     rc, _, err = run_cli("sample-cuts", "--tree", str(demo_path), "--beta", "1.5")
     assert rc == 1
     assert err.startswith("E:invalid:")
+
+
+# Frozen outputs. Training and cut sampling are pure functions of the seed,
+# so a change to the random stream, the sampler, the training step or the
+# float writer that moves one byte shows here. The map's values span the
+# float layouts the writer respells (12% and 6% of them lie in 1e-5..1e-4).
+@pytest.mark.parametrize(("lam", "beta", "params_sha256", "digest"), [
+    ("0", "0", "38aa4d3d2d08f3aba0a0dabb2b9fe709f862f8f437a3d909d35d9e9e328368fe",
+     "218127193c9c1cf9d46952ef09a22926579f299648cdee285cfa1571b131e18f"),
+    ("0.5", "0.1", "c98bc74a8af1685602aae2b39a1b048e33b775e138602ced1eca160127f5ce29",
+     "33008422790f0180d7b439f2fa61f44fa5c1ff72f293c790e1f0fa8f70ec1f36"),
+], ids=("treecut-only", "with-node-centric"))
+def test_train_bytes_are_frozen(tmp_path, lam, beta, params_sha256, digest):
+    data, run = tmp_path / "data", tmp_path / "run"
+    rc, _, _ = run_cli(
+        "gen-synth", "--out", str(data), "--leaves", "27", "--depth", "3", "--dim", "40",
+        "--per-leaf", "4", "--noise", "0.8", "--seed", "0",
+    )
+    assert rc == 0
+    rc, out, _ = run_cli(
+        "train", *data_args(data), "--out", str(run), "--lambda", lam, "--beta", beta,
+        "--epochs", "2", "--batch-size", "16", "--seed", "0",
+    )
+    assert rc == 0 and f"params digest {digest}\n" in out
+    assert hashlib.sha256((run / "params.txt").read_bytes()).hexdigest() == params_sha256
+
+
+def test_sample_cuts_bytes_are_frozen(tmp_path):
+    # A complete ternary tree of 121 nodes, 40 of them internal.
+    path = tmp_path / "tree.txt"
+    lines = ["n0\t-"] + [f"n{v}\tn{(v - 1) // 3}" for v in range(1, 121)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc, out, _ = run_cli(
+        "sample-cuts", "--tree", str(path), "--beta", "0.3", "--count", "3", "--seed", "0"
+    )
+    assert rc == 0 and out.startswith("# beta=0.3 seed=0\nn3\tn5\tn7\tn9\tn19\t")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "23d3d3a455cc5eb9bfb5d8df30532be2af64f183fa1bdb2e9fe62db5e36a6257"
+    )
 
 
 def test_gen_synth_writes_reproducible_fixture(tmp_path):

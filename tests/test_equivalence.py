@@ -19,13 +19,17 @@ report a bad byte at its offset in the file unless an earlier line is at
 fault. So must the loaders agree on any one number token made of digits,
 ``.``, ``e``, ``E``, ``+`` and ``-``, whose value must be float()'s. Its
 one-float.__repr__-per-value row writer must give the same bytes as the
-block-at-a-time orjson one, on every kind of float.
+block-at-a-time orjson one, on every kind of float and at any share of
+values orjson lays out unlike repr. A treecut target found by the interval
+lookup must be the one member on the leaf's root path, and the sampler's
+batch draws must leave the stream where the scalar loop does.
 """
 from __future__ import annotations
 
 import io
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -45,6 +49,7 @@ from hiertune import (
     blocked_mask,
     correct_flags,
     cut_from_flags,
+    enumerate_treecuts,
     evaluate,
     hca,
     leaf_accuracy,
@@ -78,8 +83,8 @@ def with_duplicate_rows(tree: TaxonomyTree, table: EmbeddingTable, rng: Rng64) -
     """Copy some nodes' rows onto later nodes, so their scores tie exactly."""
     vectors = table.vectors.copy()
     for v in range(2, tree.n_nodes):
-        if rng.next_below(3) == 0:
-            vectors[v] = vectors[1 + rng.next_below(v - 1)]
+        if oracle.next_below(rng, 3) == 0:
+            vectors[v] = vectors[1 + oracle.next_below(rng, v - 1)]
     return EmbeddingTable(dim=table.dim, vectors=vectors)
 
 
@@ -301,9 +306,29 @@ def test_sampler_matches_reference(seed, one_child_root, beta, count):
         assert sample_treecut(tree, new, beta, new_rng) == oracle.sample_treecut(
             tree, old, beta, old_rng
         )
+    assert new_rng.state == old_rng.state
     assert sample_distinct(tree, new, beta, count, Rng64(seed)) == oracle.sample_distinct(
         tree, old, beta, count, Rng64(seed)
     )
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from((0.1, 0.5, 0.9)))
+def test_cut_targets_are_the_members_on_each_root_path(seed, one_child_root, beta):
+    # The interval lookup names, for each sample's leaf, the one member of a
+    # treecut on its root path, in any sample order: on sampled cuts and on
+    # every cut of the tree.
+    tree = sampler_tree(seed, one_child_root)
+    lay = build_matrices(tree)
+    leaves = np.asarray(tree.leaf_nodes)
+    leaves = np.concatenate([leaves[::-1], leaves])
+    rng = Rng64(seed)
+    cuts = [sample_treecut(tree, lay, beta, rng) for _ in range(5)] + list(
+        enumerate_treecuts(tree)
+    )
+    for cut in cuts:
+        expected = np.argmax(lay.on_path(leaves[:, None], cut.members), axis=1)
+        got = objectives._cut_targets(lay, cut.members, leaves)
+        np.testing.assert_array_equal(got, expected)
 
 
 # ------------------------------------------------------------ file loaders
@@ -527,12 +552,14 @@ def test_write_load_write_is_a_fixpoint(seed, dim, data):
     assert fileio.write_params(again) == text
 
 
-# Both sides of each edge of the range where orjson and repr lay a float
-# out alike (0, and 1e-4 <= |x| < 1e16), and the values orjson cannot
-# write as repr does.
+# Both sides of each edge where orjson's layout of a float, or how far it
+# is from repr's, changes: repr's alike for 1e-4 <= |x| < 1e16; 0.0000ddd
+# from 1e-5; a one-digit exponent from 1e-9; a three-digit one from 1e100;
+# subnormals below the smallest normal. Then the values orjson cannot write
+# as repr does.
 EDGES = tuple(
     v
-    for edge in (1e-4, 1e16)
+    for edge in (1e-10, 1e-9, 1e-5, 1e-4, 1e16, 1e100, sys.float_info.min)
     for sign in (1.0, -1.0)
     for v in (sign * math.nextafter(edge, 0.0), sign * edge,
               sign * math.nextafter(edge, math.inf))
@@ -546,6 +573,22 @@ SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math
         st.floats(), st.sampled_from(EDGES + SPECIALS)))))
 def test_row_writer_matches_reference(matrix):
     # Rows past fileio.WRITE_BLOCK cross a block boundary.
+    assert list(fileio._row_texts(matrix)) == oracle.row_texts(matrix)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.001, 0.02, 0.05, 0.3, 1.0)))
+def test_row_writer_matches_reference_at_any_share_respelt(seed, share):
+    # A block where few values are laid out unlike repr renders them one by
+    # one; where many are, as in a trained map, they are respelt in orjson's
+    # bytes. Either way every exponent, sign and special value comes out as
+    # repr writes it.
+    gen = np.random.default_rng(seed)
+    shape = (int(gen.integers(1, 150)), int(gen.integers(1, 40)))
+    respelt = 10.0 ** gen.uniform(-323.0, 308.0, shape)
+    special = gen.random(shape) < 0.1
+    respelt[special] = gen.choice(EDGES + SPECIALS, int(special.sum()))
+    matrix = np.where(gen.random(shape) < share, respelt, 10.0 ** gen.uniform(-4.0, 16.0, shape))
+    matrix *= gen.choice((-1.0, 1.0), shape)
     assert list(fileio._row_texts(matrix)) == oracle.row_texts(matrix)
 
 

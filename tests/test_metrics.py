@@ -20,6 +20,7 @@ from hiertune import (
 )
 from hiertune import metrics
 
+import oracle
 from helpers import (
     basis_table,
     demo_tree,
@@ -222,7 +223,9 @@ def test_eval_on_a_twenty_thousand_node_tree_stays_small():
     tree = load_tree(wide_deep_document(Rng64(20_000)))
     table = random_table(tree, 16, seed=3)
     rng = Rng64(4)
-    leaves = np.asarray([tree.leaf_nodes[rng.next_below(len(tree.leaf_nodes))] for _ in range(384)])
+    leaves = np.asarray(
+        [tree.leaf_nodes[oracle.next_below(rng, len(tree.leaf_nodes))] for _ in range(384)]
+    )
     noise = np.random.Generator(np.random.PCG64(5)).standard_normal((len(leaves), 16))
     data = SampleSet(
         ids=tuple(map(str, range(len(leaves)))),

@@ -21,6 +21,7 @@ from hiertune import (
 )
 from hiertune.trainer import k_shot_indices, params_digest
 
+import oracle
 from helpers import demo_tree, nested_demo_table, noisy_samples, random_table
 
 FINAL_STEP_LR = 4.934798141786878e-08  # frozen: 0.02 * 0.5 * (1 + cos(0.999 pi))
@@ -118,12 +119,12 @@ def test_plain_baseline_equals_handrolled_sgd():
     step = 0
     for epoch in range(config.epochs):
         order = list(range(n))
-        Rng64(derive_seed(config.seed, epoch + 1)).shuffle(order)
+        oracle.shuffle(Rng64(derive_seed(config.seed, epoch + 1)), order)
         for b in range(per_epoch):
             chunk = order[b * config.batch_size : (b + 1) * config.batch_size]
             lr = cosine_lr(step, total_steps, config.base_lr)
             for _ in range(len(bundle.internal_nodes) - 1):
-                cut_rng.next_unit()  # the cut stream still advances at beta=0
+                oracle.next_unit(cut_rng)  # the cut stream still advances at beta=0
             params = PromptParams(weight=weight, bias=bias, tau=config.tau)
             loss = treecut_loss(tree, params, table, leaf_cut, data.take(chunk))
             weight = weight - lr * loss.grad_weight

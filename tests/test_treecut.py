@@ -23,6 +23,7 @@ from hiertune import (
 from hiertune import treecut
 from hiertune.treecut import DISTINCT_DRAW_FACTOR, ENUMERATE_LIMIT
 
+import oracle
 from helpers import demo_tree, names_of, random_tree, under_single_child_root, wide_deep_document
 
 
@@ -110,7 +111,7 @@ def test_correct_flags_idempotent():
         bundle = build_matrices(tree)
         k = len(bundle.internal_nodes)
         for _ in range(10):
-            raw = np.array([1] + [rng.next_below(2) for _ in range(k - 1)])
+            raw = np.array([1] + [oracle.next_below(rng, 2) for _ in range(k - 1)])
             once = correct_flags(raw, bundle)
             twice = correct_flags(once, bundle)
             np.testing.assert_array_equal(once, twice)
@@ -193,7 +194,7 @@ def test_sampled_cuts_satisfy_invariants():
         tree = random_tree(rng)
         bundle = build_matrices(tree)
         for beta in (0.2, 0.5, 0.8):
-            cut = sample_treecut(tree, bundle, beta, Rng64(rng.next_below(10_000)))
+            cut = sample_treecut(tree, bundle, beta, Rng64(oracle.next_below(rng, 10_000)))
             rebuilt = tree.treecut_label_set(cut.members)  # re-runs validation
             assert rebuilt.members == cut.members
             for leaf in tree.leaf_nodes:
@@ -206,7 +207,7 @@ def test_kept_count_monotone_under_shared_draws():
         tree = random_tree(rng)
         bundle = build_matrices(tree)
         k = len(bundle.internal_nodes)
-        draws = [Rng64(9).next_unit() for _ in range(k - 1)]
+        draws = [oracle.next_unit(Rng64(9)) for _ in range(k - 1)]
         counts = []
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
             flags = np.array([1] + [1 if u >= beta else 0 for u in draws])
@@ -325,7 +326,7 @@ def test_twenty_thousand_node_tree_fits_in_memory():
         tree = load_tree(document)
         bundle = build_matrices(tree)
         for beta in (0.1, 0.5, 0.9):
-            cut = sample_treecut(tree, bundle, beta, Rng64(rng.next_u64()))
+            cut = sample_treecut(tree, bundle, beta, Rng64(oracle.next_u64(rng)))
             assert tree.treecut_label_set(cut.members) == cut
         peak = tracemalloc.get_traced_memory()[1]
     finally:
