@@ -12,6 +12,7 @@ Every input file is opened by ``_load``; a byte that is not UTF-8 is a
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable
@@ -61,6 +62,9 @@ def _write_outputs(path: str, texts: dict[str, str]) -> Path:
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    for name in texts:  # os.replace fails on a directory in a target's place
+        if (out / name).is_dir() and not (out / name).is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
     staged: list[Path] = []
     try:
         for name, text in texts.items():

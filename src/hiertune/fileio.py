@@ -7,14 +7,14 @@ produce equal bytes. Loaders validate eagerly and raise FormatError with
 the offending line number.
 
 Every loader takes the document's text or a binary file open for reading.
-A file is read in blocks and checked one line at a time by the line reader
+A file is streamed and checked one line at a time by the line reader
 ``taxonomy.load_tree`` also uses, whatever its line breaks. A row joins
 the matrix a loader returns only once its line has passed every check.
 The embedding table, whose shape the tree fixes, is allocated whole at its
 first such row, and each row is written at its node's index; every other
 matrix is one growable ``array("d")``, viewed as a matrix by
 ``np.frombuffer`` with no copy. So a load holds about the matrix and one
-block of text, and a corrupt dimension allocates nothing before its first
+chunk of text, and a corrupt dimension allocates nothing before its first
 row fails. A byte that is not UTF-8 raises UnicodeDecodeError with its
 offset from the start of the file, once every line before it has been
 checked: a fault on an earlier line is the one reported.

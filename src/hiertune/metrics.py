@@ -179,6 +179,9 @@ def evaluate(
     _require_data(table, data)
     if not betas:
         raise ValueError("betas must be non-empty")
+    repeated = [b for i, b in enumerate(betas) if b in betas[:i]]
+    if repeated:  # the report names each rate's row by its value
+        raise ValueError(f"betas must be distinct: {float(repeated[0])!r} is repeated")
     if cuts_per_beta < 1:
         raise ValueError("cuts_per_beta must be at least 1")
     check_seed(seed)  # derive_seed would fold it into range

@@ -7,11 +7,12 @@ or the leaf fringe of a pruned subtree (a treecut). Trees are immutable
 after load; every derived structure holds read-only references.
 
 Every input document, the tree here and each file ``fileio`` loads, is
-split into numbered lines by ``_lines`` and rid of blank and comment lines
-by ``_records``.
+split into numbered lines by ``_lines``, through the standard library's
+text stream, and rid of blank and comment lines by ``_records``.
 """
 from __future__ import annotations
 
+import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,64 +25,33 @@ class TreeFormatError(ValueError):
     """A tree document violates the file format or the tree invariants."""
 
 
-def _split_lines(text: str) -> list[str]:
-    """``text`` split only at the breaks universal-newline reading translates.
-
-    ``str.splitlines`` also splits at form feeds, ``\x85``, ``\u2028`` and
-    others, shifting the line number of every fault after one. A text that
-    ends in a break gives a last, empty line, which every reader skips.
-    """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-# Bytes per read of a binary source; a longer line is carried over in pieces.
-_READ_BYTES = 1 << 16
-
-
 def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
-    """Each line of ``source`` with its number, split where ``_split_lines`` splits.
-
-    ``source`` is a document's text or a binary file open for reading. A
-    file is read in blocks, each cut after its last break but a final
-    ``\\r``, which may be half of ``\\r\\n``; the rest waits, in pieces,
-    for a later break. Only whole lines are decoded, and breaks are ASCII,
-    so no UTF-8 sequence is cut. A byte that is not UTF-8 raises
-    UnicodeDecodeError, with ``start`` and ``end`` counted from the start of
-    the file, after every line that ends before it has been yielded.
-    """
+    """Numbered lines of ``source``, text or a binary file open for reading,
+    split at ``\\n``, ``\\r\\n`` and ``\\r``. A file is streamed through a text
+    wrapper, detached at the end so that it stays open. A byte that is not
+    UTF-8 raises UnicodeDecodeError at its file offset, after every earlier line.
+    Text is read as the file of its UTF-8 bytes, a lone surrogate as a bad
+    byte; ``io.StringIO`` would hold it at four bytes a character."""
     if isinstance(source, str):
-        yield from enumerate(_split_lines(source), start=1)
-        return
-    lineno = offset = 0  # lines yielded; file offset of the unfinished line
-    pieces: list[bytes] = []
-    while True:
-        block = source.read(_READ_BYTES)
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        if block and not cut:
-            pieces.append(block)
-            continue
-        pieces.append(block[:cut])
-        data = b"".join(pieces)
-        pieces = [block[cut:]]
-        try:
-            text, bad = data.decode(), None
-        except UnicodeDecodeError as exc:
-            text, bad = data[: exc.start].decode(), exc
-        # The last piece follows the data's last break: empty, the end of a
-        # file without a final break, or cut short by a bad byte.
-        *lines, last = _split_lines(text)
-        if last and bad is None:
-            lines.append(last)
-        for line in lines:
-            lineno += 1
-            yield lineno, line
-        if bad is not None:
-            raise UnicodeDecodeError(
-                bad.encoding, data, offset + bad.start, offset + bad.end, bad.reason
-            )
-        if not block:
-            return
-        offset += len(data)
+        source = io.BytesIO(source.encode(errors="surrogatepass"))
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+    offset = 0  # file offset of the line
+    try:
+        for lineno, line in enumerate(text, start=1):
+            if not line.isascii():  # a byte that is not UTF-8 arrives as a lone surrogate
+                data = line.encode(errors="surrogateescape")
+                try:
+                    line = data.decode()
+                except UnicodeDecodeError as exc:  # moved to its offset in the file
+                    exc.object = data[exc.start : exc.end]  # so str(exc) names no other byte
+                    exc.start, exc.end = offset + exc.start, offset + exc.end
+                    raise
+                offset += len(data) - len(line)  # its bytes, not its characters
+            offset += len(line)
+            yield lineno, line.rstrip("\r\n")
+    finally:
+        if not source.closed:  # a failed load's file may close before this does
+            text.detach()
 
 
 def _records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:

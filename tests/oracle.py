@@ -651,6 +651,15 @@ def _lines(text: str) -> list[str]:
     return [ln[:-1] if ln.endswith("\n") else ln for ln in io.StringIO(text, newline=None)]
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` split only at the breaks universal-newline reading translates.
+
+    Unlike ``_lines``, a text that ends in a break gives a last, empty line,
+    so the count is the number of the line that a byte appended would be on.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
         value = float(token)

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -123,6 +125,25 @@ def test_bad_byte_deep_in_a_samples_file_names_its_offset(synth_dir, tmp_path):
     )
 
 
+def test_a_format_error_is_the_only_thing_on_stderr(synth_dir, tmp_path):
+    # The failed load's line reader is collected after _load has closed the
+    # file. Its text stream must then not report an error of its own
+    # ("Exception ignored ...") after the E: line; in a child process, as a
+    # user sees it, not through the test runner's own hooks.
+    lines = (synth_dir / "embeddings.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "embeddings.tsv"
+    bad.write_text("".join([*lines[:2], "n2\tx\n", *lines[3:]]), encoding="utf-8")
+    args = data_args(synth_dir)
+    args[args.index("--emb") + 1] = str(bad)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hiertune.cli", "train", *args, "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "E:format:embedding table line 3: expected name plus 8 values\n"
+
+
 # str.isdigit() takes the superscript two and the Arabic-Indic three;
 # int() refuses the first and reads the second as 3.
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
@@ -200,6 +221,19 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
 
     rc, _, _ = run_cli(*args)
     assert rc == 0
+    assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
+
+
+def test_a_directory_in_an_outputs_place_is_refused_before_any_replace(synth_dir, tmp_path):
+    # os.replace cannot put a file over a directory. Every target is checked
+    # before the first is replaced, so the earlier params.txt keeps its bytes.
+    run = tmp_path / "run"
+    (run / "train_log.tsv").mkdir(parents=True)
+    (run / "params.txt").write_bytes(b"earlier")
+    rc, _, err = run_cli("train", *data_args(synth_dir), "--out", str(run), "--epochs", "1")
+    refusal = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{run / 'train_log.tsv'}'"
+    assert (rc, err) == (1, f"E:io:{refusal}\n")
+    assert (run / "params.txt").read_bytes() == b"earlier"
     assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
 
 
@@ -402,6 +436,18 @@ def test_eval_rejects_a_bad_betas_token(synth_dir, tmp_path):
         "--out", str(tmp_path / "eval"), "--betas", "0.1,abc",
     )
     assert (rc, err) == (1, "E:invalid:bad betas list '0.1,abc'\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_a_repeated_rate(synth_dir, tmp_path):
+    # Two mta@0.1 rows would leave a reader keyed by name with one of them.
+    params_path = tmp_path / "params.txt"
+    params_path.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+    rc, _, err = run_cli(
+        "eval", *data_args(synth_dir), "--params", str(params_path),
+        "--out", str(tmp_path / "eval"), "--betas", "0.1,0.3,0.1",
+    )
+    assert (rc, err) == (1, "E:invalid:betas must be distinct: 0.1 is repeated\n")
     assert not (tmp_path / "eval").exists()
 
 

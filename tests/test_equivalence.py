@@ -64,7 +64,7 @@ from hiertune import (
     treecut_loss,
 )
 from hiertune import fileio, metrics, objectives
-from hiertune.taxonomy import TreeFormatError, _split_lines
+from hiertune.taxonomy import TreeFormatError
 from hiertune.trainer import k_shot_indices
 
 from helpers import (
@@ -394,14 +394,20 @@ def mutate(draw, lines: list[str], kind: str, tree: TaxonomyTree) -> None:
 
 
 class Trickle(io.BytesIO):
-    """A binary file whose every read returns at most ``k`` bytes."""
+    """A binary file whose every read returns at most ``k`` bytes, through
+    ``read`` or ``read1`` (which a text wrapper calls), counted in ``reads``."""
 
     def __init__(self, data: bytes, k: int) -> None:
         super().__init__(data)
         self.k = k
+        self.reads = 0
 
     def read(self, n: int | None = -1) -> bytes:
+        self.reads += 1
         return super().read(self.k if n is None or n < 0 else min(n, self.k))
+
+    def read1(self, n: int | None = -1) -> bytes:
+        return self.read(n)
 
 
 @settings(max_examples=300)  # cheap examples; many defect combinations
@@ -441,7 +447,10 @@ def test_loaders_match_reference(seed, kind, data):
     k = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 65_536)))
 
     def from_bytes(doc: bytes):
-        return loaded(new, Trickle(doc, k), *args[1:])
+        file = Trickle(doc, k)
+        result = loaded(new, file, *args[1:])
+        assert file.reads >= file.tell() // k  # every byte came in a capped read
+        return result
 
     doc = text.encode()
     assert from_bytes(doc) == expected
@@ -451,7 +460,7 @@ def test_loaders_match_reference(seed, kind, data):
     bad = doc[:at] + data.draw(st.sampled_from((b"\xff", b"\xc3", b"\xe2\x82"))) + doc[at:]
     with pytest.raises(UnicodeDecodeError) as whole:
         bad.decode()
-    bad_line = len(_split_lines(bad[: whole.value.start].decode()))
+    bad_line = len(oracle.split_lines(bad[: whole.value.start].decode()))
     if fault_line(expected) < bad_line:
         assert from_bytes(bad) == expected
     else:

@@ -1,6 +1,7 @@
 """Text artifact formats: round-trips are byte-exact, loaders validate."""
 from __future__ import annotations
 
+import gc
 import io
 import re
 import tracemalloc
@@ -35,7 +36,7 @@ from hiertune.metrics import CutResult, MetricsReport
 from hiertune.trainer import IterationRecord
 
 import oracle
-from helpers import DEMO_DOC, ODD_BREAKS, demo_tree, random_tree
+from helpers import DEMO_DOC, ODD_BREAKS, demo_tree, random_table, random_tree
 
 AWKWARD = (0.1, 1.0 / 3.0, 1e-17, -0.0, 2.0**-52, 123456.78901234567)
 
@@ -270,12 +271,12 @@ def traced_peak(load, path):
 
 
 def test_loading_a_file_holds_about_the_matrix(tmp_path):
-    # A file is read a block at a time, and its rows grow one buffer that
+    # A file is streamed a line at a time, and its rows grow one buffer that
     # becomes the matrix with no copy, so the load's peak is about the
-    # features plus the buffer's spare room and one block (1.29x measured),
-    # whatever its line breaks: a file broken only by bare \r is read in
-    # blocks too. A second copy of the rows, as joining row blocks makes
-    # (2.16x), or the document's bytes, text and line list exceed it.
+    # features plus the buffer's spare room and the text stream's chunk
+    # (1.15x measured), whatever its line breaks: a file broken only by bare
+    # \r is streamed too. A second copy of the rows, as joining row blocks
+    # makes (2.16x), or the document's bytes, text and line list exceed it.
     tree = demo_tree()
     rng = np.random.default_rng(7)
     n, dim = 2500, 128
@@ -296,7 +297,7 @@ def test_loading_a_file_holds_about_the_matrix(tmp_path):
 
 def test_loading_embeddings_holds_about_the_table(tmp_path):
     # The table is allocated at the first row and each row is written at its
-    # node's index, in any order, so the peak is about the table (1.16x
+    # node's index, in any order, so the peak is about the table (1.07x
     # measured for both orders). A second copy, as scattering a buffer of
     # the rows into a zeroed table makes (2.08x), exceeds the bound.
     nodes, dim = 2000, 256
@@ -474,6 +475,44 @@ def test_loaders_name_the_physical_line_after_an_odd_break(brk):
     params = f"dim\t1\n# note{brk}c\t1.0\ntau\t0.5\nA\tx\nc\t0.0\n"
     with pytest.raises(FormatError, match="params file line 4: bad number 'x'"):
         load_params(params)
+
+
+def load_and_collect(load, doc: bytes) -> tuple[object, bool]:
+    """``load``'s result on a binary file of ``doc``, or its error's message,
+    and whether the file was closed once the load's frames were collected."""
+    file = io.BytesIO(doc)
+    try:
+        result = load(file)
+    except ValueError as exc:
+        result = str(exc)
+    gc.collect()
+    return result, file.closed
+
+
+def test_loaders_leave_the_callers_file_open():
+    # The line reader wraps the file in a text stream, which would close the
+    # file when collected; it is detached whether the load reads to the end
+    # or stops at a fault on a middle line.
+    tree = demo_tree()
+    samples = SampleSet(
+        ids=("s0", "s1", "s2"),
+        leaf_labels=np.array([tree.name_index[n] for n in ("n4", "n5", "n6")]),
+        features=np.ones((3, 2)),
+    )
+    table = random_table(tree, 2, seed=0)
+    cases = (
+        (load_tree, DEMO_DOC),
+        (lambda file: load_embeddings(file, tree), write_embeddings(table, tree)),
+        (lambda file: load_samples(file, tree), write_samples(samples, tree, 2)),
+        (load_params, write_params(PromptParams.identity(2, 0.5))),
+    )
+    for load, text in cases:
+        result, closed = load_and_collect(load, text.encode())
+        assert not isinstance(result, str) and not closed
+        lines = text.splitlines()
+        lines[2] = "x"
+        result, closed = load_and_collect(load, "\n".join(lines).encode() + b"\n")
+        assert "line 3: " in result and not closed
 
 
 def report_fixture() -> MetricsReport:

@@ -172,6 +172,20 @@ def test_evaluate_report_is_deterministic_and_coherent():
         start += len(sizes)
 
 
+def test_evaluate_refuses_a_repeated_rate():
+    # The report names each rate's row by its value, so a repeated rate
+    # would give two rows of one name and different values.
+    tree = demo_tree()
+    table = random_table(tree, 6, seed=50)
+    params = random_params(6, tau=0.4, seed=51)
+    data = noisy_samples(tree, table, per_leaf=4, sigma=0.6, seed=52)
+    for betas, rate in (((0.1, 0.5, 0.1), "0.1"), ((0.3, 0, 0.0), "0.0"), ((0.0, -0.0), "-0.0")):
+        with pytest.raises(ValueError, match=f"^betas must be distinct: {rate} is repeated$"):
+            evaluate(tree, params, table, data, betas, cuts_per_beta=2, seed=0)
+    with pytest.raises(ValueError, match="0.7 is repeated"):
+        mta(tree, params, table, data, betas=(0.7, 0.7), cuts_per_beta=2, seed=0)
+
+
 def test_evaluate_makes_one_pass_over_the_score_blocks():
     # One score_blocks iteration serves all three metrics: per block, one
     # leaf prediction plus one per cut drawn.

@@ -1,6 +1,7 @@
 """Tree parsing, ancestor walks, vocabularies and treecut validation."""
 from __future__ import annotations
 
+import io
 import re
 
 import pytest
@@ -50,6 +51,28 @@ def test_comments_and_blank_lines_skipped():
     doc = "# taxonomy\n\nn0\t-\n# inner\nn1\tn0\n\n"
     tree = load_tree(doc)
     assert tree.n_nodes == 2
+
+
+def test_bad_byte_is_named_at_its_byte_offset():
+    # Offsets count bytes, not characters: each CJK character before the bad
+    # byte takes three, on an earlier line or on the bad byte's own. The
+    # message names the offset, and no byte of the file but the bad one.
+    name = "\u540d\u5b57".encode()
+    for head, bad, tail, reason in (
+        (b"n0\t-\n" + name + b"\tn0\nn2\tn0", b"\xff", b"\n", "invalid start byte"),
+        (b"n0\t-\n" + name + b"\tn0\n" + name + b"2\tn0", b"\xe2\x82", b"\n",
+         "invalid continuation byte"),
+        (b"#\n", b"\xff", b"abcdef\tn0\n", "invalid start byte"),
+    ):
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_tree(io.BytesIO(head + bad + tail))
+        at = len(head)
+        assert (info.value.reason, info.value.start, info.value.end) == (reason, at, at + len(bad))
+        assert str(info.value).endswith(f"bytes in position {at}-{at + len(bad) - 1}: {reason}")
+    # Text is read as the file of its UTF-8 bytes: a lone surrogate is a bad byte.
+    with pytest.raises(UnicodeDecodeError) as info:
+        load_tree("n0\t-\n" + "\u540d\udcff\tn0\n")
+    assert (info.value.reason, info.value.start) == ("invalid continuation byte", 8)
 
 
 @pytest.mark.parametrize(
