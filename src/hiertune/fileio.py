@@ -26,8 +26,9 @@ as the integer 0, ``1e400``, ``.5``, ``+1``, ``nan``, a token holding a
 space, ...) goes through the per-token parser, which refuses digit
 separators, non-ASCII and ASCII whitespace in a token, reads the rest with
 float(), and names the first bad token. They are written a block of rows
-at a time by orjson, whose digits are repr's; the values whose layout
-differs are respelt, in orjson's bytes where a block holds many of them.
+at a time by orjson, straight from the array and as bytes; its digits are
+repr's, and the values it lays out otherwise are respelt, in orjson's
+bytes where a block holds many of them.
 """
 from __future__ import annotations
 
@@ -55,17 +56,16 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# Rows formatted per orjson call. A block's numbers are held a few times
-# over while it is formatted (as Python floats, orjson's bytes, text and
-# row strings), so this, not the matrix size, sets the writers' extra
-# memory. At dim 260, gen-synth's peak resident memory was about 1.5 MB
-# above the per-value writer's with 64 rows and 6.5 MB with 256, at the
-# same speed.
+# Rows formatted per orjson call. A writer holds its document about twice
+# at its peak (its chunks, then the joined bytes and the text); this sets
+# only the few block-sized temporaries beside them.
 WRITE_BLOCK = 64
 
 
-def _row_texts(matrix: np.ndarray) -> Iterator[str]:
-    """Each row of ``matrix`` as TAB-separated ``format_float`` strings.
+def _row_blocks(matrix: np.ndarray) -> Iterator[list[bytes | memoryview]]:
+    """The rows of ``matrix``, ``WRITE_BLOCK`` at a time, each as its
+    TAB-separated ``format_float`` strings in ASCII bytes, most of them as
+    views of their block's one buffer.
 
     orjson writes a float with Ryu's shortest round-trip digits, the digits
     repr gives, and lays them out as repr does for 0 and for 1e-4 <= |x| <
@@ -76,21 +76,33 @@ def _row_texts(matrix: np.ndarray) -> Iterator[str]:
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     for start in range(0, len(matrix), WRITE_BLOCK):
-        block = matrix[start : start + WRITE_BLOCK]
-        text = orjson.dumps(block.tolist())
+        block = np.ascontiguousarray(matrix[start : start + WRITE_BLOCK])  # as orjson needs
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
         size = np.abs(block)
         with np.errstate(invalid="ignore"):
             other = ~((size >= 1e-4) & (size < 1e16)) & (block != 0)
             if other.sum() * 32 > block.size:  # a format_float costs ~32 values' edits
                 text = _respelt(text, block)
                 other = ~((size >= np.finfo(np.float64).tiny) & (size < 1e16)) & (block != 0)
-        rows = text.decode()[2:-2].replace(",", "\t").split("]\t[")
+        text = text.replace(b",", b"\t")
+        ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("]"))[:-1]
+        view = memoryview(text)  # a row follows "[[" or "]\t["; the block ends "]]"
+        rows = [view[a:b] for a, b in zip(np.append(2, ends[:-1] + 3).tolist(), ends.tolist())]
         for r in np.flatnonzero(other.any(axis=1)).tolist():
-            tokens = rows[r].split("\t")
+            tokens = bytes(rows[r]).split(b"\t")
             for c in np.flatnonzero(other[r]).tolist():
-                tokens[c] = format_float(block[r, c])
-            rows[r] = "\t".join(tokens)
-        yield from rows
+                tokens[c] = format_float(block[r, c]).encode()
+            rows[r] = b"\t".join(tokens)
+        yield rows
+
+
+def _row_lines(heads: list[bytes], matrix: np.ndarray) -> Iterator[bytes]:
+    """The lines ``heads[i] + row i of matrix``, each ended by LF, a block
+    of them per chunk."""
+    for start, rows in zip(range(0, len(heads), WRITE_BLOCK), _row_blocks(matrix)):
+        parts = [b"\n"] * (3 * len(rows))
+        parts[0::3], parts[1::3] = heads[start : start + len(rows)], rows
+        yield b"".join(parts)
 
 
 def _respelt(text: bytes, block: np.ndarray) -> bytes:
@@ -234,11 +246,9 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
 
 
 def write_embeddings(table: EmbeddingTable, tree: TaxonomyTree) -> str:
-    lines = [f"#dim {table.dim}"]
-    for i, (name, row) in enumerate(zip(tree.names, _row_texts(table.vectors))):
-        if i != tree.root:
-            lines.append(f"{name}\t{row}")
-    return "\n".join(lines) + "\n"
+    heads = [f"{name}\t".encode() for i, name in enumerate(tree.names) if i != tree.root]
+    rows = _row_lines(heads, np.delete(table.vectors, tree.root, axis=0))
+    return b"".join([b"#dim %d\n" % table.dim, *rows]).decode()
 
 
 # -------------------------------------------------------------- samples
@@ -290,20 +300,22 @@ def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
         if sid in seen or sid != sid.strip() or sid[:1] in ("", "#") or re.search("[\t\r\n]", sid):
             raise ValueError(f"sample id {sid!r} would not load back as written")
         seen.add(sid)
-    lines = [f"#dim {dim}"]
-    lines.extend(
-        f"{sid}\t{tree.names[leaf]}\t{row}"
-        for sid, leaf, row in zip(
-            samples.ids, samples.leaf_labels.tolist(), _row_texts(samples.features)
-        )
-    )
-    return "\n".join(lines) + "\n"
+    leaves = [f"\t{name}\t" for name in tree.names]
+    heads = [(sid + leaves[leaf]).encode()
+             for sid, leaf in zip(samples.ids, samples.leaf_labels.tolist())]
+    rows = _row_lines(heads, samples.features)
+    return b"".join([b"#dim %d\n" % dim, *rows]).decode()
 
 
 # --------------------------------------------------------------- params
 
 def load_params(source: str | BinaryIO) -> PromptParams:
-    """The params in ``source``, a document's text or a binary file open for reading."""
+    """The params in ``source``, a document's text or a binary file open for reading.
+
+    Rows are parsed one at a time, holding no block of them: the benchmark
+    (``perfbench/run.py``) loads each trained map in its own process, whose
+    peak resident memory every command it starts after inherits.
+    """
     rows = _records(_lines(source))
 
     def take(expected: str, fields: int, fault: str) -> tuple[str, int]:
@@ -342,12 +354,10 @@ def load_params(source: str | BinaryIO) -> PromptParams:
 
 
 def write_params(params: PromptParams) -> str:
-    (tau,) = _row_texts(np.array([[params.tau]]))
-    (bias,) = _row_texts(params.bias[None, :])
-    lines = [f"dim\t{params.dim}", f"tau\t{tau}"]
-    lines.extend("A\t" + row for row in _row_texts(params.weight))
-    lines.append("c\t" + bias)
-    return "\n".join(lines) + "\n"
+    ((tau,),) = _row_blocks(np.array([[params.tau]]))
+    ((bias,),) = _row_blocks(params.bias[None, :])
+    rows = _row_lines([b"A\t"] * params.dim, params.weight)
+    return b"".join([b"dim\t%d\ntau\t%s\n" % (params.dim, tau), *rows, b"c\t%s\n" % bias]).decode()
 
 
 # -------------------------------------------------------------- reports

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
-from .objectives import total_loss
+from .objectives import _forward, total_loss
 from .rng import Rng64, derive_seed
 from .taxonomy import TaxonomyTree
 from .treecut import build_matrices, sample_treecut
@@ -173,7 +173,8 @@ def train(
                         iteration, lr, len(cut), dtl, ncl, total.value
                     ))
             unit_weights(params, emb, layout.nodes)
-            after = total_loss(tree, params, emb, first_cut, first_batch, config.lam)[0].value
+            _, dtl, ncl, _ = _forward(tree, params, emb, first_cut, first_batch, config.lam)
+            after = dtl + config.lam * ncl  # total_loss's value, with no backward pass
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from None
 

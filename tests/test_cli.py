@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiertune import PromptParams, SampleSet, cli, load_tree
+from hiertune import PromptParams, SampleSet, cli, fileio, load_tree
 from hiertune.fileio import load_params, load_samples, write_params, write_samples
 
 from helpers import DEMO_DOC
@@ -224,6 +224,33 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
     assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
 
 
+def test_a_gen_synth_that_fails_part_way_leaves_the_outputs_alone(tmp_path, monkeypatch):
+    # gen-synth renders its documents a block of rows at a time before it
+    # stages any of them. Rendering that fails after its first block, here
+    # in the samples' second, leaves every earlier output as it was and no
+    # temporary file behind.
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {name: f"earlier {name}".encode() for name in ("tree.txt", "embeddings.tsv",
+                                                             "samples.tsv")}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
+    row_blocks = fileio._row_blocks
+
+    def fails_after_one_block(matrix):
+        blocks = row_blocks(matrix)
+        yield next(blocks)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(fileio, "_row_blocks", fails_after_one_block)
+    rc, _, err = run_cli(
+        "gen-synth", "--out", str(out), "--leaves", "4", "--depth", "2", "--dim", "8",
+        "--per-leaf", "20", "--seed", "1",
+    )
+    assert (rc, err) == (1, "E:io:[Errno 28] No space left on device\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
 def test_a_directory_in_an_outputs_place_is_refused_before_any_replace(synth_dir, tmp_path):
     # os.replace cannot put a file over a directory. Every target is checked
     # before the first is replaced, so the earlier params.txt keeps its bytes.
@@ -345,6 +372,30 @@ def test_gen_synth_writes_reproducible_fixture(tmp_path):
         first = (tmp_path / "one" / name).read_bytes()
         second = (tmp_path / "two" / name).read_bytes()
         assert first == second
+
+
+@pytest.mark.parametrize(("noise", "samples_sha256"), [
+    # 0.8 is test_train_bytes_are_frozen's shape: two of its values are
+    # written by format_float. At 0.01 most values are below 1e-4, and
+    # every block is respelt.
+    ("0.8", "9f6974de22864e1d14443cea65b7fc4872712b03921b98b6d51c21394322a9d0"),
+    ("0.01", "2c5857be0966f62f051b4d72b7dc44ae70a32394f03001284feca314a46f3f56"),
+], ids=["noise-0.8", "noise-0.01"])
+def test_gen_synth_bytes_are_frozen(tmp_path, noise, samples_sha256):
+    rc, _, _ = run_cli(
+        "gen-synth", "--out", str(tmp_path), "--leaves", "27", "--depth", "3", "--dim", "40",
+        "--per-leaf", "4", "--noise", noise, "--seed", "0",
+    )
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("tree.txt", "embeddings.tsv", "samples.tsv")
+    }
+    assert digests == {
+        "tree.txt": "cadba218d43eaa70608131a72d87b7afaec952f89c8323ad7d25ec888787d855",
+        "embeddings.tsv": "1c01e86c4c74d0a8cc9df0108a9b45de02932ef1fee0d26d4b9cb558345b051b",
+        "samples.tsv": samples_sha256,
+    }
 
 
 def test_deep_gen_synth_shape_is_an_invalid_dim(tmp_path):

@@ -109,6 +109,7 @@ PRIVATE_IMPORTS_ALLOWED = {
     ("objectives", "taxonomy._path_groups"): "the node-centric loss reduces over hca's pairs",
     ("metrics", "taxonomy._path_groups"): "hca reduces over the node-centric loss's pairs",
     ("cli", "treecut._reachable"): "sample-cuts tells a rate out of cuts from a search that gave up",
+    ("trainer", "objectives._forward"): "the end-of-run check needs the loss, not its gradient",
 }
 
 
