@@ -19,16 +19,12 @@ row fails. A byte that is not UTF-8 raises UnicodeDecodeError with its
 offset from the start of the file, once every line before it has been
 checked: a fault on an earlier line is the one reported.
 
-Rows of numbers are parsed one row at a time by orjson: the row's values,
-TABs turned to commas, are read as one JSON array. Any row that orjson
-refuses or reads as anything but ``dim`` floats (``-0``, which JSON reads
-as the integer 0, ``1e400``, ``.5``, ``+1``, ``nan``, a token holding a
-space, ...) goes through the per-token parser, which refuses digit
-separators, non-ASCII and ASCII whitespace in a token, reads the rest with
-float(), and names the first bad token. They are written a block of rows
-at a time by orjson, straight from the array and as bytes; its digits are
-repr's, and the values it lays out otherwise are respelt, in orjson's
-bytes where a block holds many of them.
+Rows of numbers are parsed a row at a time by orjson and appended with
+``array.fromlist``; a row that orjson may read otherwise than float() has
+its TABs counted and goes through the per-token parser (``_parse_row``).
+Rows are written a block at a time by orjson, straight from the array and
+as bytes; its digits are repr's, and the values it lays out otherwise are
+respelt, in orjson's bytes where a block holds many of them.
 """
 from __future__ import annotations
 
@@ -143,39 +139,34 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 _NOT_A_TOKEN = re.compile(r"[_\s]|[^\x00-\x7f]")
 
 
-def _parse_row(dim: int, text: str, lineno: int, what: str) -> list[float]:
-    """The ``dim`` floats of one row of TAB-separated numbers.
-
-    The caller has checked that ``text`` holds ``dim - 1`` TABs, so its
-    tokens are ``dim``. orjson reads the row as one JSON array. It is taken
-    only when it holds exactly ``dim`` floats and the row holds no space:
-    then each comma-separated element, and so each token, is one JSON
-    number, whose grammar float() also reads, and orjson rounds it as
-    float() does. JSON has no nan or inf, and orjson refuses a number that
-    overflows. Any other row goes to ``_parse_tokens``.
-    """
-    if " " not in text:
-        try:
-            values = orjson.loads("[" + text.replace("\t", ",") + "]")
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            if len(values) == dim and {*map(type, values)} == {float}:
-                return values
-    return _parse_tokens(text.split("\t"), lineno, what)
+def _parse_row(text: str, dim: int) -> array:
+    """The ``dim`` floats of ``text``, a row of TAB-separated numbers, that
+    orjson reads as one JSON array, TABs turned to commas; none where float()
+    may read it otherwise, and the caller then counts TABs and parses tokens.
+    With no space or comma, an element is a token, and ``fromlist`` takes
+    only numbers, read as float() reads them (JSON has no nan or inf; orjson
+    refuses overflows and rounds as float() does), and ``true``, ``false``
+    and the integer ``-0``, read as 1.0, 0.0 and 0.0. So a row with a t, or
+    with a zero and an f or a -0 token, is not taken."""
+    row = array("d")
+    try:
+        values = orjson.loads("[" + text.replace("\t", ",") + "]")
+        if len(values) == dim and not (" " in text or "," in text or "t" in text) and (
+                all(values) or not ("f" in text or "-0\t" in text or text.endswith("-0"))):
+            row.fromlist(values)
+    except (orjson.JSONDecodeError, TypeError):
+        pass
+    return row
 
 
-def _parse_tokens(tokens: list[str], lineno: int, what: str) -> list[float]:
-    """Parse a row that orjson did not take, token by token.
-
-    The row is refused at its first token holding a digit separator,
-    non-ASCII or whitespace, or else at its first token that float() does
-    not read or reads as nan or inf.
-    """
+def _parse_tokens(tokens: list[str], lineno: int, what: str) -> array:
+    """The floats of a row that orjson did not take, refused at its first
+    token holding a digit separator, non-ASCII or whitespace, or else at its
+    first token that float() does not read or reads as nan or inf."""
     bad = next((t for t in tokens if _NOT_A_TOKEN.search(t)), None)
     if bad is not None:
         raise FormatError(f"{what} line {lineno}: bad number {bad!r}")
-    return [_parse_float(t, lineno, what) for t in tokens]
+    return array("d", [_parse_float(t, lineno, what) for t in tokens])
 
 
 def _is_count(token: str) -> bool:
@@ -184,11 +175,8 @@ def _is_count(token: str) -> bool:
 
 
 def _split_dim_doc(source: str | BinaryIO, what: str) -> tuple[int, Iterator[tuple[int, str]]]:
-    """Parse the mandatory `#dim <d>` first line; return dim and the data lines.
-
-    The data lines, blank and comment lines skipped, are read as they are
-    iterated.
-    """
+    """The dim of the mandatory `#dim <d>` first line, and the data lines,
+    blank and comment lines skipped, read as they are iterated."""
     lines = _lines(source)
     _, first = next(lines, (1, ""))
     if not first.startswith("#dim"):
@@ -217,11 +205,10 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
     vectors = None
     seen: set[str] = set()
     for lineno, line in rows:
-        if line.count("\t") != dim:
-            raise FormatError(
-                f"embedding table line {lineno}: expected name plus {dim} values"
-            )
-        name, numbers = line.split("\t", 1)
+        name, _, numbers = line.partition("\t")
+        row = _parse_row(numbers, dim)
+        if not row and line.count("\t") != dim:
+            raise FormatError(f"embedding table line {lineno}: expected name plus {dim} values")
         name = name.strip()
         if name in seen:
             raise FormatError(f"embedding table line {lineno}: duplicate name {name!r}")
@@ -230,7 +217,7 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
             raise FormatError(
                 f"embedding table line {lineno}: embeddings for unknown nodes: {name}"
             )
-        row = _parse_row(dim, numbers, lineno, "embedding table")
+        row = row or _parse_tokens(numbers.split("\t"), lineno, "embedding table")
         if not any(row):
             raise FormatError(
                 f"embedding table line {lineno}: embedding for {name!r} is all zeros"
@@ -261,11 +248,11 @@ def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
     features = array("d")
     seen: set[str] = set()
     for lineno, line in rows:
-        if line.count("\t") != dim + 1:
-            raise FormatError(
-                f"sample file line {lineno}: expected id, leaf, and {dim} values"
-            )
-        sid, leaf_name, numbers = line.split("\t", 2)
+        fields = line.split("\t", 2)
+        row = _parse_row(fields[2], dim) if len(fields) == 3 else None
+        if not row and line.count("\t") != dim + 1:
+            raise FormatError(f"sample file line {lineno}: expected id, leaf, and {dim} values")
+        sid, leaf_name, numbers = fields
         sid, leaf_name = sid.strip(), leaf_name.strip()
         if sid in seen:
             raise FormatError(f"sample file line {lineno}: duplicate sample id {sid!r}")
@@ -275,10 +262,10 @@ def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
         leaf = tree.name_index[leaf_name]
         if not tree.is_leaf(leaf):
             raise FormatError(f"sample file line {lineno}: {leaf_name!r} is not a leaf")
-        row = _parse_row(dim, numbers, lineno, "sample file")
+        row = row or _parse_tokens(numbers.split("\t"), lineno, "sample file")
         if not any(row):
             raise FormatError(f"sample file line {lineno}: all-zero feature")
-        features.extend(row)
+        features += row
         ids.append(sid)
         labels.append(leaf)
     return SampleSet(
@@ -318,30 +305,34 @@ def load_params(source: str | BinaryIO) -> PromptParams:
     """
     rows = _records(_lines(source))
 
-    def take(expected: str, fields: int, fault: str) -> tuple[str, int]:
-        """The next record's text after its tag, and its line number. The
-        record must be an ``expected`` one with ``fields`` fields after the
-        tag; a wrong count raises ``fault``."""
+    def take(expected: str, fields: int, fault: str) -> tuple[str, int, array]:
+        """The next record's text after its tag, its line number, and its
+        numbers where orjson reads them. It must be an ``expected`` record
+        with ``fields`` fields after the tag; a wrong count raises ``fault``."""
         lineno, line = next(rows, (0, None))
         if line is None:
             raise FormatError(f"params file: missing {expected!r} record")
         tag, _, rest = line.partition("\t")
         if tag != expected:
             raise FormatError(f"params file line {lineno}: expected {expected!r}, got {tag!r}")
-        if line.count("\t") != fields:
+        row = _parse_row(rest, fields)
+        if not row and line.count("\t") != fields:
             raise FormatError(f"params file line {lineno}: {fault}")
-        return rest, lineno
+        return rest, lineno, row
 
-    rest, lineno = take("dim", 1, "bad dimension")
+    def floats(expected: str, fields: int, fault: str) -> array:
+        rest, lineno, row = take(expected, fields, fault)
+        return row or _parse_tokens(rest.split("\t"), lineno, "params file")
+
+    rest, lineno, _ = take("dim", 1, "bad dimension")
     if not _is_count(rest) or int(rest) < 1:
         raise FormatError(f"params file line {lineno}: bad dimension")
     dim = int(rest)
-    (tau,) = _parse_row(1, *take("tau", 1, "bad tau record"), "params file")
+    (tau,) = floats("tau", 1, "bad tau record")
     weight = array("d")
     for _ in range(dim):
-        row = take("A", dim, f"expected {dim} values")  # counted before it is parsed
-        weight.extend(_parse_row(dim, *row, "params file"))
-    bias = _parse_row(dim, *take("c", dim, f"expected {dim} values"), "params file")
+        weight += floats("A", dim, f"expected {dim} values")
+    bias = floats("c", dim, f"expected {dim} values")
     extra = next(rows, None)
     if extra:
         raise FormatError(f"params file line {extra[0]}: unexpected trailing record")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import BinaryIO
 
 import numpy as np
@@ -34,14 +34,14 @@ def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
     byte; ``io.StringIO`` would hold it at four bytes a character."""
     if isinstance(source, str):
         source = io.BytesIO(source.encode(errors="surrogatepass"))
-    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="\n")
     offset = 0  # file offset of the line
     try:
-        for lineno, line in enumerate(text, start=1):
+        for lineno, line in enumerate(_broken(text), start=1):
             if not line.isascii():  # a byte that is not UTF-8 arrives as a lone surrogate
                 data = line.encode(errors="surrogateescape")
                 try:
-                    line = data.decode()
+                    line = data.decode()  # with its break, as the whole file would be
                 except UnicodeDecodeError as exc:  # moved to its offset in the file
                     exc.object = data[exc.start : exc.end]  # so str(exc) names no other byte
                     exc.start, exc.end = offset + exc.start, offset + exc.end
@@ -52,6 +52,25 @@ def _lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
     finally:
         if not source.closed:  # a failed load's file may close before this does
             text.detach()
+
+
+def _broken(text: io.TextIOWrapper) -> Iterator[str]:
+    """``text``'s lines with their breaks, read in pieces that end at ``\\n`` or
+    hold ``io.DEFAULT_BUFFER_SIZE`` characters, and joined once they end."""
+    head: list[str] = []  # the pieces of a line that no break has ended
+    for piece in iter(partial(text.readline, io.DEFAULT_BUFFER_SIZE), ""):
+        if head and (piece[-1] == "\n" or "\r" in piece or head[-1][-1] == "\r"):
+            piece, head = "".join([*head, piece]), []
+        start = 0  # past the last bare \r; one that ends the piece may yet take a \n
+        while (at := piece.find("\r", start, len(piece) - 1)) >= 0 and piece[at + 1] != "\n":
+            yield piece[start : at + 1]
+            start = at + 1
+        if piece[-1] == "\n":
+            yield piece[start:]
+        else:
+            head.append(piece[start:])
+    if head:
+        yield "".join(head)
 
 
 def _records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:

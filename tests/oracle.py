@@ -30,14 +30,18 @@ served every leaf: one draw per leaf, the blocks joined at the end. The
 backward pass is kept as it was before it scaled the unit weights in
 place: its radial part goes 64 rows at a time. The SplitMix64 stream is
 kept as it was before it drew words in batches: one state step, mix and
-Python call per word, and a shuffle that draws each swap in turn. Nothing
-in the package imports this module.
+Python call per word, and a shuffle that draws each swap in turn. The
+line reader is kept as it was before it read ``\\n`` lines in bounded
+pieces: one loop over a universal-newline text stream. Nothing in the
+package imports this module.
 """
 from __future__ import annotations
 
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -658,6 +662,32 @@ def split_lines(text: str) -> list[str]:
     so the count is the number of the line that a byte appended would be on.
     """
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def stream_lines(source: str | BinaryIO) -> Iterator[tuple[int, str]]:
+    """The package's line reader as it was before it read ``\\n`` lines in
+    bounded pieces: one loop over a universal-newline text stream, which
+    looks for a break one character at a time."""
+    if isinstance(source, str):
+        source = io.BytesIO(source.encode(errors="surrogatepass"))
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+    offset = 0
+    try:
+        for lineno, line in enumerate(text, start=1):
+            if not line.isascii():
+                data = line.encode(errors="surrogateescape")
+                try:
+                    line = data.decode()
+                except UnicodeDecodeError as exc:
+                    exc.object = data[exc.start : exc.end]
+                    exc.start, exc.end = offset + exc.start, offset + exc.end
+                    raise
+                offset += len(data) - len(line)
+            offset += len(line)
+            yield lineno, line.rstrip("\r\n")
+    finally:
+        if not source.closed:
+            text.detach()
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:

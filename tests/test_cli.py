@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiertune import PromptParams, SampleSet, cli, fileio, load_tree
+from hiertune import PromptParams, Rng64, SampleSet, cli, fileio, load_tree
 from hiertune.fileio import load_params, load_samples, write_params, write_samples
 
-from helpers import DEMO_DOC
+from helpers import DEMO_DOC, noisy_samples, random_table, random_tree
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -322,29 +322,78 @@ def test_sample_cuts_rejects_bad_rate(demo_path):
     assert err.startswith("E:invalid:")
 
 
-# Frozen outputs. Training and cut sampling are pure functions of the seed,
-# so a change to the random stream, the sampler, the training step or the
-# float writer that moves one byte shows here. The map's values span the
-# float layouts the writer respells (12% and 6% of them lie in 1e-5..1e-4).
-@pytest.mark.parametrize(("lam", "beta", "params_sha256", "digest"), [
-    ("0", "0", "38aa4d3d2d08f3aba0a0dabb2b9fe709f862f8f437a3d909d35d9e9e328368fe",
-     "218127193c9c1cf9d46952ef09a22926579f299648cdee285cfa1571b131e18f"),
-    ("0.5", "0.1", "c98bc74a8af1685602aae2b39a1b048e33b775e138602ced1eca160127f5ce29",
-     "33008422790f0180d7b439f2fa61f44fa5c1ff72f293c790e1f0fa8f70ec1f36"),
-], ids=("treecut-only", "with-node-centric"))
-def test_train_bytes_are_frozen(tmp_path, lam, beta, params_sha256, digest):
-    data, run = tmp_path / "data", tmp_path / "run"
-    rc, _, _ = run_cli(
-        "gen-synth", "--out", str(data), "--leaves", "27", "--depth", "3", "--dim", "40",
-        "--per-leaf", "4", "--noise", "0.8", "--seed", "0",
-    )
+def unbalanced_fixture(out: Path) -> None:
+    """A random tree of 16 nodes with leaves at depths 2 to 4, its
+    16-dimensional table, and noisy train and held-out samples."""
+    tree = random_tree(Rng64(3), max_internal=12, max_nodes=40)
+    table = random_table(tree, 16, seed=3)
+    out.mkdir()
+    texts = {
+        "tree.txt": fileio.write_tree(tree),
+        "embeddings.tsv": fileio.write_embeddings(table, tree),
+        "samples.tsv": write_samples(noisy_samples(tree, table, 3, 0.6, seed=3), tree, 16),
+        "heldout.tsv": write_samples(noisy_samples(tree, table, 2, 0.6, seed=4), tree, 16),
+    }
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+
+
+def balanced_fixture(out: Path) -> None:
+    """A 27-leaf gen-synth fixture at dim 40, and held-out samples."""
+    shape = ("--leaves", "27", "--depth", "3", "--dim", "40", "--noise", "0.8")
+    rc, _, _ = run_cli("gen-synth", "--out", str(out), *shape, "--per-leaf", "4", "--seed", "0")
     assert rc == 0
+    rc, _, _ = run_cli("gen-synth", "--out", str(out / "held"), *shape, "--per-leaf", "2",
+                       "--seed", "1")
+    assert rc == 0
+    (out / "held" / "samples.tsv").rename(out / "heldout.tsv")
+
+
+# Frozen outputs. Training, cut sampling and evaluation are pure functions
+# of the seed, so a change to the random stream, the sampler, the training
+# step, a loader, the metrics or a writer that moves one byte of a map, a
+# log or a report shows here. The balanced map's values span the float
+# layouts the writer respells (12% and 6% of them lie in 1e-5..1e-4).
+# Digests: the map's as train prints it, then params.txt, train_log.tsv,
+# report.tsv and report_cuts.tsv.
+@pytest.mark.parametrize(("fixture", "lam", "beta", "digest", "sha256s"), [
+    (balanced_fixture, "0", "0",
+     "218127193c9c1cf9d46952ef09a22926579f299648cdee285cfa1571b131e18f", (
+         "38aa4d3d2d08f3aba0a0dabb2b9fe709f862f8f437a3d909d35d9e9e328368fe",
+         "f81e506edd164270b393bf7a71b7151d41daa53c8f3809e1e4fcd23ff50b1ecb",
+         "89f68c2039b2370d6a1c7eb883de47ed98ac199d11d404b7e01915348bc6451e",
+         "16dc00575efb8891303e561d4370faae1845b7408c609c8702e4239aa171c05f")),
+    (balanced_fixture, "0.5", "0.1",
+     "33008422790f0180d7b439f2fa61f44fa5c1ff72f293c790e1f0fa8f70ec1f36", (
+         "c98bc74a8af1685602aae2b39a1b048e33b775e138602ced1eca160127f5ce29",
+         "b279c9a186ff49b99dbe4dce3a25e5a3456a4905d89cf3b9b1cdd11c50ef7d29",
+         "c62991ae43ce98e508489cc9bbe37dc095d9bb4fe3ab6d4d6294d8204044ee50",
+         "e17496a8788511427a4e5a867914fb1fcc3144e3764ebbc941e54a217e19d86c")),
+    (unbalanced_fixture, "0.5", "0.1",
+     "2cc45d528a53c3d13db3754a4690f544510e445b5eb2d25f94f90cba5f6c027d", (
+         "e2a359977da1b7f81c9336237ed0b424859d98ac7da0400e7ee135f82f796257",
+         "1de7b5f3ac10f73a7f9a179055c4ed060ce4bd42da27349d846247bd7458516d",
+         "df321485c938239bea418a533a586649b5f6d677b01005154db93d682db084b2",
+         "be9afcaa9bc0c6b1c85b2556dddc8783e3234c7457166268afb62da5c8aa3d85")),
+], ids=("treecut-only", "with-node-centric", "unbalanced"))
+def test_train_bytes_are_frozen(tmp_path, fixture, lam, beta, digest, sha256s):
+    data, run, report = tmp_path / "data", tmp_path / "run", tmp_path / "report"
+    fixture(data)
+    inputs = ("--tree", str(data / "tree.txt"), "--emb", str(data / "embeddings.tsv"))
     rc, out, _ = run_cli(
-        "train", *data_args(data), "--out", str(run), "--lambda", lam, "--beta", beta,
-        "--epochs", "2", "--batch-size", "16", "--seed", "0",
+        "train", *inputs, "--samples", str(data / "samples.tsv"), "--out", str(run),
+        "--lambda", lam, "--beta", beta, "--epochs", "2", "--batch-size", "16", "--seed", "0",
     )
     assert rc == 0 and f"params digest {digest}\n" in out
-    assert hashlib.sha256((run / "params.txt").read_bytes()).hexdigest() == params_sha256
+    rc, _, _ = run_cli(
+        "eval", *inputs, "--samples", str(data / "heldout.tsv"), "--params",
+        str(run / "params.txt"), "--out", str(report), "--betas", "0.1,0.5,0.9", "--T", "3",
+        "--seed", "0",
+    )
+    assert rc == 0
+    paths = (run / "params.txt", run / "train_log.tsv", report / "report.tsv",
+             report / "report_cuts.tsv")
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths) == sha256s
 
 
 def test_sample_cuts_bytes_are_frozen(tmp_path):

@@ -17,12 +17,16 @@ or the same error. Every loader, the tree's too, must also give that from
 a binary file whose reads return at most a few bytes, or 64 KiB, and must
 report a bad byte at its offset in the file unless an earlier line is at
 fault. So must the loaders agree on any one number token made of digits,
-``.``, ``e``, ``E``, ``+`` and ``-``, whose value must be float()'s. Its
-one-float.__repr__-per-value row writer must give the same bytes as the
-block-at-a-time orjson one, on every kind of float and at any share of
-values orjson lays out unlike repr. A treecut target found by the interval
-lookup must be the one member on the leaf's root path, and the sampler's
-batch draws must leave the stream where the scalar loop does.
+``.``, ``e``, ``E``, ``+`` and ``-``, whose value must be float()'s, and
+on wide rows holding one token that JSON reads as no float or as an
+integer. Its universal-newline line reader must give the same numbered
+lines and decoding error as the bounded ``\n`` one, wherever a read
+piece ends. Its one-float.__repr__-per-value row writer must give the
+same bytes as the block-at-a-time orjson one, on every kind of float and
+at any share of values orjson lays out unlike repr. A treecut target found
+by the interval lookup must be the one member on the leaf's root path, and
+the sampler's batch draws must leave the stream where the scalar loop
+does.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ from hiertune import (
     total_loss,
     treecut_loss,
 )
-from hiertune import fileio, metrics, objectives
+from hiertune import fileio, metrics, objectives, taxonomy
 from hiertune.taxonomy import TreeFormatError
 from hiertune.trainer import k_shot_indices
 
@@ -475,6 +479,84 @@ def fault_line(result) -> float:
     if named:
         return int(named.group(1))
     return 1 if "first line" in result[1] or "dimension header" in result[1] else math.inf
+
+
+def read_lines(reader, doc: bytes, k: int):
+    """Every numbered line ``reader`` gives for ``doc`` read ``k`` bytes at a
+    time, then its decoding error's reason, offsets and named bytes, if any."""
+    lines = []
+    try:
+        lines.extend(reader(Trickle(doc, k)))
+    except UnicodeDecodeError as exc:
+        lines.append((exc.reason, exc.start, exc.end, exc.object))
+    return lines
+
+
+PIECE = io.DEFAULT_BUFFER_SIZE  # the characters one read of the line reader may return
+# Parts that put a break, a \r\n pair or a bad byte at each place a piece
+# can end: on either side of the last character of a piece, and across it.
+LINE_PARTS = (b"a", b"1.5\t-2", b"\r", b"\n", b"\r\n", b"\r\r", b"\xc3", b"\xff",
+              b"\xc3\xa9", b"\xe2\x82", b"\xe2\x82\xac", b"x" * (PIECE - 2),
+              b"x" * (PIECE - 1), b"x" * PIECE, b"y" * (PIECE + 3))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(LINE_PARTS), max_size=10),
+       st.sampled_from((1, 7, PIECE, 65_536)))
+@example([b"x" * (PIECE - 1), b"\r\n", b"a"], 1)  # \r ends a piece, its \n opens the next
+@example([b"x" * (PIECE - 1), b"\r", b"a"], 65_536)  # ... and no \n, nor any break, follows
+@example([b"x" * (PIECE - 2), b"\r", b"a", b"\xff"], PIECE)  # a lone \r one before the end
+@example([b"x" * (PIECE - 2), b"\r", b"\xc3", b"\n"], 7)
+@example([b"a", b"\r", b"\xff", b"\n", b"\r", b"b\xc3", b"\r\n"], 1)
+@example([b"a\rb\rc", b"\xc3", b"\r"], 65_536)  # a bare \r ends the file
+def test_line_reader_matches_the_text_stream_reference(parts, k):
+    # The bounded \n reader gives the universal-newline stream's numbered
+    # lines, split at \r, \r\n and \n alike, and its decoding error, reason
+    # and offsets included, after every line before the bad byte.
+    doc = b"".join(parts)
+    assert read_lines(taxonomy._lines, doc, k) == read_lines(oracle.stream_lines, doc, k)
+
+
+# Tokens that orjson reads as no float, or as an integer, which float() reads
+# alike only as long as the integer is rounded as float() rounds it.
+WIDE_TOKENS = ("-0", "0", "-0.0", "true", "false", "null", "1", "1E5", "9007199254740993",
+               "18446744073709551617", '"1"', "[1]")
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("embeddings", "samples", "params")),
+       st.integers(64, 300), st.sampled_from((*WIDE_TOKENS, ",")),
+       st.sampled_from((0, 0.5, 1)), st.data())
+def test_wide_rows_load_as_the_reference_does(seed, kind, dim, token, where, data):
+    # One token in the first, a middle or the last column of one row of a
+    # wide document: the load gives the per-token reference's bits or error.
+    # "," joins the column to the next one instead: a TAB too few, as many
+    # JSON values as columns.
+    tree = random_tree(Rng64(seed), max_internal=3, max_nodes=8)
+    table = random_table(tree, dim, seed=seed)
+    if kind == "embeddings":
+        text = fileio.write_embeddings(table, tree)
+        new, old = fileio.load_embeddings, oracle.load_embeddings
+    elif kind == "samples":
+        text = fileio.write_samples(noisy_samples(tree, table, 1, 0.5, seed), tree, dim)
+        new, old = fileio.load_samples, oracle.load_samples
+    else:
+        text = fileio.write_params(random_params(dim, tau=0.5, seed=seed))
+        new, old = fileio.load_params, oracle.load_params
+    lines = text.splitlines()
+    i = data.draw(st.integers(2 if kind == "params" else 1, len(lines) - 1))  # a row of dim
+    fields = lines[i].split("\t")
+    head = len(fields) - dim  # the name, id and leaf, or tag, before the numbers
+    at = head + round(where * (dim - 1))
+    if token == ",":
+        at = min(at, len(fields) - 2)
+        fields[at : at + 2] = [",".join(fields[at : at + 2])]
+    else:
+        fields[at] = token
+    lines[i] = "\t".join(fields)
+    text = "\n".join(lines) + "\n"
+    args = (text,) if kind == "params" else (text, tree)
+    assert loaded(new, *args) == loaded(old, *args)
 
 
 NUMBER_CHARS = "0123456789.eE+-"

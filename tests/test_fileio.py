@@ -316,7 +316,7 @@ def test_loading_embeddings_holds_about_the_table(tmp_path):
 
 def test_loading_params_holds_about_the_map(tmp_path):
     # The weight is its rows' buffer, so the peak is about the weight
-    # (1.14x measured). A second copy, as joining row blocks makes (2.04x),
+    # (1.16x measured). A second copy, as joining row blocks makes (2.04x),
     # exceeds the bound.
     dim = 768
     rng = np.random.default_rng(7)
