@@ -13,29 +13,17 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
 
-from .fileio import (
-    FormatError,
-    format_float,
-    load_embeddings,
-    load_params,
-    load_samples,
-    write_cut_details,
-    write_params,
-    write_report,
-    write_train_log,
-)
-from .metrics import evaluate
-from .rng import Rng64
-from .synth import gen_synth
+# Only what every command needs; each command imports the rest itself, so a
+# process loads and compiles just the modules its command runs.
+from .fileio import FormatError, format_float
 from .taxonomy import TreeFormatError, load_tree
-from .trainer import TrainConfig, train
-from .treecut import DISTINCT_DRAW_FACTOR, _reachable, build_matrices, sample_distinct
 
 _T = TypeVar("_T")
 
@@ -99,6 +87,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_cuts(args: argparse.Namespace) -> int:
+    from .rng import Rng64
+    from .treecut import DISTINCT_DRAW_FACTOR, _reachable, build_matrices, sample_distinct
+
     tree = _load(args.tree, load_tree, error=TreeFormatError)
     cuts = sample_distinct(tree, build_matrices(tree), args.beta, args.count, Rng64(args.seed))
     print(f"# beta={format_float(args.beta)} seed={args.seed}")
@@ -114,6 +105,9 @@ def cmd_sample_cuts(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .fileio import load_embeddings, load_samples, write_params, write_train_log
+    from .trainer import TrainConfig, train
+
     tree = _load(args.tree, load_tree, error=TreeFormatError)
     table = _load(args.emb, load_embeddings, tree)
     samples = _load(args.samples, load_samples, tree)
@@ -145,6 +139,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .fileio import load_embeddings, load_params, load_samples, write_cut_details, write_report
+    from .metrics import evaluate
+
     tree = _load(args.tree, load_tree, error=TreeFormatError)
     table = _load(args.emb, load_embeddings, tree)
     samples = _load(args.samples, load_samples, tree)
@@ -166,6 +163,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
+    from .synth import gen_synth
+
     tree_text, emb_text, samples_text = gen_synth(
         args.leaves, args.depth, args.dim, args.per_leaf, args.noise, args.seed
     )
@@ -245,6 +244,11 @@ def _fail(code: str, exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # The process's own entry; every in-process caller passes a list.
+        # The import heap lives until exit, so take it out of the collector's
+        # reach: the collections run during the command and at exit skip it.
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

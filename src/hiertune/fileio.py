@@ -32,15 +32,17 @@ import math
 import re
 from array import array
 from collections.abc import Iterator
-from typing import BinaryIO
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 import orjson
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet
-from .metrics import MetricsReport
 from .taxonomy import TaxonomyTree, _lines, _records
-from .trainer import TrainLog
+
+if TYPE_CHECKING:  # annotations only: a loader need not import the trainer or metrics
+    from .metrics import MetricsReport
+    from .trainer import TrainLog
 
 
 class FormatError(ValueError):

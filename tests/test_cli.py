@@ -3,17 +3,21 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertune import PromptParams, Rng64, SampleSet, cli, fileio, load_tree
 from hiertune.fileio import load_params, load_samples, write_params, write_samples
@@ -26,6 +30,13 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv: str) -> tuple[int, str, str]:
+    """``python -m hiertune.cli``: the process entry, which freezes the heap."""
+    proc = subprocess.run([sys.executable, "-m", "hiertune.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture()
@@ -135,13 +146,9 @@ def test_a_format_error_is_the_only_thing_on_stderr(synth_dir, tmp_path):
     bad.write_text("".join([*lines[:2], "n2\tx\n", *lines[3:]]), encoding="utf-8")
     args = data_args(synth_dir)
     args[args.index("--emb") + 1] = str(bad)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hiertune.cli", "train", *args, "--out", str(tmp_path / "run")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == "E:format:embedding table line 3: expected name plus 8 values\n"
+    rc, _, err = run_module("train", *args, "--out", str(tmp_path / "run"))
+    assert rc == 1
+    assert err == "E:format:embedding table line 3: expected name plus 8 values\n"
 
 
 # str.isdigit() takes the superscript two and the Arabic-Indic three;
@@ -198,7 +205,7 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
         raise RuntimeError("render failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "write_train_log", render_fails)
+        patch.setattr(fileio, "write_train_log", render_fails)  # cmd_train imports it per call
         rc, _, err = run_cli(*args)
     assert (rc, err) == (1, "E:train:render failed\n")
     assert not (run / "params.txt").exists()
@@ -356,7 +363,7 @@ def balanced_fixture(out: Path) -> None:
 # layouts the writer respells (12% and 6% of them lie in 1e-5..1e-4).
 # Digests: the map's as train prints it, then params.txt, train_log.tsv,
 # report.tsv and report_cuts.tsv.
-@pytest.mark.parametrize(("fixture", "lam", "beta", "digest", "sha256s"), [
+FROZEN_RUNS = pytest.mark.parametrize(("fixture", "lam", "beta", "digest", "sha256s"), [
     (balanced_fixture, "0", "0",
      "218127193c9c1cf9d46952ef09a22926579f299648cdee285cfa1571b131e18f", (
          "38aa4d3d2d08f3aba0a0dabb2b9fe709f862f8f437a3d909d35d9e9e328368fe",
@@ -376,24 +383,45 @@ def balanced_fixture(out: Path) -> None:
          "df321485c938239bea418a533a586649b5f6d677b01005154db93d682db084b2",
          "be9afcaa9bc0c6b1c85b2556dddc8783e3234c7457166268afb62da5c8aa3d85")),
 ], ids=("treecut-only", "with-node-centric", "unbalanced"))
-def test_train_bytes_are_frozen(tmp_path, fixture, lam, beta, digest, sha256s):
-    data, run, report = tmp_path / "data", tmp_path / "run", tmp_path / "report"
+
+
+def check_frozen_run(run, tmp_path, fixture, lam, beta, digest, sha256s):
+    """Train and evaluate through ``run`` and compare the outputs' digests."""
+    data, out, report = tmp_path / "data", tmp_path / "run", tmp_path / "report"
     fixture(data)
     inputs = ("--tree", str(data / "tree.txt"), "--emb", str(data / "embeddings.tsv"))
-    rc, out, _ = run_cli(
-        "train", *inputs, "--samples", str(data / "samples.tsv"), "--out", str(run),
+    rc, stdout, _ = run(
+        "train", *inputs, "--samples", str(data / "samples.tsv"), "--out", str(out),
         "--lambda", lam, "--beta", beta, "--epochs", "2", "--batch-size", "16", "--seed", "0",
     )
-    assert rc == 0 and f"params digest {digest}\n" in out
-    rc, _, _ = run_cli(
+    assert rc == 0 and f"params digest {digest}\n" in stdout
+    rc, _, _ = run(
         "eval", *inputs, "--samples", str(data / "heldout.tsv"), "--params",
-        str(run / "params.txt"), "--out", str(report), "--betas", "0.1,0.5,0.9", "--T", "3",
+        str(out / "params.txt"), "--out", str(report), "--betas", "0.1,0.5,0.9", "--T", "3",
         "--seed", "0",
     )
     assert rc == 0
-    paths = (run / "params.txt", run / "train_log.tsv", report / "report.tsv",
+    paths = (out / "params.txt", out / "train_log.tsv", report / "report.tsv",
              report / "report_cuts.tsv")
     assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths) == sha256s
+
+
+@FROZEN_RUNS
+def test_train_bytes_are_frozen(tmp_path, fixture, lam, beta, digest, sha256s):
+    check_frozen_run(run_cli, tmp_path, fixture, lam, beta, digest, sha256s)
+
+
+@FROZEN_RUNS
+def test_module_entry_point_writes_the_frozen_bytes(tmp_path, fixture, lam, beta, digest,
+                                                    sha256s):
+    check_frozen_run(run_module, tmp_path, fixture, lam, beta, digest, sha256s)
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(demo_path):
+    # Only the process entry (main with no argv) freezes the collector's
+    # heap; a caller that passes a list keeps its own.
+    rc, _, _ = run_cli("validate", "--tree", str(demo_path))
+    assert rc == 0 and gc.get_freeze_count() == 0
 
 
 def test_sample_cuts_bytes_are_frozen(tmp_path):
@@ -699,10 +727,101 @@ def test_subcommand_is_required():
 
 
 def test_module_entry_point(demo_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hiertune.cli", "validate", "--tree", str(demo_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "7 nodes, 4 leaves, 3 internal\n"
+    rc, out, _ = run_module("validate", "--tree", str(demo_path))
+    assert rc == 0
+    assert out == "7 nodes, 4 leaves, 3 internal\n"
+
+
+# The failure contract, on one mutated input. Each command's input files
+# by flag, the files it writes into --out, and flags that keep it short.
+CONTRACT = {
+    "validate": ({"--tree": "tree.txt"}, (), ()),
+    "train": ({"--tree": "tree.txt", "--emb": "embeddings.tsv", "--samples": "samples.tsv"},
+              ("params.txt", "train_log.tsv"), ("--epochs", "1", "--batch-size", "8")),
+    "eval": ({"--tree": "tree.txt", "--emb": "embeddings.tsv", "--samples": "samples.tsv",
+              "--params": "params.txt"},
+             ("report.tsv", "report_cuts.tsv"), ("--betas", "0.1,0.5", "--T", "2")),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """An 8-leaf gen-synth fixture and a map trained on it."""
+    data = tmp_path_factory.mktemp("contract")
+    rc, _, _ = run_cli("gen-synth", "--out", str(data), "--leaves", "8", "--depth", "2",
+                       "--dim", "12", "--per-leaf", "3", "--seed", "0")
+    assert rc == 0
+    rc, _, _ = run_cli("train", *data_args(data), "--out", str(data), *CONTRACT["train"][2])
+    assert rc == 0
+    return data
+
+
+# Tokens a mutation inserts or puts in a field's place.
+TOKENS = (b"", b"nan", b"1e999", b"-0", b"x", b"n1", b"\x00", b"\r", b"\t", b"\n", b"#", b" ",
+          b"\xc3", b"\xff")
+
+
+@st.composite
+def mutated(draw, text: bytes) -> bytes:
+    """``text`` with one fault: a byte replaced, a span deleted, a cut-off
+    end, a token inserted or put in one of a line's first three fields (the
+    names and the first number), or a line repeated or moved. Each lands
+    at or on the line of a byte offset, so long lines draw more of them."""
+    kind = draw(st.sampled_from(("replace", "delete", "truncate", "insert", "field", "repeat",
+                                 "swap")))
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "replace":
+        return text[:at] + bytes([draw(st.integers(0, 255))]) + text[at + 1:]
+    if kind == "delete":
+        return text[:at] + text[draw(st.integers(at + 1, min(len(text), at + 40))):]
+    if kind == "truncate":
+        return text[:at]
+    if kind == "insert":
+        return text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+    lines = text.splitlines(keepends=True)
+    first, second = text.count(b"\n", 0, at), draw(st.integers(0, len(lines) - 1))
+    if kind == "field":
+        fields = lines[first].rstrip(b"\n").split(b"\t")
+        fields[draw(st.integers(0, min(len(fields), 3) - 1))] = draw(st.sampled_from(TOKENS))
+        lines[first] = b"\t".join(fields) + b"\n"
+    elif kind == "repeat":
+        lines.insert(second, lines[first])
+    else:
+        lines[first], lines[second] = lines[second], lines[first]
+    return b"".join(lines)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_a_mutated_input_fails_with_one_line_or_writes_every_output(contract_dir, data):
+    # Every run either succeeds and writes its whole output set, or exits 1
+    # with one E:<code>: line and leaves --out as it was: no exception
+    # escapes main and no output is half replaced.
+    target = data.draw(st.sampled_from(sorted(CONTRACT["eval"][0].values())), label="file")
+    command = data.draw(st.sampled_from(
+        [c for c, spec in sorted(CONTRACT.items()) if target in spec[0].values()]),
+        label="command")
+    inputs, outputs, flags = CONTRACT[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = [command, *flags]
+        for flag, name in inputs.items():
+            text = (contract_dir / name).read_bytes()
+            (root / name).write_bytes(data.draw(mutated(text)) if name == target else text)
+            argv += [flag, str(root / name)]
+        out = root / "out"
+        out.mkdir()
+        earlier = {name: b"earlier " + name.encode() for name in outputs}
+        for name, text in earlier.items():
+            (out / name).write_bytes(text)
+        if earlier:
+            argv += ["--out", str(out)]
+        rc, _, err = run_cli(*argv)
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+    if rc == 0:
+        assert "E:" not in err
+        assert written.keys() == earlier.keys()
+        assert all(written[name] != text for name, text in earlier.items())
+    else:
+        assert rc == 1 and re.fullmatch(r"E:(tree|format|io|train|invalid):[^\n]*\n", err), err
+        assert written == earlier

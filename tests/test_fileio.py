@@ -359,7 +359,7 @@ def test_written_numbers_never_reach_the_fallback_tier(monkeypatch):
     # orjson takes every row a writer emits, whatever its values: exponent
     # forms, subnormals, both zeros, the float64 extremes and both sides of
     # the edges where orjson and repr lay floats out differently.
-    def fallback(out, tokens, lineno, what):
+    def fallback(tokens, lineno, what):
         raise AssertionError(f"per-token parse of line {lineno}: {tokens}")
 
     monkeypatch.setattr(fileio, "_parse_tokens", fallback)

@@ -1,13 +1,18 @@
 """Packaging checks: declared dependencies, no public code nothing calls,
-and no private name shared between modules unlisted."""
+no private name shared between modules unlisted, a package namespace that
+resolves on first use, and the modules each command imports."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import hiertune
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -148,3 +153,80 @@ def test_only_cli_opens_files_and_no_module_splits_lines_itself():
         called = called_names(ast.parse(path.read_text(encoding="utf-8")))
         assert "open" not in called or path.name == "cli.py", f"{path.name} calls open"
         assert not called & {"read_text", "splitlines"}, f"{path.name} reads or splits text"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert len(hiertune.__all__) == 35 and hiertune.__version__ == project["version"]
+    for name in hiertune.__all__:
+        if name != "__version__":
+            value = getattr(hiertune, name)
+            assert value.__module__.startswith("hiertune.")
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from hiertune import *", namespace)
+    for name in hiertune.__all__:
+        assert namespace[name] is getattr(hiertune, name)
+    assert set(hiertune.__all__) <= set(dir(hiertune))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hiertune.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from hiertune import no_such_name", {})
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a child interpreter holds once it has run ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# The package modules each command imports besides the package, cli and
+# the three every command needs: fileio, classifier and taxonomy.
+COMMAND_MODULES = {
+    "validate": set(),
+    "sample-cuts": {"rng", "treecut"},
+    "train": {"objectives", "rng", "trainer", "treecut"},
+    "eval": {"metrics", "rng", "treecut"},
+    "gen-synth": {"rng", "synth"},
+}
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    loaded = modules_after("import hiertune")
+    assert {m for m in loaded if m.startswith(("hiertune", "numpy"))} == {"hiertune"}
+    assert "hiertune.fileio" in modules_after("import hiertune\nhiertune.fileio")
+    data, run = tmp_path / "data", tmp_path / "run"
+    inputs = ["--tree", str(data / "tree.txt"), "--emb", str(data / "embeddings.tsv"),
+              "--samples", str(data / "samples.tsv")]
+    argv = {
+        "gen-synth": ["--out", str(data), "--leaves", "4", "--depth", "2", "--dim", "6",
+                      "--per-leaf", "2"],
+        "validate": ["--tree", str(data / "tree.txt")],
+        "sample-cuts": ["--tree", str(data / "tree.txt"), "--count", "2"],
+        "train": [*inputs, "--out", str(run), "--epochs", "1"],
+        "eval": [*inputs, "--params", str(run / "params.txt"), "--out", str(run), "--T", "1"],
+    }
+    assert argv.keys() == COMMAND_MODULES.keys()
+    for command, args in argv.items():  # in order: each reads what the one before wrote
+        # main with no argv, as the console script and python -m call it,
+        # which freezes the import heap
+        modules = modules_after(
+            f"import gc, sys\nfrom hiertune.cli import main\nsys.argv[1:] = {[command, *args]!r}\n"
+            "if main() or not gc.get_freeze_count(): sys.exit(1)")
+        expected = {"hiertune", "hiertune.cli", "hiertune.fileio", "hiertune.classifier",
+                    "hiertune.taxonomy"}
+        assert {m for m in modules if m.startswith("hiertune")} == expected | {
+            f"hiertune.{m}" for m in COMMAND_MODULES[command]}, command
+        # train digests its map; gen-synth's numpy.random imports hashlib
+        assert "hashlib" not in modules or command in ("train", "gen-synth"), command
