@@ -27,6 +27,10 @@ from .taxonomy import TreeFormatError, load_tree
 
 _T = TypeVar("_T")
 
+# Characters of an output encoded and written per call: no whole document is
+# encoded, and below glibc's 128 KiB mmap threshold a slice reuses heap memory.
+_WRITE_SLICE = 1 << 16
+
 
 def _load(
     path: str, loader: Callable[..., _T], *args, error: type[ValueError] = FormatError
@@ -44,9 +48,9 @@ def _load(
 def _write_outputs(path: str, texts: dict[str, str]) -> Path:
     """Write already rendered outputs into directory ``path`` as one set.
 
-    Each text goes to a temporary file in that directory; only when all of
-    them are written are they renamed into place with ``os.replace``, so a
-    failure part-way leaves the earlier files, not a mix of old and new.
+    Each text goes to a temporary file in that directory, a slice at a time;
+    once all are written they are renamed into place with ``os.replace``, so
+    a failure part-way leaves the earlier files, not a mix of old and new.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -58,7 +62,9 @@ def _write_outputs(path: str, texts: dict[str, str]) -> Path:
         for name, text in texts.items():
             tmp = out / f".{name}.{os.getpid()}.tmp"
             staged.append(tmp)
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as file:  # as Path.write_text opens it
+                for start in range(0, len(text), _WRITE_SLICE):
+                    file.write(text[start : start + _WRITE_SLICE])
         for tmp, name in zip(staged, texts):
             os.replace(tmp, out / name)
     finally:

@@ -24,7 +24,8 @@ Rows of numbers are parsed a row at a time by orjson and appended with
 its TABs counted and goes through the per-token parser (``_parse_row``).
 Rows are written a block at a time by orjson, straight from the array and
 as bytes; its digits are repr's, and the values it lays out otherwise are
-respelt, in orjson's bytes where a block holds many of them.
+respelt, in orjson's bytes where a block holds many of them. A block's
+bytes are decoded as it is made, and a document's texts joined once.
 """
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ def format_float(x: float) -> str:
 
 
 # Rows formatted per orjson call. A writer holds its document about twice
-# at its peak (its chunks, then the joined bytes and the text); this sets
-# only the few block-sized temporaries beside them.
+# at its peak (the chunks' texts, then their join); this sets only the few
+# block-sized temporaries beside them.
 WRITE_BLOCK = 64
 
 
@@ -101,6 +102,11 @@ def _row_lines(heads: list[bytes], matrix: np.ndarray) -> Iterator[bytes]:
         parts = [b"\n"] * (3 * len(rows))
         parts[0::3], parts[1::3] = heads[start : start + len(rows)], rows
         yield b"".join(parts)
+
+
+def _document(head: bytes, rows: Iterator[bytes], tail: bytes = b"") -> str:
+    """``head``, ``rows``' chunks and ``tail`` as one text, each chunk decoded as it is made."""
+    return "".join([head.decode(), *(chunk.decode() for chunk in rows), tail.decode()])
 
 
 def _respelt(text: bytes, block: np.ndarray) -> bytes:
@@ -237,7 +243,7 @@ def load_embeddings(source: str | BinaryIO, tree: TaxonomyTree) -> EmbeddingTabl
 def write_embeddings(table: EmbeddingTable, tree: TaxonomyTree) -> str:
     heads = [f"{name}\t".encode() for i, name in enumerate(tree.names) if i != tree.root]
     rows = _row_lines(heads, np.delete(table.vectors, tree.root, axis=0))
-    return b"".join([b"#dim %d\n" % table.dim, *rows]).decode()
+    return _document(b"#dim %d\n" % table.dim, rows)
 
 
 # -------------------------------------------------------------- samples
@@ -277,23 +283,30 @@ def load_samples(source: str | BinaryIO, tree: TaxonomyTree) -> SampleSet:
     )
 
 
-def write_samples(samples: SampleSet, tree: TaxonomyTree, dim: int) -> str:
-    """The sample document; ``load_samples`` reads it back as ``samples``.
+def write_samples(
+    samples: SampleSet, tree: TaxonomyTree, dim: int, *, comment: str | None = None
+) -> str:
+    """The sample document, with the line ``# <comment>`` after ``#dim`` if
+    ``comment`` is given; ``load_samples`` reads it back as ``samples``.
 
     An id that would load as another id or as no sample is refused before
     anything is rendered: one that is empty, padded with whitespace, starts
     with ``#`` (a comment), holds a TAB, CR or LF, or repeats an earlier id.
+    So is a comment holding CR or LF, which would load as a data row.
     """
+    if comment is not None and ("\r" in comment or "\n" in comment):
+        raise ValueError(f"comment {comment!r} would not load back as one line")
     seen: set[str] = set()
     for sid in samples.ids:
-        if sid in seen or sid != sid.strip() or sid[:1] in ("", "#") or re.search("[\t\r\n]", sid):
+        if (sid in seen or sid != sid.strip() or sid[:1] in ("", "#")
+                or "\t" in sid or "\r" in sid or "\n" in sid):
             raise ValueError(f"sample id {sid!r} would not load back as written")
         seen.add(sid)
     leaves = [f"\t{name}\t" for name in tree.names]
     heads = [(sid + leaves[leaf]).encode()
              for sid, leaf in zip(samples.ids, samples.leaf_labels.tolist())]
-    rows = _row_lines(heads, samples.features)
-    return b"".join([b"#dim %d\n" % dim, *rows]).decode()
+    head = f"#dim {dim}\n" + ("" if comment is None else f"# {comment}\n")
+    return _document(head.encode(), _row_lines(heads, samples.features))
 
 
 # --------------------------------------------------------------- params
@@ -350,7 +363,7 @@ def write_params(params: PromptParams) -> str:
     ((tau,),) = _row_blocks(np.array([[params.tau]]))
     ((bias,),) = _row_blocks(params.bias[None, :])
     rows = _row_lines([b"A\t"] * params.dim, params.weight)
-    return b"".join([b"dim\t%d\ntau\t%s\n" % (params.dim, tau), *rows, b"c\t%s\n" % bias]).decode()
+    return _document(b"dim\t%d\ntau\t%s\n" % (params.dim, tau), rows, b"c\t%s\n" % bias)
 
 
 # -------------------------------------------------------------- reports

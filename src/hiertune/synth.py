@@ -162,5 +162,5 @@ def gen_synth(
         features=features,
     )
 
-    sample_doc = write_samples(samples, tree, dim).replace("\n", f"\n# seed {seed}\n", 1)
+    sample_doc = write_samples(samples, tree, dim, comment=f"seed {seed}")
     return write_tree(tree), write_embeddings(table, tree), sample_doc

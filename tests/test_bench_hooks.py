@@ -4,11 +4,14 @@
 path. A rename in the package would otherwise surface only as a crash of
 a traced benchmark run, so every entry is resolved here. ``perfbench/run.py``
 checks each ``train`` output with the package's own loader and digest, so
-that check is run here on a real ``train`` output.
+that check is run here on a real ``train`` output. The traced ``gen-synth``
+must meet the spans it records, and ``perfbench/genlarge.py``, which calls
+the package's writers, must keep its bytes.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -20,6 +23,7 @@ from hiertune import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_PY = PERFBENCH / "traced.py"
 RUN_PY = PERFBENCH / "run.py"
+GENLARGE_PY = PERFBENCH / "genlarge.py"
 
 
 def load_by_path(name: str, path: Path, monkeypatch):
@@ -63,3 +67,56 @@ def test_benchmark_train_check_accepts_a_real_train_output(tmp_path, monkeypatch
             "--samples", str(data / "samples.tsv"), "--out", str(out), "--epochs", "2",
         ]) == 0
     assert run.check_train(out) is None
+
+
+def test_gen_synth_runs_through_the_traced_functions(tmp_path, monkeypatch):
+    # traced.py wraps each function under every module attribute that holds
+    # it, and times gen-synth as gen_synth with load_tree and write_samples
+    # inside it; a gen-synth that skips one of them fails the traced run.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    traced = load_by_path("perfbench_traced", TRACED_PY, monkeypatch)
+    callers = [importlib.import_module(m) for m in traced.CALLERS]
+    calls: list[tuple[str, tuple[str, ...]]] = []  # a span, and the spans it ran inside
+    running: list[str] = []
+
+    def counted(span, function):
+        def wrapper(*args, **kwargs):
+            calls.append((span, tuple(running)))
+            running.append(span)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                running.pop()
+        return wrapper
+
+    for span in ("synth.gen_synth", "taxonomy.load_tree", "fileio.write_samples"):
+        module, attr, _ = traced.TRACED[span]
+        original = getattr(importlib.import_module(module), attr)
+        wrapped = counted(span, original)
+        for mod in callers:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapped)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([
+            "gen-synth", "--out", str(tmp_path), "--leaves", "4", "--depth", "2",
+            "--dim", "6", "--per-leaf", "2", "--seed", "0",
+        ]) == 0
+    assert calls == [
+        ("synth.gen_synth", ()),
+        ("taxonomy.load_tree", ("synth.gen_synth",)),
+        ("fileio.write_samples", ("synth.gen_synth",)),
+    ]
+
+
+def test_genlarge_bytes_are_frozen(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # genlarge.py prepends to it
+    genlarge = load_by_path("perfbench_genlarge", GENLARGE_PY, monkeypatch)
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in genlarge.generate(0).items()}
+    assert digests == {
+        "tree.txt": "aed785637712ffc52ef547fb74fda18053313c4a530b60a97c2b9f8882230336",
+        "embeddings.tsv": "3ad34ec46f23aa00aec9175dad13be5ac9a9d459ae2784929fe2a0670ced6802",
+        "train.tsv": "fe55c15f71bb526cff9cb9af6678f844734b707739c299ee1b57dddd443912b4",
+        "heldout.tsv": "308f83f2fcdd1eac95e26eeb3367c3b2ccac59f5b7ab8b783a383460b9ef0914",
+    }

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -212,15 +213,17 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
 
     run.mkdir()
     (run / "params.txt").write_text("earlier", encoding="utf-8")
-    write_text = Path.write_text
 
-    def disk_full(path, text, *rest, **kw):
-        if "train_log" in path.name:
-            raise OSError(28, "No space left on device")
-        return write_text(path, text, *rest, **kw)
+    class DiskFull(io.TextIOWrapper):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_staged(path, *rest, **kw):  # cli's open: the train log's staged file is refused
+        file = open(path, *rest, **kw)
+        return DiskFull(file.detach(), encoding="utf-8") if "train_log" in Path(path).name else file
 
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", disk_full)
+        patch.setattr(cli, "open", open_staged, raising=False)
         rc, _, err = run_cli(*args)
     assert rc == 1 and err.startswith("E:io:")
     assert [p.name for p in run.iterdir()] == ["params.txt"]
@@ -229,6 +232,30 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
     rc, _, _ = run_cli(*args)
     assert rc == 0
     assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
+
+
+SLICE = cli._WRITE_SLICE
+
+
+# Each slice of the first text starts with "€" and ends with "é", so every
+# slice boundary lies between two multi-byte characters.
+@pytest.mark.parametrize("text", [
+    "€" + "".join("x" * (SLICE - 2) + "é€" for _ in range(7)) + "x" * 100 + "é\n",
+    "line\n" * (2 * SLICE),
+    "y" * (SLICE - 1) + "\n",
+    "",
+], ids=["boundaries", "ascii-lines", "one-slice", "empty"])
+def test_outputs_are_written_a_slice_at_a_time(tmp_path, text):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_outputs(str(tmp_path), {"out.txt": text})
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+    slice_bytes = 3 * SLICE  # no character of these texts takes more than 3 bytes
+    assert peak < 2 * slice_bytes  # not a copy of the whole text
 
 
 def test_a_gen_synth_that_fails_part_way_leaves_the_outputs_alone(tmp_path, monkeypatch):

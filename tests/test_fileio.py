@@ -172,6 +172,35 @@ def test_write_samples_keeps_ids_that_load_back():
     assert load_samples(write_samples(samples, tree, 2), tree).ids == ids
 
 
+def test_write_samples_puts_a_comment_after_the_dim_line():
+    tree = demo_tree()
+    samples = SampleSet(
+        ids=("a", "b", "c"),
+        leaf_labels=np.array([tree.name_index[n] for n in ("n3", "n4", "n3")]),
+        features=np.array([[1.0, 0.5], [-2.0, 1e-5], [0.25, 3.0]]),
+    )
+    document = write_samples(samples, tree, 2, comment="seed 3")
+    # The line gen_synth used to splice into the rendered document.
+    assert document == write_samples(samples, tree, 2).replace("\n", "\n# seed 3\n", 1)
+    loaded = load_samples(document, tree)
+    assert loaded.ids == samples.ids
+    np.testing.assert_array_equal(loaded.leaf_labels, samples.leaf_labels)
+    np.testing.assert_array_equal(loaded.features, samples.features)
+
+
+@pytest.mark.parametrize("comment", ["seed 3\n", "a\rb", "\r\n", "x\ny"])
+def test_write_samples_refuses_a_comment_that_breaks_its_line(comment, monkeypatch):
+    def rendered(*args):
+        raise AssertionError("a row was rendered")
+
+    monkeypatch.setattr(fileio, "_row_lines", rendered)
+    tree = demo_tree()
+    samples = SampleSet(ids=("a",), leaf_labels=np.array([tree.name_index["n3"]]),
+                        features=np.ones((1, 2)))
+    with pytest.raises(ValueError, match=re.escape(f"comment {comment!r} would not load back")):
+        write_samples(samples, tree, 2, comment=comment)
+
+
 def test_samples_loader_rejects_duplicate_ids():
     tree = demo_tree()
     with pytest.raises(FormatError, match=r"line 3: duplicate sample id 'x'"):
