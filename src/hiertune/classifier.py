@@ -5,7 +5,8 @@ cosine similarity against the *mapped* node embeddings w = A e + c, and a
 classifier for a label set predicts the member with the highest cosine.
 With A = I, c = 0 the classifier is the zero-shot baseline; training moves
 only A and c, so one parameter pair serves every label set drawn from the
-tree.
+tree. ``unit_weights`` maps the label side of every score matrix, a
+training step's and eval's; ``predict`` decides the leaf vocabulary.
 """
 from __future__ import annotations
 
@@ -108,22 +109,17 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def unit_weights(
-    params: PromptParams, table: EmbeddingTable, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The label side of a score matrix over ``nodes``, one row per node.
-
-    Returns the embedding rows, the mapped weights scaled to unit rows,
-    and the norms those weights had; backpropagation needs all three.
-    """
-    if table.dim != params.dim:
+def unit_weights(params: PromptParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The label side of a score matrix: ``rows``, embedding rows in column
+    order, mapped and scaled to unit rows, and the norms the mapped rows had;
+    backpropagation needs both."""
+    if rows.shape[1] != params.dim:
         raise ValueError("embedding and parameter dimensions differ")
-    emb = table.vectors[np.asarray(nodes, dtype=np.int64)]
-    what = emb @ params.weight.T
+    what = rows @ params.weight.T
     what += params.bias
     wnorm = _row_norms(what, "label weights")
     what /= wnorm[:, None]
-    return emb, what, wnorm
+    return what, wnorm
 
 
 def predict(tree: TaxonomyTree, scores: np.ndarray, members: np.ndarray) -> np.ndarray:

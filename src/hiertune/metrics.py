@@ -10,10 +10,11 @@ report is a pure function of its inputs.
 Every decision is an argmax over a column subset of one score matrix,
 the cosines of the samples against every non-root node in the tree's
 column layout, which ``score_blocks`` builds a block of samples at a time.
-Ties go to the smallest node index. Leaf and cut predictions are
-``classifier.predict``, right exactly on the true leaf or an ancestor
-(``ColumnLayout.on_path``); hca's decisions are taken only at the
-branching nodes on each sample's root path, where hca judges it.
+Ties go to the smallest node index. A leaf prediction is
+``classifier.predict``, right exactly on the true leaf; a cut's is right
+exactly at the member that holds the true leaf, the position
+``ColumnLayout.targets`` gives the treecut loss too; hca's decisions are
+taken only at the branching nodes on each sample's root path.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def score_blocks(
     """
     _require_data(table, data)
     with np.errstate(over="ignore"):
-        _, what, _ = unit_weights(params, table, tree.layout.nodes)
+        what, _ = unit_weights(params, table.vectors[tree.layout.nodes])
     rows = max(1, min(EVAL_BLOCK, EVAL_BYTES // (8 * len(what))))
     for lo in range(0, len(data), rows):
         block = np.asarray(data.features[lo : lo + rows], dtype=np.float64)
@@ -98,11 +99,15 @@ def _accuracies(
     cuts: tuple[LabelSet, ...] = (),
 ) -> tuple[float, float, list[float]]:
     """Leaf accuracy, hca and each cut's accuracy, from one pass over the
-    score blocks; per block, one leaf prediction serves both of the first two."""
-    leaves = np.asarray(tree.leaf_nodes, dtype=np.int64)
-    members = [np.asarray(cut.members, dtype=np.int64) for cut in cuts]
+    score blocks; per block, one leaf prediction serves both of the first two.
+    A cut is right where its columns' argmax is the leaf's target position."""
+    lay, leaves = tree.layout, np.asarray(tree.leaf_nodes, dtype=np.int64)
+    cut_columns = [lay.column[np.asarray(cut.members, dtype=np.int64)] for cut in cuts]
+    cut_targets = np.zeros((len(cuts), tree.n_nodes), dtype=np.int64)  # per cut, at each leaf
+    for k, cut in enumerate(cuts):
+        cut_targets[k, leaves] = lay.targets(cut.members, leaves)
     leaf_right = hca_right = 0
-    cut_right = np.zeros(len(members), dtype=np.int64)
+    cut_right = np.zeros(len(cuts), dtype=np.int64)
     for labels, scores in score_blocks(tree, params, table, data):
         ok = predict(tree, scores, leaves) == labels
         leaf_right += int(ok.sum())
@@ -114,8 +119,9 @@ def _accuracies(
         first = np.minimum.reduceat(np.where(v == top, np.arange(len(v)), len(v)), seg)
         ok[rows[first != target]] = False
         hca_right += int(ok.sum())
-        for k, cut in enumerate(members):
-            cut_right[k] += int(tree.layout.on_path(labels, predict(tree, scores, cut)).sum())
+        for k, columns in enumerate(cut_columns):
+            picked = np.argmax(np.take(scores, columns, axis=1), axis=1)
+            cut_right[k] += int((picked == cut_targets[k, labels]).sum())
     return leaf_right / len(data), hca_right / len(data), (cut_right / len(data)).tolist()
 
 
@@ -174,7 +180,7 @@ def evaluate(
     """All three metrics in one report, from one pass over the score blocks.
 
     The treecuts are drawn first, as ``mta`` describes; the pass then
-    predicts the leaves once per block and each cut once per block.
+    predicts the leaves and decides each cut once per block.
     """
     _require_data(table, data)
     if not betas:

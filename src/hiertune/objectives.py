@@ -2,10 +2,11 @@
 
 Every vocabulary drawn from the tree is a column subset of one score
 matrix: the cosines of a batch against the mapped weights of every
-non-root node, in the tree's column layout (``TaxonomyTree.layout``). A
-sample's target in a vocabulary is the member on its leaf's root path:
-a lookup in the members' preorder intervals for a treecut, and
-``ColumnLayout.on_path`` for the node-centric groups. The treecut loss is
+non-root node, in the tree's column layout (``TaxonomyTree.layout``),
+whose label side ``classifier.unit_weights`` builds. A sample's target
+in a vocabulary is the member on its leaf's root path: one lookup,
+``ColumnLayout.targets``, for a treecut, in training and eval alike,
+and ``ColumnLayout.on_path`` for the node-centric groups. The treecut loss is
 a softmax over one sampled fringe's columns, teaching global consistency;
 the node-centric loss, teaching each local decision, averages every
 internal node's child-set cross-entropy, as softmaxes over only the groups
@@ -25,7 +26,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
-from .taxonomy import ColumnLayout, LabelSet, TaxonomyTree, _path_groups
+from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 
 
 @dataclass(frozen=True)
@@ -37,36 +38,27 @@ class LossValue:
     grad_bias: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Scores:
-    """Cosines of unit features against unit mapped weights, plus what
-    the backward pass needs: embedding rows, unit weights and weight
-    norms per column, and the unit features per row."""
-
-    emb: np.ndarray
-    what: np.ndarray
-    wnorm: np.ndarray
-    vhat: np.ndarray
-    cos: np.ndarray
-
-
-def _score(
-    params: PromptParams, table: EmbeddingTable, nodes, features: np.ndarray
-) -> _Scores:
-    emb, what, wnorm = unit_weights(params, table, nodes)
+def _score(params: PromptParams, table: EmbeddingTable, nodes, features: np.ndarray) -> tuple:
+    """Cosines of unit features against the unit mapped weights of ``nodes``, last
+    in (emb, what, wnorm, vhat, cos), after what the backward pass needs: the
+    embedding rows, unit weights and weight norms per column, the unit features."""
+    emb = table.vectors[np.asarray(nodes, dtype=np.int64)]
+    what, wnorm = unit_weights(params, emb)
     vhat, _ = unit_rows(np.asarray(features, dtype=np.float64), "features")
-    return _Scores(emb, what, wnorm, vhat, vhat @ what.T)
+    return emb, what, wnorm, vhat, vhat @ what.T
 
 
-def _backward(g: np.ndarray, sc: _Scores) -> tuple[np.ndarray, np.ndarray]:
-    """Map gradients from ``g``, the loss gradient at the cosines: through
-    the weight normalization, then through w = A e + b. Overwrites ``g`` and
-    ``sc.what``, so the radial part makes no (columns x dim) temporary."""
-    d_weights = g.T @ sc.vhat
-    g *= sc.cos
-    d_weights -= np.multiply(sc.what, g.sum(axis=0)[:, None], out=sc.what)
-    d_weights /= sc.wnorm[:, None]
-    return d_weights.T @ sc.emb, d_weights.sum(axis=0)
+def _backward(g: np.ndarray, sc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Map gradients from ``g``, the loss gradient at the cosines ``_score``
+    returned in ``sc``: through the weight normalization, then through
+    w = A e + b. Overwrites ``g`` and ``sc``'s unit weights, so the radial
+    part makes no (columns x dim) temporary."""
+    emb, what, wnorm, vhat, cos = sc
+    d_weights = g.T @ vhat
+    g *= cos
+    d_weights -= np.multiply(what, g.sum(axis=0)[:, None], out=what)
+    d_weights /= wnorm[:, None]
+    return d_weights.T @ emb, d_weights.sum(axis=0)
 
 
 def _node_centric(
@@ -101,14 +93,6 @@ def _node_centric(
     return value
 
 
-def _cut_targets(layout: ColumnLayout, members, leaves: np.ndarray) -> np.ndarray:
-    """Each leaf's position in ``members``, a treecut: the member whose preorder
-    interval starts last at or before the leaf's position."""
-    starts = layout.tin[np.asarray(members, dtype=np.int64)]
-    order = np.argsort(starts)
-    return order[np.searchsorted(starts[order], layout.tin[leaves], side="right") - 1]
-
-
 def _treecut(
     tree: TaxonomyTree, cos: np.ndarray, cut: LabelSet, leaves: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
@@ -116,7 +100,7 @@ def _treecut(
     in member order, and its gradient at them. A one-member cut forces the
     answer: its loss and gradient are zero."""
     n = len(leaves)
-    targets = _cut_targets(tree.layout, cut.members, leaves)
+    targets = tree.layout.targets(cut.members, leaves)
     rows = np.arange(n)
     z = cos / tau
     z -= z.max(axis=1, keepdims=True)
@@ -134,7 +118,7 @@ def _treecut(
 def _forward(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, cut: LabelSet,
     batch: SampleSet, lam: float,
-) -> tuple[_Scores, float, float, np.ndarray]:
+) -> tuple[tuple, float, float, np.ndarray]:
     """The scores ``total_loss`` takes, its treecut and node-centric values,
     and the total's gradient at the cosines."""
     if not 0 <= lam < math.inf:
@@ -145,14 +129,15 @@ def _forward(
     leaves, tau = batch.leaf_labels, params.tau
     if lam == 0.0:
         sc = _score(params, table, cut.members, batch.features)
-        dtl, g = _treecut(tree, sc.cos, cut, leaves, tau)
+        dtl, g = _treecut(tree, sc[-1], cut, leaves, tau)
         return sc, dtl, 0.0, g
     lay = tree.layout
     sc = _score(params, table, lay.nodes, batch.features)
-    g = np.zeros_like(sc.cos)
-    ncl = _node_centric(tree, sc.cos, leaves, tau, g, lam / len(lay.sizes))
+    cos = sc[-1]
+    g = np.zeros_like(cos)
+    ncl = _node_centric(tree, cos, leaves, tau, g, lam / len(lay.sizes))
     cut_cols = lay.column[np.asarray(cut.members, dtype=np.int64)]
-    dtl, g_cut = _treecut(tree, sc.cos[:, cut_cols], cut, leaves, tau)
+    dtl, g_cut = _treecut(tree, cos[:, cut_cols], cut, leaves, tau)
     g[:, cut_cols] += g_cut
     return sc, dtl, ncl, g
 
@@ -172,8 +157,8 @@ def node_centric_loss(
     if len(batch) == 0:
         raise ValueError("batch is empty")
     sc = _score(params, table, tree.layout.nodes, batch.features)
-    g = np.zeros_like(sc.cos)
-    value = _node_centric(tree, sc.cos, batch.leaf_labels, params.tau, g)
+    g = np.zeros_like(sc[-1])
+    value = _node_centric(tree, sc[-1], batch.leaf_labels, params.tau, g)
     grad_w, grad_b = _backward(g, sc)
     n_groups = len(tree.layout.sizes)
     return LossValue(value, grad_w / n_groups, grad_b / n_groups)

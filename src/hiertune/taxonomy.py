@@ -127,6 +127,13 @@ class ColumnLayout:
         at = np.take(self.tin, nodes)
         return (np.take(self.tin, above) <= at) & (at < np.take(self.tout, above))
 
+    def targets(self, members, nodes) -> np.ndarray:
+        """Each of ``nodes``' position in ``members``, a treecut: the member on its
+        root path, whose preorder interval starts last at or before the node's."""
+        starts = self.tin[np.asarray(members, dtype=np.int64)]
+        order = np.argsort(starts)
+        return order[np.searchsorted(starts[order], np.take(self.tin, nodes), side="right") - 1]
+
 
 def _path_groups(tree: TaxonomyTree, leaves: np.ndarray) -> tuple[np.ndarray, ...]:
     """The (sample, group) pairs at the branching nodes on each leaf's root

@@ -8,7 +8,6 @@ carries a digest of the final parameters to make that cheap to assert.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -102,6 +101,7 @@ def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
 
 def params_digest(params: PromptParams) -> str:
     """Stable hex digest of the parameter bytes, for determinism checks."""
+    import hashlib  # loaded at the digest, after the loop: OpenSSL takes 3.6 MB
     h = hashlib.sha256()
     h.update(f"{params.dim},{params.tau!r}".encode())
     h.update(np.ascontiguousarray(params.weight).tobytes())
@@ -172,7 +172,7 @@ def train(
                     records.append(IterationRecord(
                         iteration, lr, len(cut), dtl, ncl, total.value
                     ))
-            unit_weights(params, emb, layout.nodes)
+            unit_weights(params, emb.vectors[layout.nodes])
             _, dtl, ncl, _ = _forward(tree, params, emb, first_cut, first_batch, config.lam)
             after = dtl + config.lam * ncl  # total_loss's value, with no backward pass
     except FloatingPointError as exc:

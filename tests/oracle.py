@@ -21,7 +21,10 @@ kept as they were before the library scored every vocabulary as columns
 of one matrix. The node-centric loss and the hca decisions are also kept
 in their dense score-matrix form, as they were before both reduced over
 each sample's root-path groups alone: a softmax and an argmax over every
-group for every sample, masked afterwards. The synthetic tree planner is
+group for every sample, masked afterwards. A treecut's decisions on a
+score block are kept as eval took them before it compared each cut's
+argmax with the position of the member on the true leaf's path: the
+prediction, then an ancestry test. The synthetic tree planner is
 kept in its recursive form, one call per level, as it was before an
 explicit stack let it plan a tree of any depth, and its branching factor
 is found by counting up, as it was before an integer bisection. The
@@ -46,6 +49,7 @@ from typing import BinaryIO
 import numpy as np
 
 from hiertune.classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows
+from hiertune.classifier import predict as layout_predict
 from hiertune.fileio import FormatError, write_embeddings, write_samples, write_tree
 from hiertune.metrics import CutResult
 from hiertune.objectives import LossValue
@@ -466,17 +470,19 @@ def dense_node_centric(
     return value, z
 
 
-def backward(g: np.ndarray, sc) -> tuple[np.ndarray, np.ndarray]:
+def backward(g: np.ndarray, sc: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``objectives._backward`` with the radial part 64 rows at a time, so
-    that it needs no (columns x dim) temporary and leaves ``sc`` alone.
+    that it needs no (columns x dim) temporary and leaves ``sc``, the
+    (emb, what, wnorm, vhat, cos) of ``objectives._score``, alone.
     Overwrites ``g``."""
-    d_weights = g.T @ sc.vhat
-    g *= sc.cos
+    emb, what, wnorm, vhat, cos = sc
+    d_weights = g.T @ vhat
+    g *= cos
     colsum = g.sum(axis=0)
     for lo in range(0, len(colsum), 64):
-        d_weights[lo : lo + 64] -= colsum[lo : lo + 64, None] * sc.what[lo : lo + 64]
-    d_weights /= sc.wnorm[:, None]
-    return d_weights.T @ sc.emb, d_weights.sum(axis=0)
+        d_weights[lo : lo + 64] -= colsum[lo : lo + 64, None] * what[lo : lo + 64]
+    d_weights /= wnorm[:, None]
+    return d_weights.T @ emb, d_weights.sum(axis=0)
 
 
 # ---------------------------------------------------------------- trainer
@@ -602,6 +608,14 @@ def dense_hca_right(tree: TaxonomyTree, labels: np.ndarray, scores: np.ndarray, 
     scored = lay.on_path(labels[:, None], internal) & (lay.sizes >= 2)
     wrong = scored & ~lay.on_path(labels[:, None], decided)
     return int((ok & ~wrong.any(axis=1)).sum())
+
+
+def cut_right(tree: TaxonomyTree, labels: np.ndarray, scores: np.ndarray, members) -> np.ndarray:
+    """Which rows of a layout-column score block a treecut decides right, by
+    ancestry: its prediction (``classifier.predict``, ties to the smallest
+    node index) is the true leaf or one of its ancestors."""
+    members = np.asarray(members, dtype=np.int64)
+    return tree.layout.on_path(labels, layout_predict(tree, scores, members))
 
 
 def mta(

@@ -5,8 +5,9 @@ path. A rename in the package would otherwise surface only as a crash of
 a traced benchmark run, so every entry is resolved here. ``perfbench/run.py``
 checks each ``train`` output with the package's own loader and digest, so
 that check is run here on a real ``train`` output. The traced ``gen-synth``
-must meet the spans it records, and ``perfbench/genlarge.py``, which calls
-the package's writers, must keep its bytes.
+must meet the spans it records, ``train`` must call the traced
+``objectives.total_loss`` once per step, and ``perfbench/genlarge.py``,
+which calls the package's writers, must keep its bytes.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ import io
 import sys
 from pathlib import Path
 
-from hiertune import cli
+from hiertune import cli, trainer
+
+from helpers import demo_tree, noisy_samples, random_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_PY = PERFBENCH / "traced.py"
@@ -107,6 +110,36 @@ def test_gen_synth_runs_through_the_traced_functions(tmp_path, monkeypatch):
         ("taxonomy.load_tree", ("synth.gen_synth",)),
         ("fileio.write_samples", ("synth.gen_synth",)),
     ]
+
+
+def test_train_calls_the_traced_total_loss_once_per_step(monkeypatch):
+    # run.py takes the median of a traced run's objectives.total_loss spans,
+    # which raises on none, so a train that skips total_loss fails every
+    # traced run. Wrapped where traced.py wraps it, it runs once per record.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    traced = load_by_path("perfbench_traced", TRACED_PY, monkeypatch)
+    callers = [importlib.import_module(m) for m in traced.CALLERS]
+    module, attr, _ = traced.TRACED["objectives.total_loss"]
+    original = getattr(importlib.import_module(module), attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = [(mod, key) for mod in callers for key, value in vars(mod).items()
+               if value is original]
+    assert ("hiertune.trainer", "total_loss") in {(mod.__name__, key) for mod, key in holders}
+    for mod, key in holders:
+        monkeypatch.setattr(mod, key, counted)
+    tree = demo_tree()  # four leaves
+    table = random_table(tree, 6, seed=70)
+    data = noisy_samples(tree, table, per_leaf=3, sigma=0.6, seed=71)
+    for lam in (0.0, 0.5):  # the treecut alone, and both losses
+        calls.clear()
+        config = trainer.TrainConfig(epochs=2, batch_size=5, lam=lam)
+        _, log = trainer.train(config, tree, table, data)
+        assert len(log.records) == 6 and len(calls) == len(log.records)
 
 
 def test_genlarge_bytes_are_frozen(monkeypatch):

@@ -156,8 +156,7 @@ def test_node_weights_identity_and_affine():
         (np.eye(3), np.array([0.0, 0.0, 7.0]), rows + np.array([0.0, 0.0, 7.0])),
     ):
         params = PromptParams(weight=weight, bias=bias, tau=1.0)
-        emb, what, wnorm = unit_weights(params, table, labels)
-        np.testing.assert_array_equal(emb, rows)
+        what, wnorm = unit_weights(params, rows)
         np.testing.assert_array_equal(wnorm, np.linalg.norm(mapped, axis=1))
         np.testing.assert_array_equal(what, mapped / wnorm[:, None])
 
@@ -165,7 +164,7 @@ def test_node_weights_identity_and_affine():
 def test_node_weights_dimension_mismatch():
     tree, table, labels = star_fixture([1, 0, 0], [0, 2, 0])
     with pytest.raises(ValueError, match="dimensions differ"):
-        unit_weights(PromptParams.identity(2, 1.0), table, labels)
+        unit_weights(PromptParams.identity(2, 1.0), table.vectors[labels])
 
 
 def test_cosine_scores_orthonormal_oracle():

@@ -24,9 +24,10 @@ lines and decoding error as the bounded ``\n`` one, wherever a read
 piece ends. Its one-float.__repr__-per-value row writer must give the
 same bytes as the block-at-a-time orjson one, on every kind of float and
 at any share of values orjson lays out unlike repr. A treecut target found
-by the interval lookup must be the one member on the leaf's root path, and
-the sampler's batch draws must leave the stream where the scalar loop
-does.
+by the interval lookup must be the one member on the leaf's root path,
+eval's cut decisions by target position must be the ancestry decisions of
+the prediction, ties included, and the sampler's batch draws must leave
+the stream where the scalar loop does.
 """
 from __future__ import annotations
 
@@ -114,7 +115,7 @@ def problems(draw):
 def assert_backward_is_the_reference(problem, lam):
     tree, table, params, batch, cut = problem
     sc, _, _, g = objectives._forward(tree, params, table, cut, batch, lam)
-    old = oracle.backward(g.copy(), sc)  # first: _backward overwrites sc.what
+    old = oracle.backward(g.copy(), sc)  # first: _backward overwrites sc's unit weights
     new = objectives._backward(g, sc)
     assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
@@ -209,7 +210,7 @@ def test_path_pairs_match_dense_forms_bit_for_bit(problem, block, data):
     if data is not None:  # samples in any order, not grouped by leaf
         batch = batch.take(data.draw(st.permutations(range(len(batch)))))
     leaves = batch.leaf_labels
-    cos = objectives._score(params, table, tree.layout.nodes, batch.features).cos
+    *_, cos = objectives._score(params, table, tree.layout.nodes, batch.features)
     grad = np.zeros_like(cos)
     value = objectives._node_centric(tree, cos, leaves, params.tau, grad)
     old_value, old_grad = oracle.dense_node_centric(tree, cos, leaves, params.tau)
@@ -331,8 +332,41 @@ def test_cut_targets_are_the_members_on_each_root_path(seed, one_child_root, bet
     )
     for cut in cuts:
         expected = np.argmax(lay.on_path(leaves[:, None], cut.members), axis=1)
-        got = objectives._cut_targets(lay, cut.members, leaves)
+        got = lay.targets(cut.members, leaves)
         np.testing.assert_array_equal(got, expected)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from((0.1, 0.5, 0.9)),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_cut_decisions_are_the_ancestry_decisions(seed, one_child_root, beta, block, data):
+    # Eval decides a cut by comparing its columns' argmax with the target
+    # position; the reference predicts a member and tests its ancestry. On
+    # scores drawn from three values, ties are common and the smallest node
+    # index must win them in both: with every score equal, a cut is right
+    # exactly on the samples whose target is its smallest member.
+    tree = sampler_tree(seed, one_child_root)
+    lay = build_matrices(tree)
+    rng = Rng64(seed)
+    cuts = tuple(sample_treecut(tree, lay, beta, rng) for _ in range(4))
+    n = data.draw(st.integers(1, 9))
+    labels = np.asarray(data.draw(st.lists(st.sampled_from(tree.leaf_nodes), min_size=n,
+                                           max_size=n)))
+    samples = SampleSet(tuple(map(str, range(n))), labels, np.ones((n, 1)))
+    three = st.sampled_from((0.0, 1.0, 2.0))
+    drawn = data.draw(hnp.arrays(np.float64, (n, len(lay.nodes)), elements=three))
+    for scores in (drawn, np.zeros_like(drawn)):
+        blocks = [(labels[lo : lo + block], scores[lo : lo + block]) for lo in range(0, n, block)]
+        with mock.patch.object(metrics, "score_blocks", lambda *_: iter(blocks)):
+            got = metrics._accuracies(tree, None, None, samples, cuts)[2]
+        right = [oracle.cut_right(tree, labels, scores, cut.members) for cut in cuts]
+        assert got == [int(ok.sum()) / n for ok in right]
+    smallest = [lay.on_path(labels, min(cut.members)) for cut in cuts]
+    assert [ok.tolist() for ok in right] == [ok.tolist() for ok in smallest]
 
 
 # ------------------------------------------------------------ file loaders

@@ -19,6 +19,7 @@ from hiertune import (
     mta,
 )
 from hiertune import metrics
+from hiertune.taxonomy import ColumnLayout
 
 import oracle
 from helpers import (
@@ -188,28 +189,34 @@ def test_evaluate_refuses_a_repeated_rate():
 
 def test_evaluate_makes_one_pass_over_the_score_blocks():
     # One score_blocks iteration serves all three metrics: per block, one
-    # leaf prediction plus one per cut drawn.
+    # leaf prediction; each cut's targets are looked up once, before it.
     tree = demo_tree()
     table = random_table(tree, 6, seed=60)
     params = random_params(6, tau=0.4, seed=61)
     data = noisy_samples(tree, table, per_leaf=4, sigma=0.6, seed=62)
-    passes, predictions = [], []
-    blocks, predict = metrics.score_blocks, metrics.predict
+    passes, predictions, lookups = [], [], []
+    blocks, predict, targets = metrics.score_blocks, metrics.predict, ColumnLayout.targets
 
     def counted_blocks(*args):
         passes.append(args)
         return blocks(*args)
 
     def counted_predict(*args):
-        predictions.append(args)
+        predictions.append(len(passes))
         return predict(*args)
+
+    def counted_targets(*args):
+        lookups.append(len(passes))
+        return targets(*args)
 
     with mock.patch.object(metrics, "EVAL_BLOCK", 5), \
             mock.patch.object(metrics, "score_blocks", counted_blocks), \
-            mock.patch.object(metrics, "predict", counted_predict):
+            mock.patch.object(metrics, "predict", counted_predict), \
+            mock.patch.object(ColumnLayout, "targets", counted_targets):
         report = evaluate(tree, params, table, data, (0.2, 0.8), cuts_per_beta=3, seed=4)
     assert len(passes) == 1
-    assert len(predictions) == (len(report.cuts) + 1) * 4  # 16 samples, blocks of 5
+    assert len(predictions) == 4  # 16 samples, blocks of 5
+    assert lookups == [0] * len(report.cuts)  # all before the pass starts
 
 
 def test_metrics_input_validation():
