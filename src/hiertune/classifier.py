@@ -1,12 +1,12 @@
 """Cosine-similarity classifier over node embeddings, with a tunable map.
 
 Every node carries a fixed text embedding. A feature vector is scored by
-cosine similarity against the *mapped* node embeddings w = A e + c, and a
-classifier for a label set predicts the member with the highest cosine.
-With A = I, c = 0 the classifier is the zero-shot baseline; training moves
-only A and c, so one parameter pair serves every label set drawn from the
-tree. ``unit_weights`` maps the label side of every score matrix, a
-training step's and eval's; ``predict`` decides the leaf vocabulary.
+cosine similarity against the *mapped* node embeddings w = A e + c; a label
+set's classifier picks the member with the highest cosine. A = I, c = 0 is
+the zero-shot baseline; training moves only A and c, one pair for every label
+set drawn from the tree. ``unit_weights`` maps the label side of every score
+matrix. Eval decides every vocabulary, the leaf set included, by one argmax
+compared with one target lookup; ``predict`` stays for library callers.
 """
 from __future__ import annotations
 

@@ -4,7 +4,12 @@ Every failure surfaces as one machine-parsable stderr line
 ``E:<code>:<detail>`` with exit status 1. Codes: ``tree`` (tree document
 invalid), ``format`` (embedding/sample/params file invalid), ``io`` (file
 system), ``train`` (run aborted), ``invalid`` (bad flag value or
-inconsistent inputs).
+inconsistent inputs), ``memory`` (an allocation failed).
+
+A product's bits depend on how many threads BLAS splits it over, so the
+module pins BLAS to one thread before numpy loads, over any value the
+caller's environment sets: a command's bytes depend on its inputs and seed,
+not on the host's core count.
 
 Every input file is opened by ``_load``; a byte that is not UTF-8 is a
 ``tree`` error in the tree and a ``format`` error in any other file.
@@ -19,6 +24,11 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
+
+# One BLAS thread whatever the environment says, set before numpy loads.
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
 
 # Only what every command needs; each command imports the rest itself, so a
 # process loads and compiles just the modules its command runs.
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: str, exc: Exception) -> int:
-    detail = " ".join(str(exc).split())
+    detail = " ".join(str(exc).split()) or type(exc).__name__  # a bare MemoryError says nothing
     print(f"E:{code}:{detail}", file=sys.stderr)
     return 1
 
@@ -268,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("train", exc)
     except ValueError as exc:
         return _fail("invalid", exc)
+    except MemoryError as exc:
+        return _fail("memory", exc)
 
 
 if __name__ == "__main__":

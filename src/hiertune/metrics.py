@@ -7,14 +7,14 @@ accuracy scores the model on randomly coarsened vocabularies and averages,
 probing robustness to label granularity. All sampling is seeded, so a
 report is a pure function of its inputs.
 
-Every decision is an argmax over a column subset of one score matrix,
-the cosines of the samples against every non-root node in the tree's
-column layout, which ``score_blocks`` builds a block of samples at a time.
-Ties go to the smallest node index. A leaf prediction is
-``classifier.predict``, right exactly on the true leaf; a cut's is right
-exactly at the member that holds the true leaf, the position
-``ColumnLayout.targets`` gives the treecut loss too; hca's decisions are
-taken only at the branching nodes on each sample's root path.
+Every decision is an argmax over a column subset of one score matrix, the
+cosines of the samples against every non-root node in the tree's column
+layout, which ``score_blocks`` builds a block of samples at a time. Ties go
+to the smallest node index. Every vocabulary, the leaf set (the β = 0 cut)
+included, is one argmax compared with one target lookup, the member on the
+leaf's root path that ``ColumnLayout.targets`` gives the treecut loss too;
+hca decides only at the branching nodes on each sample's root path.
+``classifier.predict`` is kept for library callers; eval does not call it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EmbeddingTable, PromptParams, SampleSet, predict, unit_rows, unit_weights
+from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64, check_seed, derive_seed
 from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 from .treecut import build_matrices, sample_distinct
@@ -98,31 +98,31 @@ def _accuracies(
     tree: TaxonomyTree, params: PromptParams, table: EmbeddingTable, data: SampleSet,
     cuts: tuple[LabelSet, ...] = (),
 ) -> tuple[float, float, list[float]]:
-    """Leaf accuracy, hca and each cut's accuracy, from one pass over the
-    score blocks; per block, one leaf prediction serves both of the first two.
-    A cut is right where its columns' argmax is the leaf's target position."""
+    """Leaf accuracy, hca and each cut's accuracy, from one pass over the score
+    blocks. Vocabulary 0 is the leaf set, the β = 0 cut; each is right where its
+    columns' argmax is the leaf's target position, and hca reuses row 0's hits."""
     lay, leaves = tree.layout, np.asarray(tree.leaf_nodes, dtype=np.int64)
-    cut_columns = [lay.column[np.asarray(cut.members, dtype=np.int64)] for cut in cuts]
-    cut_targets = np.zeros((len(cuts), tree.n_nodes), dtype=np.int64)  # per cut, at each leaf
-    for k, cut in enumerate(cuts):
-        cut_targets[k, leaves] = lay.targets(cut.members, leaves)
-    leaf_right = hca_right = 0
-    cut_right = np.zeros(len(cuts), dtype=np.int64)
+    vocabularies = [leaves, *(np.asarray(cut.members, dtype=np.int64) for cut in cuts)]
+    columns = [lay.column[members] for members in vocabularies]
+    targets = np.zeros((len(columns), tree.n_nodes), dtype=np.int32)  # at each leaf
+    for k, members in enumerate(vocabularies):
+        targets[k, leaves] = lay.targets(members, leaves)
+    picked = np.empty((len(columns), EVAL_BLOCK), dtype=np.intp)
+    right, hca_right = np.zeros(len(columns), dtype=np.int64), 0
     for labels, scores in score_blocks(tree, params, table, data):
-        ok = predict(tree, scores, leaves) == labels
-        leaf_right += int(ok.sum())
-        # Each branching node on a true path decides for the first column
-        # of its group that reaches the group maximum: its smallest best child.
+        for row, vocabulary in zip(picked, columns):
+            np.argmax(np.take(scores, vocabulary, axis=1), axis=1, out=row[: len(labels)])
+        hits = picked[:, : len(labels)] == targets[:, labels]
+        right += hits.sum(axis=1)
+        # A branching node on a true path picks its group's first maximal column.
         rows, _, sizes, seg, target, flat_rows, cols = _path_groups(tree, labels)
         v = scores[flat_rows, cols]
         top = np.repeat(np.maximum.reduceat(v, seg), sizes)
         first = np.minimum.reduceat(np.where(v == top, np.arange(len(v)), len(v)), seg)
-        ok[rows[first != target]] = False
-        hca_right += int(ok.sum())
-        for k, columns in enumerate(cut_columns):
-            picked = np.argmax(np.take(scores, columns, axis=1), axis=1)
-            cut_right[k] += int((picked == cut_targets[k, labels]).sum())
-    return leaf_right / len(data), hca_right / len(data), (cut_right / len(data)).tolist()
+        hits[0, rows[first != target]] = False  # row 0 is counted: now hca's leaf test
+        hca_right += int(hits[0].sum())
+    leaf_acc, *cut_acc = (right / len(data)).tolist()
+    return leaf_acc, hca_right / len(data), cut_acc
 
 
 def leaf_accuracy(
@@ -180,7 +180,7 @@ def evaluate(
     """All three metrics in one report, from one pass over the score blocks.
 
     The treecuts are drawn first, as ``mta`` describes; the pass then
-    predicts the leaves and decides each cut once per block.
+    decides the leaf set and each cut once per block.
     """
     _require_data(table, data)
     if not betas:

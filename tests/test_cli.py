@@ -234,6 +234,28 @@ def test_failed_train_leaves_earlier_outputs_alone(synth_dir, tmp_path, monkeypa
     assert sorted(p.name for p in run.iterdir()) == ["params.txt", "train_log.tsv"]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+def test_an_allocation_failure_is_one_memory_line(synth_dir, tmp_path, monkeypatch, message):
+    # Injected, never provoked: a MemoryError from the sample loader is one
+    # E:memory line, numpy's message or the bare type, and --out stays as it was.
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "params.txt").write_text("earlier", encoding="utf-8")
+    params = tmp_path / "params.txt"
+    params.write_text(write_params(PromptParams.identity(8, 0.07)), encoding="utf-8")
+
+    def out_of_memory(*_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fileio, "load_samples", out_of_memory)  # imported per call
+    for command in (("train", "--epochs", "1"), ("eval", "--params", str(params))):
+        rc, out, err = run_cli(command[0], *data_args(synth_dir), "--out", str(run),
+                               *command[1:])
+        assert (rc, out, err) == (1, "", f"E:memory:{message or 'MemoryError'}\n")
+        assert [p.name for p in run.iterdir()] == ["params.txt"]
+        assert (run / "params.txt").read_text(encoding="utf-8") == "earlier"
+
+
 SLICE = cli._WRITE_SLICE
 
 
@@ -442,6 +464,33 @@ def test_train_bytes_are_frozen(tmp_path, fixture, lam, beta, digest, sha256s):
 def test_module_entry_point_writes_the_frozen_bytes(tmp_path, fixture, lam, beta, digest,
                                                     sha256s):
     check_frozen_run(run_module, tmp_path, fixture, lam, beta, digest, sha256s)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At this shape OpenBLAS splits the step's products over every thread it
+    # may use, and the split moves their bits; the CLI pins one thread, so
+    # train writes the same bytes at 1 thread, at 2 and with the variables unset.
+    data = tmp_path / "data"
+    rc, _, _ = run_cli("gen-synth", "--out", str(data), "--leaves", "125", "--depth", "3",
+                       "--dim", "160", "--per-leaf", "2", "--seed", "0")
+    assert rc == 0
+    written = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREADS, threads))
+        out = tmp_path / f"run-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hiertune.cli", "train", *data_args(data), "--out", str(out),
+             "--epochs", "1", "--seed", "0"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append([(out / name).read_bytes() for name in ("params.txt", "train_log.tsv")])
+    assert written[0] == written[1] == written[2]
 
 
 def test_in_process_main_leaves_the_heap_unfrozen(demo_path):

@@ -17,8 +17,9 @@ from hiertune import (
     leaf_accuracy,
     load_tree,
     mta,
+    predict,
 )
-from hiertune import metrics
+from hiertune import classifier, metrics
 from hiertune.taxonomy import ColumnLayout
 
 import oracle
@@ -63,6 +64,16 @@ def test_leaf_accuracy_counts_exact_matches():
         features=clean.features,
     )
     assert leaf_accuracy(tree, ident, table, one_wrong) == 0.75
+    # Leaves n4 and n5 share one embedding row, so they tie on n5's sample:
+    # the smaller index, n4, wins in the public predict and in the leaf
+    # set's decision that leaf accuracy counts.
+    vectors = table.vectors.copy()
+    vectors[5] = vectors[4]
+    tied = EmbeddingTable(dim=table.dim, vectors=vectors)
+    data = samples_at_leaves(tree, tied)
+    [(_, scores)] = metrics.score_blocks(tree, ident, tied, data)
+    assert predict(tree, scores, np.asarray(tree.leaf_nodes)).tolist() == [3, 4, 4, 6]
+    assert leaf_accuracy(tree, ident, tied, data) == 0.75
 
 
 def test_hca_penalizes_inconsistent_path():
@@ -188,35 +199,34 @@ def test_evaluate_refuses_a_repeated_rate():
 
 
 def test_evaluate_makes_one_pass_over_the_score_blocks():
-    # One score_blocks iteration serves all three metrics: per block, one
-    # leaf prediction; each cut's targets are looked up once, before it.
+    # One score_blocks iteration serves all three metrics, with no predict
+    # call: every vocabulary, the leaf set first, has its targets looked up
+    # once, before the pass.
     tree = demo_tree()
     table = random_table(tree, 6, seed=60)
     params = random_params(6, tau=0.4, seed=61)
     data = noisy_samples(tree, table, per_leaf=4, sigma=0.6, seed=62)
-    passes, predictions, lookups = [], [], []
-    blocks, predict, targets = metrics.score_blocks, metrics.predict, ColumnLayout.targets
+    passes, lookups = [], []
+    blocks, targets = metrics.score_blocks, ColumnLayout.targets
 
     def counted_blocks(*args):
         passes.append(args)
         return blocks(*args)
 
-    def counted_predict(*args):
-        predictions.append(len(passes))
-        return predict(*args)
-
-    def counted_targets(*args):
-        lookups.append(len(passes))
-        return targets(*args)
+    def counted_targets(self, members, nodes):
+        lookups.append((len(passes), tuple(members)))
+        return targets(self, members, nodes)
 
     with mock.patch.object(metrics, "EVAL_BLOCK", 5), \
             mock.patch.object(metrics, "score_blocks", counted_blocks), \
-            mock.patch.object(metrics, "predict", counted_predict), \
+            mock.patch.object(classifier, "predict", side_effect=AssertionError("predict")), \
             mock.patch.object(ColumnLayout, "targets", counted_targets):
         report = evaluate(tree, params, table, data, (0.2, 0.8), cuts_per_beta=3, seed=4)
     assert len(passes) == 1
-    assert len(predictions) == 4  # 16 samples, blocks of 5
-    assert lookups == [0] * len(report.cuts)  # all before the pass starts
+    assert not hasattr(metrics, "predict")
+    assert [when for when, _ in lookups] == [0] * (1 + len(report.cuts))  # all before the pass
+    assert lookups[0][1] == tree.leaf_nodes
+    assert [len(members) for _, members in lookups[1:]] == [r.size for r in report.cuts]
 
 
 def test_metrics_input_validation():
