@@ -87,9 +87,20 @@ class PromptParams:
         return cls(weight=np.eye(dim), bias=np.zeros(dim), tau=tau)
 
 
+# Bytes of rows ``_row_norms`` squares at a time, into one buffer that stays
+# below glibc's 128 KiB mmap threshold, so no square of the whole matrix is made.
+_NORM_BYTES = 1 << 16
+
+
 def _row_norms(x: np.ndarray, what: str) -> np.ndarray:
-    """Row norms as np.linalg.norm's bits, at one temporary fewer; see unit_rows."""
-    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    """Row norms as np.linalg.norm's bits, a block of rows at a time; see unit_rows."""
+    step = max(1, _NORM_BYTES // (8 * x.shape[1]))
+    norms, square = np.empty(len(x)), np.empty((min(step, len(x)), x.shape[1]))
+    for lo in range(0, len(x), step):
+        block = x[lo : lo + step]
+        np.multiply(block, block, out=square[: len(block)])
+        np.add.reduce(square[: len(block)], axis=1, out=norms[lo : lo + step])
+    np.sqrt(norms, out=norms)
     if not np.isfinite(norms).all():
         if not np.isfinite(x).all():
             raise ValueError(f"{what} must be finite")

@@ -28,7 +28,8 @@ from .rng import Rng64, check_seed, derive_seed
 from .taxonomy import LabelSet, TaxonomyTree, _path_groups
 from .treecut import build_matrices, sample_distinct
 
-# At most EVAL_BLOCK samples, and EVAL_BYTES of scores, per score block.
+# At most EVAL_BLOCK samples, EVAL_BYTES of scores and dim rows per score
+# block, so a block is never larger than the label side it is scored against.
 # Eval holds one block's scores at a time and decides only on each sample's
 # root-path groups or a cut's columns, so its memory is bounded at any tree
 # width. Larger blocks on narrow trees raised resident memory, not speed.
@@ -86,7 +87,7 @@ def score_blocks(
     _require_data(table, data)
     with np.errstate(over="ignore"):
         what, _ = unit_weights(params, table.vectors[tree.layout.nodes])
-    rows = max(1, min(EVAL_BLOCK, EVAL_BYTES // (8 * len(what))))
+    rows = max(1, min(EVAL_BLOCK, params.dim, EVAL_BYTES // (8 * len(what))))
     for lo in range(0, len(data), rows):
         block = np.asarray(data.features[lo : lo + rows], dtype=np.float64)
         with np.errstate(over="ignore"):

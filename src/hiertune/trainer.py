@@ -101,7 +101,9 @@ def k_shot_indices(samples: SampleSet, shots: int) -> np.ndarray:
 
 def params_digest(params: PromptParams) -> str:
     """Stable hex digest of the parameter bytes, for determinism checks."""
-    import hashlib  # loaded at the digest, after the loop: OpenSSL takes 3.6 MB
+    # Imported at the digest, which train takes once the loop's frame and
+    # buffers are gone, so OpenSSL's 3.6 MB is not stacked on the loop's heap.
+    import hashlib
     h = hashlib.sha256()
     h.update(f"{params.dim},{params.tau!r}".encode())
     h.update(np.ascontiguousarray(params.weight).tobytes())
@@ -126,6 +128,15 @@ def train(
     naming the step. A final loss on step 0's batch and cut above step 0's
     sets the log's warning.
     """
+    params, records, warning = _descend(config, tree, emb, data)
+    return params, TrainLog(records, params_digest(params), config.seed, warning)
+
+
+def _descend(
+    config: TrainConfig, tree: TaxonomyTree, emb: EmbeddingTable, data: SampleSet
+) -> tuple[PromptParams, tuple[IterationRecord, ...], str]:
+    """``train``'s checks, SGD loop and final check: the tuned map, the
+    records and the warning. Its buffers go with its frame."""
     if len(data) == 0:
         raise ValueError("no training samples")
     if data.features.shape[1] != emb.dim:
@@ -182,5 +193,4 @@ def train(
         f"final params score loss {after!r} on step 0's batch and cut, above "
         f"step 0's {records[0].total!r}: training may have diverged"
     )
-    log = TrainLog(tuple(records), params_digest(params), config.seed, warning)
-    return params, log
+    return params, tuple(records), warning

@@ -75,6 +75,19 @@ def wide_deep_document(rng: Rng64) -> str:
     return "\n".join(lines) + "\n"
 
 
+def recursive_document(rng: Rng64, internal: int, leaves: int) -> str:
+    """A random recursive tree document, the shape of the benchmark's
+    ``large-unbalanced`` workload at (250, 1000): each internal node hangs
+    under a uniform earlier one, every childless internal node gets a leaf
+    and the other leaves go to uniform internal nodes."""
+    parents = [oracle.next_below(rng, v) for v in range(1, internal)]
+    childless = sorted(set(range(internal)) - set(parents))
+    homes = childless + [oracle.next_below(rng, internal) for _ in range(leaves - len(childless))]
+    lines = ["v0\t-"] + [f"v{v}\tv{p}" for v, p in enumerate(parents, 1)]
+    lines += [f"v{internal + j}\tv{p}" for j, p in enumerate(homes)]
+    return "\n".join(lines) + "\n"
+
+
 def under_single_child_root(tree: TaxonomyTree) -> TaxonomyTree:
     """The same tree hung below a new root that has it as its only child."""
     lines = ["top\t-"] + [

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hiertune import (
     EmbeddingTable,
@@ -15,6 +18,7 @@ from hiertune import (
     score_blocks,
     treecut_loss,
 )
+from hiertune import classifier
 from hiertune.classifier import unit_rows, unit_weights
 from hiertune.fileio import FormatError, load_embeddings
 
@@ -145,6 +149,54 @@ def test_unit_rows_normalizes_and_rejects():
     units, norms = unit_rows(huge / 1e60, "label weights")
     np.testing.assert_allclose(norms, [2**0.5 * 1e140, 5e-60])
     np.testing.assert_allclose(units, [[2**-0.5, 2**-0.5], [0.6, 0.8]])
+
+
+@given(
+    st.integers(1, 300), st.integers(1, 600), st.sampled_from((1, 3, 50, None)),
+    st.integers(0, 2**32 - 1), st.sampled_from((None, "nan", "inf", "huge", "zero")),
+)
+def test_row_norms_are_linalg_norms_a_block_at_a_time(dim, rows, per_block, seed, fault):
+    # _row_norms squares _NORM_BYTES of rows at a time into one buffer. A
+    # row's sum does not depend on the rows squared with it, so the norms are
+    # np.linalg.norm's bits whether a block holds one row, a few or many
+    # (None: the module's own block), with the last block ragged; a fault in
+    # any block is named as before.
+    per_block = per_block or max(1, classifier._NORM_BYTES // (8 * dim))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    x = gen.standard_normal((rows, dim)) * gen.choice((1e-150, 1e-3, 1.0, 1e150), (rows, 1))
+    bad = int(gen.integers(rows))
+    if fault is not None:
+        x[bad] = {"nan": np.nan, "inf": -np.inf, "huge": 1e200, "zero": 0.0}[fault]
+    message = {
+        "nan": "x must be finite", "inf": "x must be finite",
+        "huge": "x contains a row whose norm overflows", "zero": "x contains a zero-norm row",
+    }
+    with mock.patch.object(classifier, "_NORM_BYTES", 8 * dim * per_block):
+        if fault is None:
+            np.testing.assert_array_equal(
+                classifier._row_norms(x, "x"), np.linalg.norm(x, axis=1), strict=True
+            )
+            return
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message[fault]}$"):
+            classifier._row_norms(x, "x")
+        if fault == "huge":  # train's divergence path
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                classifier._row_norms(x, "x")
+
+
+def test_unit_weights_holds_its_output_and_one_block():
+    # The norms are taken a block of rows at a time, so the label side's
+    # peak is the mapped rows, their norms and one square block (71 KB above
+    # them measured); squaring the whole matrix adds another rows x dim.
+    rows = np.random.Generator(np.random.PCG64(7)).standard_normal((4000, 64))
+    params = random_params(64, tau=0.1, seed=8)
+    tracemalloc.start()
+    try:
+        what, wnorm = unit_weights(params, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= what.nbytes + wnorm.nbytes + classifier._NORM_BYTES + 2**14, peak
 
 
 def test_node_weights_identity_and_affine():

@@ -115,7 +115,7 @@ def problems(draw):
 def assert_backward_is_the_reference(problem, lam):
     tree, table, params, batch, cut = problem
     sc, _, _, g = objectives._forward(tree, params, table, cut, batch, lam)
-    old = oracle.backward(g.copy(), sc)  # first: _backward overwrites sc's unit weights
+    old = oracle.backward(g.copy(), sc)  # first: _backward overwrites sc's cosines and weights
     new = objectives._backward(g, sc)
     assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 

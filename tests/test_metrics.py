@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hiertune import (
     EmbeddingTable,
@@ -30,6 +31,7 @@ from helpers import (
     random_params,
     random_table,
     random_tree,
+    recursive_document,
     samples_at_leaves,
     wide_deep_document,
 )
@@ -247,10 +249,51 @@ def test_metrics_input_validation():
         mta(tree, ident, table, data, betas=(0.5,), cuts_per_beta=0, seed=0)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from((3, 9, 300)), st.integers(1, 16))
+def test_reports_do_not_depend_on_block_rows(seed, dim, per_leaf):
+    # Each sample's scores and decisions are its own, so a report is the
+    # same whatever rows a score block holds: 1, 7, 256 (at dim 300, over
+    # 256 samples) or the rule's, which is at most dim.
+    tree = random_tree(Rng64(seed), max_internal=8, max_nodes=30)
+    table = random_table(tree, dim, seed=seed)
+    params = random_params(dim, tau=0.5, seed=seed)
+    data = noisy_samples(tree, table, per_leaf, sigma=0.8, seed=seed)
+    report = evaluate(tree, params, table, data, (0.3, 0.7), cuts_per_beta=3, seed=seed)
+    for rows in (1, 7, 256):
+        with mock.patch.object(metrics, "EVAL_BLOCK", rows):
+            assert evaluate(tree, params, table, data, (0.3, 0.7), 3, seed) == report
+
+
+def assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, betas, cuts_per_beta):
+    """``evaluate``'s tracemalloc peak above its inputs is at most the label
+    side, its gathered rows and two score blocks, and no block is larger
+    than the label side."""
+    params = PromptParams.identity(table.dim, 0.07)
+    label = 8 * len(tree.layout.nodes) * table.dim  # built once per tree, an input
+    blocks, score_blocks = [], metrics.score_blocks
+
+    def sized(*args):
+        for labels, scores in score_blocks(*args):
+            blocks.append(scores.nbytes)
+            yield labels, scores
+
+    with mock.patch.object(metrics, "score_blocks", sized):
+        tracemalloc.start()
+        try:
+            report = evaluate(tree, params, table, data, betas, cuts_per_beta, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 0.0 <= report.hca <= report.leaf_acc <= 1.0
+    assert max(blocks) <= label
+    assert peak <= 2 * label + 2 * min(label, metrics.EVAL_BYTES), f"peak {peak / 2**20:.2f} MB"
+
+
 def test_eval_on_a_twenty_thousand_node_tree_stays_small():
     # hca decides only at each sample's root-path groups, and score blocks
     # shrink to fit EVAL_BYTES on a tree this wide (16 rows, not 256), so
-    # eval holds no samples x columns temporaries beyond one block's scores.
+    # eval holds no samples x columns temporaries beyond the block being
+    # scored and the one before it (8.38 MB measured, against 9.77 MB).
     tree = load_tree(wide_deep_document(Rng64(20_000)))
     table = random_table(tree, 16, seed=3)
     rng = Rng64(4)
@@ -263,12 +306,14 @@ def test_eval_on_a_twenty_thousand_node_tree_stays_small():
         leaf_labels=leaves,
         features=table.vectors[leaves] + 0.5 * noise,
     )
-    params = PromptParams.identity(16, 0.07)
-    tracemalloc.start()
-    try:
-        report = evaluate(tree, params, table, data, (0.5,), cuts_per_beta=2, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.0 <= report.hca <= report.leaf_acc <= 1.0
-    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, (0.5,), 2)
+
+
+def test_eval_blocks_are_no_larger_than_the_label_side():
+    # The benchmark's large-unbalanced shape: 1,249 columns at dim 128 get
+    # 128-row blocks, not EVAL_BLOCK's 256. Measured peak 4.49 MB, against
+    # 7.25 MB with 256-row blocks and the norms' whole square.
+    tree = load_tree(recursive_document(Rng64(0), 250, 1000))
+    table = random_table(tree, 128, seed=1)
+    data = noisy_samples(tree, table, per_leaf=2, sigma=1.0, seed=2)
+    assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, (0.1, 0.3, 0.5, 0.7, 0.9), 5)

@@ -294,6 +294,61 @@ def test_total_loss_runs_one_backward_pass(monkeypatch, lam):
     assert calls == [(len(batch), width)]
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_backward_overwrites_only_the_buffers_it_names(lam):
+    # _backward reuses the cosines for g times them and the unit weights for
+    # the radial part; its docstring names both, and it leaves the rest of
+    # sc, and g, as they were.
+    from hiertune import objectives
+
+    tree, table = nested_demo_table()
+    params = random_params(table.dim, tau=0.3, seed=2)
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
+    batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    sc, _, _, g = objectives._forward(tree, params, table, cut, batch, lam)
+    names = ("embedding rows", "unit weights", "weight norms", "unit features", "cosines")
+    before = [a.copy() for a in (*sc, g)]
+    objectives._backward(g, sc)
+    changed = {
+        name for name, old, new in zip((*names, "``g``"), before, (*sc, g))
+        if not np.array_equal(old, new)
+    }
+    assert changed == {"unit weights", "cosines"}
+    overwrites = objectives._backward.__doc__.split("Overwrites")[1]
+    assert all(name in overwrites for name in changed)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_treecut_never_overwrites_the_scores(monkeypatch, lam):
+    # _treecut forms its gradient in the buffer of the logits it is given,
+    # so every caller, public or not, must give it logits of its own, never
+    # the score's cosines, which the backward pass reads.
+    from hiertune import objectives
+
+    scored, shared = [], []
+    score, treecut = objectives._score, objectives._treecut
+
+    def seen_score(*args):
+        sc = score(*args)
+        scored.append(sc[-1])
+        return sc
+
+    def seen_treecut(tree, z, *args):
+        shared.append(any(np.shares_memory(z, cos) for cos in scored))
+        return treecut(tree, z, *args)
+
+    monkeypatch.setattr(objectives, "_score", seen_score)
+    monkeypatch.setattr(objectives, "_treecut", seen_treecut)
+    tree, table = nested_demo_table()
+    params = random_params(table.dim, tau=0.3, seed=2)
+    cut = tree.treecut_label_set((tree.name_index["n1"], tree.name_index["n6"]))
+    batch = noisy_samples(tree, table, per_leaf=2, sigma=0.4, seed=3)
+    treecut_loss(tree, params, table, cut, batch)
+    total_loss(tree, params, table, cut, batch, lam)
+    gradient_check(tree, params, table, cut, batch, lam)
+    assert shared and not any(shared)
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_total_loss_rejects_non_finite_lambda(lam):
     # NaN passes a plain ``lam < 0`` check and would give a NaN loss with

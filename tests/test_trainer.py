@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,20 @@ from hiertune import (
     build_matrices,
     cosine_lr,
     derive_seed,
+    load_tree,
     train,
     treecut_loss,
 )
 from hiertune.trainer import k_shot_indices, params_digest
 
 import oracle
-from helpers import demo_tree, nested_demo_table, noisy_samples, random_table
+from helpers import (
+    demo_tree,
+    nested_demo_table,
+    noisy_samples,
+    random_table,
+    recursive_document,
+)
 
 FINAL_STEP_LR = 4.934798141786878e-08  # frozen: 0.02 * 0.5 * (1 + cos(0.999 pi))
 
@@ -257,3 +265,32 @@ def test_each_step_checks_its_cut_once(monkeypatch, lam):
     _, log = train(config, tree, table, data)
     assert len(checks) == len(log.records) + 1
     assert checks[-1] == checks[0]
+
+
+def test_the_digest_is_taken_after_the_loop_buffers_are_gone(monkeypatch):
+    # train's loop runs in a frame that ends before the digest imports
+    # hashlib, so OpenSSL is not loaded on top of the step's buffers. At the
+    # digest, the map, the records and little else are live above the
+    # inputs (6 KB measured); the loop's frame kept a batch x columns
+    # gradient and more (247 KB).
+    from hiertune import trainer as trainer_mod
+
+    tree = load_tree(recursive_document(Rng64(1), 80, 320))
+    table = random_table(tree, 16, seed=2)
+    data = noisy_samples(tree, table, per_leaf=1, sigma=1.0, seed=3)
+    tree.layout  # built once per tree; an input, not the loop's
+    live = []
+    digest = trainer_mod.params_digest
+
+    def traced_digest(params):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return digest(params)
+
+    monkeypatch.setattr(trainer_mod, "params_digest", traced_digest)
+    config = TrainConfig(epochs=1, batch_size=64, lam=0.5)
+    tracemalloc.start()
+    try:
+        train(config, tree, table, data)
+    finally:
+        tracemalloc.stop()
+    assert live[0] < config.batch_size * len(tree.layout.nodes) * 8, live
