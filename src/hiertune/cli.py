@@ -9,7 +9,9 @@ inconsistent inputs), ``memory`` (an allocation failed).
 A product's bits depend on how many threads BLAS splits it over, so the
 module pins BLAS to one thread before numpy loads, over any value the
 caller's environment sets: a command's bytes depend on its inputs and seed,
-not on the host's core count.
+not on the host's core count. The pin acts only when this module is imported
+before numpy: ``main([...])`` called in a process that has already loaded
+numpy runs at that process's BLAS thread count.
 
 Every input file is opened by ``_load``; a byte that is not UTF-8 is a
 ``tree`` error in the tree and a ``format`` error in any other file.
@@ -127,16 +129,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     tree = _load(args.tree, load_tree, error=TreeFormatError)
     table = _load(args.emb, load_embeddings, tree)
     samples = _load(args.samples, load_samples, tree)
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        base_lr=args.lr,
-        lam=args.lam,
-        beta=args.beta,
-        seed=args.seed,
-        tau=args.tau,
-        shots=args.shots,
-    )
+    fields = TrainConfig.__dataclass_fields__
+    config = TrainConfig(**{k: v for k, v in vars(args).items() if k in fields})
     params, log = train(config, tree, table, samples)
     if log.warning:
         print(f"W:train:{log.warning}", file=sys.stderr)
@@ -216,16 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb", required=True, help="embedding table path")
     p.add_argument("--samples", required=True, help="training sample path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    # A flag left out takes TrainConfig's default; only epochs and batch size have none.
+    unset = argparse.SUPPRESS
+    p.add_argument("--lambda", dest="lam", type=float, default=unset,
                    help="weight of the node-centric loss term")
-    p.add_argument("--beta", type=float, default=0.1, help="subtree drop rate in [0,1]")
+    p.add_argument("--beta", type=float, default=unset, help="subtree drop rate in [0,1]")
     p.add_argument("--epochs", type=int, default=200, help="training epochs")
     p.add_argument("--batch-size", type=int, default=128, help="minibatch size")
-    p.add_argument("--lr", type=float, default=0.02, help="base learning rate")
-    p.add_argument("--tau", type=float, default=0.07, help="softmax temperature")
-    p.add_argument("--shots", type=int, default=None,
+    p.add_argument("--lr", dest="base_lr", type=float, default=unset, help="base learning rate")
+    p.add_argument("--tau", type=float, default=unset, help="softmax temperature")
+    p.add_argument("--shots", type=int, default=unset,
                    help="keep only the first N samples per leaf")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, default=unset, help="random seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a params file on a sample file")

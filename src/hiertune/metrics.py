@@ -25,15 +25,14 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64, check_seed, derive_seed
-from .taxonomy import LabelSet, TaxonomyTree, _path_groups
+from .taxonomy import LabelSet, TaxonomyTree
 from .treecut import build_matrices, sample_distinct
 
-# At most EVAL_BLOCK samples, EVAL_BYTES of scores and dim rows per score
-# block, so a block is never larger than the label side it is scored against.
-# Eval holds one block's scores at a time and decides only on each sample's
-# root-path groups or a cut's columns, so its memory is bounded at any tree
-# width. Larger blocks on narrow trees raised resident memory, not speed.
-EVAL_BLOCK = 256
+# A score block takes at most dim rows and EVAL_BYTES of scores (one row at
+# least), so it is never larger than the label side it is scored against.
+# Eval holds the label side and one block's scores at a time, and decides only
+# on each sample's root-path groups or a cut's columns, so its memory is
+# bounded at any tree width. Larger blocks raised resident memory, not speed.
 EVAL_BYTES = 5 << 19  # 2.5 MiB
 
 
@@ -87,7 +86,7 @@ def score_blocks(
     _require_data(table, data)
     with np.errstate(over="ignore"):
         what, _ = unit_weights(params, table.vectors[tree.layout.nodes])
-    rows = max(1, min(EVAL_BLOCK, params.dim, EVAL_BYTES // (8 * len(what))))
+    rows = max(1, min(params.dim, EVAL_BYTES // (8 * len(what))))
     for lo in range(0, len(data), rows):
         block = np.asarray(data.features[lo : lo + rows], dtype=np.float64)
         with np.errstate(over="ignore"):
@@ -108,7 +107,7 @@ def _accuracies(
     targets = np.zeros((len(columns), tree.n_nodes), dtype=np.int32)  # at each leaf
     for k, members in enumerate(vocabularies):
         targets[k, leaves] = lay.targets(members, leaves)
-    picked = np.empty((len(columns), EVAL_BLOCK), dtype=np.intp)
+    picked = np.empty((len(columns), params.dim), dtype=np.intp)  # rows of the largest block
     right, hca_right = np.zeros(len(columns), dtype=np.int64), 0
     for labels, scores in score_blocks(tree, params, table, data):
         for row, vocabulary in zip(picked, columns):
@@ -116,8 +115,9 @@ def _accuracies(
         hits = picked[:, : len(labels)] == targets[:, labels]
         right += hits.sum(axis=1)
         # A branching node on a true path picks its group's first maximal column.
-        rows, _, sizes, seg, target, flat_rows, cols = _path_groups(tree, labels)
+        rows, _, sizes, seg, target, flat_rows, cols = lay.path_groups(labels)
         v = scores[flat_rows, cols]
+        del scores  # before the generator scores the next block
         top = np.repeat(np.maximum.reduceat(v, seg), sizes)
         first = np.minimum.reduceat(np.where(v == top, np.arange(len(v)), len(v)), seg)
         hits[0, rows[first != target]] = False  # row 0 is counted: now hca's leaf test

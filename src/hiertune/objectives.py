@@ -6,7 +6,7 @@ non-root node, in the tree's column layout (``TaxonomyTree.layout``),
 whose label side ``classifier.unit_weights`` builds. A sample's target
 in a vocabulary is the member on its leaf's root path: one lookup,
 ``ColumnLayout.targets``, for a treecut, in training and eval alike,
-and ``ColumnLayout.on_path`` for the node-centric groups. The treecut loss is
+and ``ColumnLayout.path_groups`` for the node-centric groups. The treecut loss is
 a softmax over one sampled fringe's columns, teaching global consistency;
 the node-centric loss, teaching each local decision, averages every
 internal node's child-set cross-entropy, as softmaxes over only the groups
@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifier import EmbeddingTable, PromptParams, SampleSet, unit_rows, unit_weights
 from .rng import Rng64
-from .taxonomy import LabelSet, TaxonomyTree, _path_groups
+from .taxonomy import LabelSet, TaxonomyTree
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _node_centric(
     of terms at the cosines is added at the pairs' columns.
     """
     n_groups = len(tree.layout.sizes)
-    rows, group, sizes, seg, target, flat_rows, cols = _path_groups(tree, leaves)
+    rows, group, sizes, seg, target, flat_rows, cols = tree.layout.path_groups(leaves)
     counts = np.bincount(group, minlength=n_groups)
     z = cos[flat_rows, cols] / tau
     z -= np.repeat(np.maximum.reduceat(z, seg), sizes)

@@ -134,25 +134,23 @@ class ColumnLayout:
         order = np.argsort(starts)
         return order[np.searchsorted(starts[order], np.take(self.tin, nodes), side="right") - 1]
 
-
-def _path_groups(tree: TaxonomyTree, leaves: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (sample, group) pairs at the branching nodes on each leaf's root
-    path, where hca judges a sample and it enters the node-centric loss. Per
-    pair: sample (ascending, then group), group, size, and ``seg`` and
-    ``target``, the positions of its first and on-path columns in the pairs'
-    columns laid end to end (per position: sample and layout column)."""
-    lay = tree.layout
-    branching = np.flatnonzero(lay.sizes >= 2)
-    above = lay.internal_nodes[branching]
-    rows, k = np.nonzero(lay.on_path(leaves[:, None], above))
-    group = branching[k]
-    sizes = lay.sizes[group]
-    seg = np.cumsum(sizes) - sizes
-    flat_rows = np.repeat(rows, sizes)
-    cols = np.arange(sizes.sum()) + np.repeat(lay.starts[group] - seg, sizes)
-    # Exactly one child of each such node holds the leaf: one per pair.
-    target = np.flatnonzero(lay.on_path(leaves[flat_rows], lay.nodes[cols]))
-    return rows, group, sizes, seg, target, flat_rows, cols
+    def path_groups(self, leaves: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (sample, group) pairs at the branching nodes on each leaf's root
+        path, where hca judges a sample and it enters the node-centric loss. Per
+        pair: sample (ascending, then group), group, size, and ``seg`` and
+        ``target``, the positions of its first and on-path columns in the pairs'
+        columns laid end to end (per position: sample and layout column)."""
+        branching = np.flatnonzero(self.sizes >= 2)
+        above = self.internal_nodes[branching]
+        rows, k = np.nonzero(self.on_path(leaves[:, None], above))
+        group = branching[k]
+        sizes = self.sizes[group]
+        seg = np.cumsum(sizes) - sizes
+        flat_rows = np.repeat(rows, sizes)
+        cols = np.arange(sizes.sum()) + np.repeat(self.starts[group] - seg, sizes)
+        # Exactly one child of each such node holds the leaf: one per pair.
+        target = np.flatnonzero(self.on_path(leaves[flat_rows], self.nodes[cols]))
+        return rows, group, sizes, seg, target, flat_rows, cols
 
 
 @dataclass(frozen=True)

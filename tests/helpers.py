@@ -1,10 +1,13 @@
 """Shared fixtures: the worked demo tree, random trees, simple tables."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
 import oracle
 from hiertune import EmbeddingTable, PromptParams, Rng64, SampleSet, TaxonomyTree, load_tree
+from hiertune import metrics
 
 DEMO_DOC = "n0\t-\nn1\tn0\nn2\tn1\nn3\tn1\nn4\tn2\nn5\tn2\nn6\tn0\n"
 
@@ -159,3 +162,9 @@ def random_params(dim: int, tau: float, seed: int, spread: float = 0.3) -> Promp
 
 def names_of(tree: TaxonomyTree, members: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(tree.names[m] for m in members)
+
+
+def block_rows(tree: TaxonomyTree, rows: int):
+    """Patch ``metrics.EVAL_BYTES`` so that eval's score blocks on ``tree`` hold
+    ``rows`` samples, or dim if that is fewer."""
+    return mock.patch.object(metrics, "EVAL_BYTES", 8 * len(tree.layout.nodes) * rows)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from hiertune import PromptParams, Rng64, SampleSet, cli, fileio, load_tree
 from hiertune.fileio import load_params, load_samples, write_params, write_samples
+from hiertune.trainer import TrainConfig, train
 
 from helpers import DEMO_DOC, noisy_samples, random_table, random_tree
 
@@ -575,6 +576,21 @@ def test_train_writes_params_and_log(synth_dir, tmp_path):
     digest = log_text.splitlines()[1].split()[-1]
     assert f"params digest {digest}" in out
     assert "final total loss" in out
+
+
+def test_train_flags_left_out_take_the_config_defaults(synth_dir, tmp_path):
+    # --lambda, --beta, --lr, --tau, --shots and --seed have no defaults of
+    # their own: left out, each takes TrainConfig's.
+    rc, _, _ = run_cli(
+        "train", *data_args(synth_dir), "--out", str(tmp_path / "run"),
+        "--epochs", "3", "--batch-size", "8",
+    )
+    assert rc == 0
+    tree = load_tree((synth_dir / "tree.txt").read_text(encoding="utf-8"))
+    table = fileio.load_embeddings((synth_dir / "embeddings.tsv").read_text(encoding="utf-8"), tree)
+    samples = load_samples((synth_dir / "samples.tsv").read_text(encoding="utf-8"), tree)
+    params, _ = train(TrainConfig(epochs=3, batch_size=8), tree, table, samples)
+    assert (tmp_path / "run" / "params.txt").read_text(encoding="utf-8") == write_params(params)
 
 
 def test_train_twice_is_byte_identical(synth_dir, tmp_path):

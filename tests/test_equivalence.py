@@ -74,6 +74,7 @@ from hiertune.trainer import k_shot_indices
 
 from helpers import (
     ODD_BREAKS,
+    block_rows,
     noisy_samples,
     random_params,
     random_table,
@@ -168,7 +169,7 @@ def test_losses_match_reference(problem, lam):
 def test_metrics_match_reference(problem, block):
     tree, table, params, data, cut = problem
     betas = (0.5, 1.0)
-    with mock.patch.object(metrics, "EVAL_BLOCK", block):
+    with block_rows(tree, block):
         vocabularies = [oracle.leaf_label_set(tree), cut]
         vocabularies += [oracle.node_label_set(tree, n) for n in tree.internal_nodes]
         for labels in vocabularies:
@@ -216,7 +217,7 @@ def test_path_pairs_match_dense_forms_bit_for_bit(problem, block, data):
     old_value, old_grad = oracle.dense_node_centric(tree, cos, leaves, params.tau)
     assert np.array_equal(value, old_value)
     assert np.array_equal(grad, old_grad)
-    with mock.patch.object(metrics, "EVAL_BLOCK", block):
+    with block_rows(tree, block):
         dense_right = 0
         for labels, scores in score_blocks(tree, params, table, batch):
             ok = predict(tree, scores, np.asarray(tree.leaf_nodes)) == labels
@@ -362,7 +363,9 @@ def test_cut_decisions_are_the_ancestry_decisions(seed, one_child_root, beta, bl
     for scores in (drawn, np.zeros_like(drawn)):
         blocks = [(labels[lo : lo + block], scores[lo : lo + block]) for lo in range(0, n, block)]
         with mock.patch.object(metrics, "score_blocks", lambda *_: iter(blocks)):
-            got = metrics._accuracies(tree, None, None, samples, cuts)[2]
+            # at most dim rows a block, as score_blocks yields them
+            got = metrics._accuracies(tree, PromptParams.identity(block, 1.0), None, samples,
+                                      cuts)[2]
         right = [oracle.cut_right(tree, labels, scores, cut.members) for cut in cuts]
         assert got == [int(ok.sum()) / n for ok in right]
     smallest = [lay.on_path(labels, min(cut.members)) for cut in cuts]

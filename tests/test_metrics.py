@@ -26,6 +26,7 @@ from hiertune.taxonomy import ColumnLayout
 import oracle
 from helpers import (
     basis_table,
+    block_rows,
     demo_tree,
     noisy_samples,
     random_params,
@@ -219,7 +220,7 @@ def test_evaluate_makes_one_pass_over_the_score_blocks():
         lookups.append((len(passes), tuple(members)))
         return targets(self, members, nodes)
 
-    with mock.patch.object(metrics, "EVAL_BLOCK", 5), \
+    with block_rows(tree, 5), \
             mock.patch.object(metrics, "score_blocks", counted_blocks), \
             mock.patch.object(classifier, "predict", side_effect=AssertionError("predict")), \
             mock.patch.object(ColumnLayout, "targets", counted_targets):
@@ -260,22 +261,23 @@ def test_reports_do_not_depend_on_block_rows(seed, dim, per_leaf):
     data = noisy_samples(tree, table, per_leaf, sigma=0.8, seed=seed)
     report = evaluate(tree, params, table, data, (0.3, 0.7), cuts_per_beta=3, seed=seed)
     for rows in (1, 7, 256):
-        with mock.patch.object(metrics, "EVAL_BLOCK", rows):
+        with block_rows(tree, rows):
             assert evaluate(tree, params, table, data, (0.3, 0.7), 3, seed) == report
 
 
-def assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, betas, cuts_per_beta):
+def assert_eval_holds_the_label_side_and(blocks, tree, table, data, betas, cuts_per_beta):
     """``evaluate``'s tracemalloc peak above its inputs is at most the label
-    side, its gathered rows and two score blocks, and no block is larger
-    than the label side."""
+    side, its gathered rows and ``blocks`` score blocks, and no block is
+    larger than the label side."""
     params = PromptParams.identity(table.dim, 0.07)
     label = 8 * len(tree.layout.nodes) * table.dim  # built once per tree, an input
-    blocks, score_blocks = [], metrics.score_blocks
+    sizes, score_blocks = [], metrics.score_blocks
 
     def sized(*args):
         for labels, scores in score_blocks(*args):
-            blocks.append(scores.nbytes)
+            sizes.append(scores.nbytes)
             yield labels, scores
+            del scores  # as eval does, before the next block is scored
 
     with mock.patch.object(metrics, "score_blocks", sized):
         tracemalloc.start()
@@ -285,15 +287,15 @@ def assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, betas, cu
         finally:
             tracemalloc.stop()
     assert 0.0 <= report.hca <= report.leaf_acc <= 1.0
-    assert max(blocks) <= label
-    assert peak <= 2 * label + 2 * min(label, metrics.EVAL_BYTES), f"peak {peak / 2**20:.2f} MB"
+    assert max(sizes) <= label
+    assert peak <= 2 * label + blocks * min(label, metrics.EVAL_BYTES), f"peak {peak / 2**20:.2f} MB"
 
 
 def test_eval_on_a_twenty_thousand_node_tree_stays_small():
-    # hca decides only at each sample's root-path groups, and score blocks
-    # shrink to fit EVAL_BYTES on a tree this wide (16 rows, not 256), so
-    # eval holds no samples x columns temporaries beyond the block being
-    # scored and the one before it (8.38 MB measured, against 9.77 MB).
+    # hca decides only at each sample's root-path groups, score blocks
+    # shrink to fit EVAL_BYTES on a tree this wide (16 rows), and eval drops
+    # each block before the next is scored, so it holds no samples x columns
+    # temporary beyond the one block (6.85 MB measured, against 7.32 MB).
     tree = load_tree(wide_deep_document(Rng64(20_000)))
     table = random_table(tree, 16, seed=3)
     rng = Rng64(4)
@@ -306,14 +308,15 @@ def test_eval_on_a_twenty_thousand_node_tree_stays_small():
         leaf_labels=leaves,
         features=table.vectors[leaves] + 0.5 * noise,
     )
-    assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, (0.5,), 2)
+    assert_eval_holds_the_label_side_and(1, tree, table, data, (0.5,), 2)
 
 
 def test_eval_blocks_are_no_larger_than_the_label_side():
     # The benchmark's large-unbalanced shape: 1,249 columns at dim 128 get
-    # 128-row blocks, not EVAL_BLOCK's 256. Measured peak 4.49 MB, against
-    # 7.25 MB with 256-row blocks and the norms' whole square.
+    # dim's 128-row blocks, not the 262 rows EVAL_BYTES allows. Here the leaf
+    # vocabulary's gathered columns are about a block, so two blocks bound
+    # the peak: 4.22 MB measured, against 4.88 MB.
     tree = load_tree(recursive_document(Rng64(0), 250, 1000))
     table = random_table(tree, 128, seed=1)
     data = noisy_samples(tree, table, per_leaf=2, sigma=1.0, seed=2)
-    assert_eval_holds_the_label_side_and_two_blocks(tree, table, data, (0.1, 0.3, 0.5, 0.7, 0.9), 5)
+    assert_eval_holds_the_label_side_and(2, tree, table, data, (0.1, 0.3, 0.5, 0.7, 0.9), 5)

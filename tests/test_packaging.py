@@ -112,8 +112,6 @@ def test_public_callables_are_called_in_the_package():
 PRIVATE_IMPORTS_ALLOWED = {
     ("fileio", "taxonomy._lines"): "every input file is split into lines by one reader",
     ("fileio", "taxonomy._records"): "every input file skips blank and comment lines alike",
-    ("objectives", "taxonomy._path_groups"): "the node-centric loss reduces over hca's pairs",
-    ("metrics", "taxonomy._path_groups"): "hca reduces over the node-centric loss's pairs",
     ("cli", "treecut._reachable"): "sample-cuts tells a rate out of cuts from a search that gave up",
     ("trainer", "objectives._forward"): "the end-of-run check needs the loss, not its gradient",
 }

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
+import hiertune
 from hiertune import gen_synth
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,3 +26,20 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().strip()
+
+
+def test_every_module_name_the_readme_gives_exists():
+    # A backticked `<module>.<name>`, a call or a bench metric after it
+    # included, names an attribute of that hiertune submodule.
+    modules = {info.name for info in pkgutil.iter_modules(hiertune.__path__)}
+    named = {
+        (m.group(1), m.group(2))
+        for m in re.finditer(r"`(\w+)\.(\w+)", README.read_text(encoding="utf-8"))
+        if m.group(1) in modules
+    }
+    assert ("metrics", "EVAL_BYTES") in named
+    missing = {
+        f"{module}.{name}" for module, name in named
+        if not hasattr(getattr(hiertune, module), name)
+    }
+    assert not missing
